@@ -22,8 +22,10 @@ import numpy as np
 from .config import TrapConfig
 from .constants import CONSTANTS
 
+_NEWTON_TOL = 0.5e-13
 _RESIDUAL_TOL = 1e-12
-_JACOBI_OFF_TOL = 1e-13
+_MAX_NEWTON_STEPS = 200
+_SIGN_TIE_TOL = 1e-9
 _DEGENERACY_TOL = 1e-9
 
 
@@ -32,12 +34,13 @@ class SolverError(RuntimeError):
 
 
 class NoConvergenceError(SolverError):
-    def __init__(self, iterations: int, residual: float):
+    def __init__(self, steps: int, reason: str, residual: float):
         super().__init__(
-            f"equilibrium solve did not converge after {iterations} iterations "
-            f"(residual {residual:.3e})"
+            f"equilibrium solve stopped ({reason}) after {steps} Newton steps "
+            f"with residual {residual:.3e} > {_RESIDUAL_TOL:.0e}"
         )
-        self.iterations = iterations
+        self.steps = steps
+        self.reason = reason
         self.residual = residual
 
 
@@ -46,22 +49,17 @@ class DegeneratePositionsError(SolverError):
         super().__init__(f"ions {i + 1} and {j + 1} nearly coincide (|du| = {separation:.3e})")
 
 
-class EigenNoConvergenceError(SolverError):
-    def __init__(self, sweeps: int, off_norm: float):
-        super().__init__(
-            f"Jacobi diagonalization stalled after {sweeps} sweeps (off-diagonal norm {off_norm:.3e})"
-        )
-
-
 @dataclass(frozen=True)
 class ChainSolution:
     """Equilibrium and normal-mode data for one chain.
 
     mode_matrix rows are modes, columns are ions: S[j, n] is the
     participation of ion n+1 in mode j+1. Rows are sign-fixed so the
-    entry of largest magnitude is positive (ties broken toward the lowest
-    ion index); quantities that are odd under eigenvector sign flips
-    (e.g. the carrier shifts Delta_j downstream) inherit this convention.
+    entry of largest magnitude is positive, ties (magnitudes equal to a
+    relative 1e-9) broken toward the lowest ion index. In a harmonic trap
+    every row is tied, so the rule, not the eigensolver, fixes the signs.
+    Quantities that are odd under eigenvector sign flips (e.g. the carrier
+    shifts Delta_j downstream) inherit this convention.
     """
 
     length_scale: float                 # zeta, m
@@ -149,14 +147,17 @@ def _initial_guess(n: int) -> np.ndarray:
     return np.linspace(-half_extent, half_extent, n)
 
 
-def solve_equilibrium(n: int, max_iter: int = 200) -> np.ndarray:
+def solve_equilibrium(n: int) -> np.ndarray:
     """Equilibrium positions of n ions, dimensionless, ascending, mean zero.
 
     Damped Newton iteration on the stationarity system; the Jacobian is the
     dynamical matrix, which is strictly diagonally dominant and hence
-    positive definite for any ordered configuration. A short scaled-descent
-    fallback handles the (never observed for n <= 50) case of a rejected
-    Newton step.
+    positive definite for any ordered configuration. A step is halved up
+    to 40 times until the max-norm residual drops. The iteration stops at
+    _NEWTON_TOL or on stagnation, when no backtracked step lowers the
+    residual (its float64 floor is ~1e-13 for n >= 41); _MAX_NEWTON_STEPS
+    is only a guard. If the centred result misses _RESIDUAL_TOL,
+    NoConvergenceError names the steps taken and the stop reason.
     """
     if not 1 <= n <= 50:
         raise ValueError(f"ion count must be in [1, 50], got {n}")
@@ -166,11 +167,13 @@ def solve_equilibrium(n: int, max_iter: int = 200) -> np.ndarray:
     u = _initial_guess(n)
     residual = stationarity_residual(u)
     res_norm = float(np.max(np.abs(residual)))
-    for iteration in range(max_iter):
-        if res_norm < 0.5e-13:
+    steps = 0
+    reason = "guard"
+    while steps < _MAX_NEWTON_STEPS:
+        if res_norm < _NEWTON_TOL:
+            reason = "tolerance"
             break
         step = np.linalg.solve(dynamical_matrix(u), residual)
-        improved = False
         alpha = 1.0
         for _ in range(40):
             trial = u - alpha * step
@@ -179,98 +182,41 @@ def solve_equilibrium(n: int, max_iter: int = 200) -> np.ndarray:
                 trial_norm = float(np.max(np.abs(trial_res)))
                 if trial_norm < res_norm:
                     u, residual, res_norm = trial, trial_res, trial_norm
-                    improved = True
                     break
             alpha *= 0.5
-        if not improved:
-            # descend along the raw force with a conservative step
-            scale = 1e-3 / max(1.0, res_norm)
-            for _ in range(5):
-                trial = u - scale * residual
-                if np.all(np.diff(trial) > 0.0):
-                    u = trial
-                    residual = stationarity_residual(u)
-                    res_norm = float(np.max(np.abs(residual)))
-    else:
-        if res_norm > _RESIDUAL_TOL:
-            raise NoConvergenceError(max_iter, res_norm)
+        else:
+            reason = "stagnation"
+            break
+        steps += 1
 
     u = u - u.mean()
     res_norm = float(np.max(np.abs(stationarity_residual(u))))
     if res_norm > _RESIDUAL_TOL:
-        raise NoConvergenceError(max_iter, res_norm)
+        raise NoConvergenceError(steps, reason, res_norm)
     return u
 
 
-def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """One Givens rotation zeroing a[p, q], accumulating the basis in v."""
-    apq = a[p, q]
-    if apq == 0.0:
-        return
-    theta = 0.5 * (a[q, q] - a[p, p]) / apq
-    # smaller root of t^2 + 2 t theta - 1 = 0 for numerical stability
-    t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
-    c = 1.0 / math.hypot(1.0, t)
-    s = t * c
-
-    app, aqq = a[p, p], a[q, q]
-    a[p, p] = app - t * apq
-    a[q, q] = aqq + t * apq
-    a[p, q] = a[q, p] = 0.0
-
-    rows = [i for i in range(a.shape[0]) if i != p and i != q]
-    aip = a[rows, p].copy()
-    aiq = a[rows, q].copy()
-    a[rows, p] = a[p, rows] = c * aip - s * aiq
-    a[rows, q] = a[q, rows] = s * aip + c * aiq
-
-    vp = v[:, p].copy()
-    vq = v[:, q].copy()
-    v[:, p] = c * vp - s * vq
-    v[:, q] = s * vp + c * vq
-
-
-def _off_diagonal_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
-
-
-def normal_modes(a: np.ndarray, max_sweeps: int = 100) -> tuple[np.ndarray, np.ndarray]:
+def normal_modes(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and sign-fixed mode matrix of a symmetric matrix.
 
-    Cyclic Jacobi rotations; terminates when the off-diagonal Frobenius
-    norm drops below 1e-13, which small chain matrices always reach.
-    Returns (lambda^2 vector, S) with rows of S the eigenvectors.
+    LAPACK symmetric eigensolver (np.linalg.eigh). Returns (lambda^2
+    vector, S) with rows of S the eigenvectors. Each row is signed so that
+    its pivot is positive: the lowest-index entry whose magnitude is
+    within a relative _SIGN_TIE_TOL of the row maximum. Every mode of a
+    chain in a harmonic trap is symmetric or antisymmetric, so every row
+    has such a tie and the pivot must not be left to rounding.
     """
     a = np.array(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("dynamical matrix must be square")
     if not np.allclose(a, a.T, atol=1e-12, rtol=0.0):
         raise ValueError("dynamical matrix must be symmetric")
-    n = a.shape[0]
-    v = np.eye(n)
-
-    off = _off_diagonal_norm(a)
-    sweeps = 0
-    while off > _JACOBI_OFF_TOL:
-        if sweeps >= max_sweeps:
-            raise EigenNoConvergenceError(sweeps, off)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                _jacobi_rotate(a, v, p, q)
-        sweeps += 1
-        off = _off_diagonal_norm(a)
-
-    eigenvalues = np.diag(a).copy()
-    order = np.argsort(eigenvalues, kind="stable")
-    eigenvalues = eigenvalues[order]
-    s = v.T[order]
-
-    # sign convention: largest-magnitude entry of each mode row positive
-    for row in s:
-        pivot = int(np.argmax(np.abs(row)))
-        if row[pivot] < 0.0:
-            row *= -1.0
+    eigenvalues, vectors = np.linalg.eigh(a)
+    s = vectors.T.copy()
+    magnitude = np.abs(s)
+    tied = magnitude >= (1.0 - _SIGN_TIE_TOL) * magnitude.max(axis=1, keepdims=True)
+    pivots = s[np.arange(len(s)), np.argmax(tied, axis=1)]
+    s[pivots < 0.0] *= -1.0
     return eigenvalues, s
 
 

@@ -13,10 +13,8 @@ error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -277,18 +275,12 @@ def cmd_sweep(args) -> int:
     )
     values = spec.values()
 
-    def evaluate(value: float) -> float:
-        point_raw = json.loads(json.dumps(raw))
-        _set_path(point_raw, spec.parameter, float(value))
-        return _sweep_value(spec.quantity, validate_config(point_raw))
-
-    workers = int(os.environ.get("GRADCHAIN_THREADS", "0")) or min(8, os.cpu_count() or 1)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(evaluate, values))
-
     rows = [f"{spec.parameter},{spec.quantity}"]
     plot_rows = []
-    for value, result in zip(values, results):
+    for value in values:
+        point_raw = json.loads(json.dumps(raw))
+        _set_path(point_raw, spec.parameter, float(value))
+        result = _sweep_value(spec.quantity, validate_config(point_raw))
         rows.append(f"{_fmt(value)},{_fmt(result)}")
         plot_rows.append(f"{_fmt(value)} {_fmt(result)}")
     out = Path(args.out)

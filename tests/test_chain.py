@@ -1,9 +1,13 @@
+import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import E_CHARGE, EPS0, HBAR, TWO_PI, YB_MASS, standard_raw
+from gradchain import chain as chain_mod
 from gradchain.chain import (
     DegeneratePositionsError,
+    NoConvergenceError,
     dynamical_matrix,
     length_scale,
     normal_modes,
@@ -21,6 +25,29 @@ def dimensionless_potential(u):
         for j in range(i + 1, len(u)):
             energy += 1.0 / abs(u[i] - u[j])
     return energy
+
+
+def chain_matrix(n):
+    return dynamical_matrix(solve_equilibrium(n))
+
+
+def pivot_index(row, tol=1e-9):
+    """Documented sign pivot: the lowest index within tol (relative) of the largest magnitude."""
+    top = max(abs(x) for x in row)
+    return next(i for i, x in enumerate(row) if abs(x) >= (1.0 - tol) * top)
+
+
+def sign_fixed(rows):
+    return np.array([row if row[pivot_index(row)] > 0 else -row for row in rows])
+
+
+def mpmath_modes(a, digits=50):
+    with mpmath.workdps(digits):
+        eigenvalues, vectors = mpmath.eigsy(mpmath.matrix(a.tolist()))
+        lam2 = np.array([float(x) for x in eigenvalues])
+        rows = np.array(vectors.T.tolist(), dtype=float)
+    order = np.argsort(lam2)
+    return lam2[order], sign_fixed(rows[order])
 
 
 def finite_difference_gradient(u, h=1e-6):
@@ -75,6 +102,36 @@ def test_equilibrium_residual_sorted_centered(n):
     assert np.max(np.abs(stationarity_residual(u))) < 1e-12
     assert np.all(np.diff(u) > 0)
     assert abs(np.sum(u)) < 1e-10
+
+
+@pytest.mark.parametrize("n", [41, 43, 45, 47, 49, 50])
+def test_newton_stops_on_stagnation(n, monkeypatch):
+    # the residual's float64 floor (~1e-13) lies above the Newton tolerance
+    # at these sizes; the solve must stop when backtracking finds no descent
+    calls = []
+    original = chain_mod.stationarity_residual
+
+    def counting(u):
+        calls.append(1)
+        return original(u)
+
+    monkeypatch.setattr(chain_mod, "stationarity_residual", counting)
+    u = solve_equilibrium(n)
+    assert len(calls) <= 100
+    assert np.max(np.abs(original(u))) < 1e-12
+
+
+def test_no_convergence_error_names_steps_and_reason(monkeypatch):
+    monkeypatch.setattr(chain_mod, "_MAX_NEWTON_STEPS", 2)
+    with pytest.raises(NoConvergenceError, match=r"\(guard\) after 2 Newton steps") as info:
+        solve_equilibrium(20)
+    assert (info.value.steps, info.value.reason) == (2, "guard")
+    monkeypatch.undo()
+    monkeypatch.setattr(chain_mod, "_RESIDUAL_TOL", 1e-30)
+    with pytest.raises(NoConvergenceError, match=r"\(stagnation\)"):
+        solve_equilibrium(50)
+    with pytest.raises(NoConvergenceError, match=r"\(tolerance\)"):
+        solve_equilibrium(5)
 
 
 @pytest.mark.parametrize("n", [2, 4, 7, 12])
@@ -199,21 +256,47 @@ def test_universal_low_modes_and_orthogonality(n):
     assert np.allclose(sol.mode_matrix[0], np.ones(n) / np.sqrt(n), atol=1e-9)
 
 
-@pytest.mark.parametrize("n", [2, 5, 10, 20, 50])
+@pytest.mark.parametrize("n", [2, 3, 5, 7, 10, 20, 50])
 def test_modes_match_dense_diagonalization(n):
-    # brute-force oracle: numpy's symmetric eigensolver
-    a = dynamical_matrix(solve_equilibrium(n))
+    a = chain_matrix(n)
     lam2, s = normal_modes(a)
-    assert np.allclose(lam2, np.linalg.eigvalsh(a), atol=1e-10)
-    recon = s @ a @ s.T - np.diag(lam2)
-    assert np.max(np.abs(recon)) < 1e-10
+    assert np.max(np.abs(s @ a @ s.T - np.diag(lam2))) < 1e-10
+    assert np.max(np.abs(s @ s.T - np.eye(n))) < 1e-12
+    if n <= 10:
+        # independent oracle: 50-digit Jacobi diagonalization of the same A
+        lam2_mp, s_mp = mpmath_modes(a)
+        assert np.allclose(lam2, lam2_mp, rtol=1e-13, atol=0)
+        assert np.max(np.abs(s - s_mp)) < 1e-12
 
 
 def test_mode_sign_convention():
-    _, s = normal_modes(dynamical_matrix(solve_equilibrium(7)))
-    for row in s:
-        pivot = np.argmax(np.abs(row))
-        assert row[pivot] > 0
+    # in a harmonic trap every mode is symmetric or antisymmetric, so every
+    # row has |S[j, n]| = |S[j, N+1-n]|: the tie rule decides every sign
+    for n in range(2, 51):
+        _, s = normal_modes(chain_matrix(n))
+        assert np.allclose(np.abs(s), np.abs(s[:, ::-1]), atol=1e-12), n
+        for row in s:
+            assert row[pivot_index(row)] > 0, n
+
+
+def test_mode_signs_survive_symmetric_perturbation():
+    rng = np.random.default_rng(0)
+    for n in range(2, 51):
+        a = chain_matrix(n)
+        noise = rng.standard_normal((n, n))
+        perturbed = a * (1.0 + 1e-15 * (noise + noise.T))
+        assert not np.array_equal(perturbed, a)
+        _, s = normal_modes(a)
+        _, s_perturbed = normal_modes(perturbed)
+        assert np.max(np.abs(s - s_perturbed)) < 1e-9, n
+
+
+def test_mode_signs_match_other_lapack_driver():
+    for n in range(2, 51):
+        a = chain_matrix(n)
+        _, s = normal_modes(a)
+        _, vectors = scipy.linalg.eigh(a, driver="evr")
+        assert np.max(np.abs(s - sign_fixed(vectors.T))) < 1e-9, n
 
 
 def test_normal_modes_rejects_asymmetric():

@@ -255,18 +255,19 @@ def test_sweep_bad_param_path(trap2, tmp_path):
     assert code == 2
 
 
-def test_sweep_thread_cap_env(trap2, tmp_path, monkeypatch):
-    # results come back in parameter order whatever the pool size
-    outputs = []
-    for workers in ("1", "4"):
-        monkeypatch.setenv("GRADCHAIN_THREADS", workers)
-        out = tmp_path / f"sweep_w{workers}.csv"
-        code = main(["sweep", "--config", trap2, "--param", "field.uniform.b",
-                     "--from", "1", "--to", "10", "--steps", "6",
-                     "--quantity", "max_J", "--out", str(out), "--no-timestamp"])
-        assert code == 0
-        outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
+def test_sweep_rows_in_parameter_order(trap2, tmp_path):
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", "--config", trap2, "--param", "field.uniform.b",
+                 "--from", "10", "--to", "1", "--steps", "6",
+                 "--quantity", "max_J", "--out", str(out), "--no-timestamp"])
+    assert code == 0
+    _, rows = read_csv(out)
+    params = [float(r[0]) for r in rows]
+    values = [float(r[1]) for r in rows]
+    assert params == pytest.approx(np.linspace(10, 1, 6).tolist(), rel=1e-11)
+    # J is quadratic in the gradient, so a descending scan gives descending rows
+    assert values == sorted(values, reverse=True)
+    assert values[0] / values[-1] == pytest.approx(100.0, rel=1e-9)
 
 
 def test_sweep_delta_shift_quantity(trap2, tmp_path):
