@@ -17,7 +17,6 @@ from .coupling import (
     effective_lamb_dicke,
     epsilon_matrix,
     j_matrix,
-    j_matrix_bruteforce_oracle,
     omega_gradients,
     qubit_frequencies,
     sideband_spectrum,
@@ -30,11 +29,9 @@ from .spins import (
     SpinState,
     apply_hard_pulse,
     apply_pulse,
-    evolve_oracle,
     expectation,
     free_evolution,
     initialize,
-    sample_measurement,
 )
 from .units import format_quantity, parse_quantity
 
@@ -60,14 +57,12 @@ __all__ = [
     "dynamical_matrix",
     "effective_lamb_dicke",
     "epsilon_matrix",
-    "evolve_oracle",
     "expectation",
     "format_quantity",
     "free_evolution",
     "initialize",
     "interpret",
     "j_matrix",
-    "j_matrix_bruteforce_oracle",
     "length_scale",
     "load_config",
     "normal_modes",
@@ -76,7 +71,6 @@ __all__ = [
     "parse_quantity",
     "pretty_print",
     "qubit_frequencies",
-    "sample_measurement",
     "sideband_spectrum",
     "solve_chain",
     "solve_equilibrium",

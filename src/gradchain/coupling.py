@@ -131,28 +131,6 @@ def j_matrix(grads: np.ndarray, chain: ChainSolution) -> np.ndarray:
     return j
 
 
-def j_matrix_bruteforce_oracle(grads: np.ndarray, chain: ChainSolution) -> np.ndarray:
-    """Independent J computation by expanding the squared mode-displacement sum.
-
-    Expands [sum_n grad_n S[j, n] sigma_z_n]^2 per mode j over sigma_z
-    products with the mode prefactor hbar / (2 m nu_j^2) and collects the
-    pairwise coefficients; sigma_z^2 diagonal terms are constants and are
-    discarded. Exists purely as a check path for j_matrix.
-    """
-    grads = np.asarray(grads, dtype=float)
-    n_ions = chain.ion_count
-    j = np.zeros((n_ions, n_ions))
-    for mode in range(n_ions):
-        prefactor = CONSTANTS.hbar / (2.0 * chain.mass * chain.mode_frequencies[mode] ** 2)
-        row = chain.mode_matrix[mode]
-        for n in range(n_ions):
-            for l in range(n_ions):
-                if n == l:
-                    continue  # sigma_z^2 = identity: constant energy offset
-                j[n, l] += prefactor * grads[n] * grads[l] * row[n] * row[l]
-    return j
-
-
 def approx_j(config: TrapConfig, chain: ChainSolution) -> float:
     """Closed-form order-of-magnitude coupling for a uniform gradient, rad/s.
 

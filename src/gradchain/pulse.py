@@ -38,7 +38,11 @@ from .spins import (
     expectation,
     free_evolution,
     initialize,
+    label_of,
+    outcome_indices,
 )
+
+NORM_TOLERANCE = 1e-9  # largest |1 - ||psi||| accepted after each instruction
 
 
 @dataclass(frozen=True)
@@ -378,11 +382,8 @@ def marginal_counts(
     probs = np.abs(state.amplitudes) ** 2
     probs = probs / probs.sum()
     draws = rng.choice(probs.size, size=shots, p=probs)
-    counts: dict[str, int] = {}
-    for b in draws:
-        key = "".join("1" if (int(b) >> (ion - 1)) & 1 else "0" for ion in ions)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    tally = np.bincount(outcome_indices(draws, ions))
+    return {label_of(k, len(ions)): int(c) for k, c in enumerate(tally) if c}
 
 
 def interpret(
@@ -399,7 +400,9 @@ def interpret(
     The drive tone of each pulse is the ion's effective carrier
     (qubit frequency + gradient shift) plus the programmed detune. Pulse
     phases are shifted by -omega * t_start so that the synthesizer stays
-    phase coherent across the whole sequence.
+    phase coherent across the whole sequence. A pulse or delay that leaves
+    the state non-finite or its norm off 1 by more than NORM_TOLERANCE
+    raises ProgramRuntimeError.
     """
     if program.n_ions != config.ion_count:
         raise ValueError(
@@ -421,45 +424,32 @@ def interpret(
             if isinstance(ins, Pulse):
                 omega_r = 2.0 * math.pi * ins.rabi_hz
                 omega_drive = hamiltonian.omega_eff[ins.ion - 1] + 2.0 * math.pi * ins.detune_hz
-                duration = (
-                    ins.duration_s
-                    if ins.duration_s is not None
-                    else ins.area_pi * math.pi / omega_r
-                )
-                phase = ins.phase_rad - omega_drive * t
-                apply_pulse(
-                    state,
-                    hamiltonian,
-                    PulseSpec(ins.ion, omega_r, omega_drive, phase, duration),
-                )
+                duration = ins.duration_s if ins.duration_s is not None else ins.area_pi * math.pi / omega_r
+                spec = PulseSpec(ins.ion, omega_r, omega_drive, ins.phase_rad - omega_drive * t, duration)
+                with np.errstate(over="ignore", invalid="ignore"):  # the norm check below reports it
+                    apply_pulse(state, hamiltonian, spec)
                 t += duration
             elif isinstance(ins, Delay):
-                free_evolution(state, hamiltonian, ins.duration_s)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    free_evolution(state, hamiltonian, ins.duration_s)
                 t += ins.duration_s
-            elif isinstance(ins, MeasureZ):
-                ions = ins.ions if ins.ions is not None else tuple(range(1, n + 1))
-                record.measurements.append(
-                    {
-                        "time_s": t,
-                        "ions": list(ions),
-                        "counts": marginal_counts(state, ions, rng, shots),
-                    }
-                )
             else:
                 ions = ins.ions if ins.ions is not None else tuple(range(1, n + 1))
-                for ion in ions:
-                    record.expectation_log.append(
-                        {
-                            "time_s": t,
-                            "observable": ins.observable,
-                            "ion": ion,
-                            "value": expectation(state, ins.observable, ion),
-                        }
+                if isinstance(ins, MeasureZ):
+                    record.measurements.append(
+                        {"time_s": t, "ions": list(ions), "counts": marginal_counts(state, ions, rng, shots)}
                     )
+                else:
+                    for ion in ions:
+                        record.expectation_log.append(
+                            {"time_s": t, "observable": ins.observable, "ion": ion,
+                             "value": expectation(state, ins.observable, ion)}
+                        )
         except (ValueError, RuntimeError) as exc:
-            if isinstance(exc, ProgramRuntimeError):
-                raise
             raise ProgramRuntimeError(str(exc), ins.span) from exc
+        norm = state.norm()
+        if not abs(1.0 - norm) <= NORM_TOLERANCE:  # NaN compares false: a non-finite state fails too
+            raise ProgramRuntimeError(f"state norm {norm!r} is not within {NORM_TOLERANCE:g} of 1", ins.span)
 
     record.final_state = state
     record.total_time_s = t

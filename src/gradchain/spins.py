@@ -20,11 +20,11 @@ than approximated: the exactness guarantee needs one tone at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 MAX_QUBITS = 16        # 2 MiB of complex128 amplitudes
-MAX_ORACLE_QUBITS = 6
 BASIS_CONVENTION = "qubit n is bit (n-1) of the basis index; labels list qubit 1 first; sigma_z|1> = +|1>"
 
 
@@ -83,6 +83,13 @@ class SpinHamiltonian:
     def n_qubits(self) -> int:
         return int(self.omega_eff.size)
 
+    @cached_property
+    def rates(self) -> np.ndarray:
+        """Read-only diagonal_rates(self), built on first use (2^n entries) and then reused."""
+        rates = diagonal_rates(self)
+        rates.flags.writeable = False
+        return rates
+
 
 @dataclass(frozen=True)
 class PulseSpec:
@@ -131,14 +138,32 @@ def initialize(n: int, basis_label: str) -> SpinState:
 
 
 def label_of(index: int, n: int) -> str:
+    """n-character label of an outcome index, bit k first (a basis label when n = n_qubits)."""
     return "".join("1" if (index >> q) & 1 else "0" for q in range(n))
+
+
+def outcome_indices(basis: np.ndarray, ions: tuple[int, ...] | list[int]) -> np.ndarray:
+    """Marginal outcome index over `ions` of each basis index: bit k is qubit ions[k]."""
+    out = np.zeros_like(basis)
+    for k, ion in enumerate(ions):
+        out |= ((basis >> (ion - 1)) & 1) << k
+    return out
+
+
+def _pair_indices(n: int, ion: int) -> tuple[np.ndarray, np.ndarray]:
+    """Basis indices with qubit `ion` in |0> (b0) and their partners with it in |1> (b1)."""
+    if not 1 <= ion <= n:
+        raise ValueError(f"ion index {ion} out of range [1, {n}]")
+    mask = 1 << (ion - 1)
+    b0 = np.flatnonzero((np.arange(1 << n) & mask) == 0)
+    return b0, b0 | mask
 
 
 def free_evolution(state: SpinState, h: SpinHamiltonian, t: float) -> SpinState:
     """Diagonal evolution: amplitude b picks up exp(-i E(b) t / hbar)."""
     if t < 0.0:
         raise ValueError("evolution time must be non-negative")
-    state.amplitudes *= np.exp(-1j * diagonal_rates(h) * t)
+    state.amplitudes *= np.exp(-1j * h.rates * t)
     return state
 
 
@@ -167,17 +192,11 @@ def apply_pulse(state: SpinState, h: SpinHamiltonian, pulse: PulseSpec) -> SpinS
     model a phase-coherent synthesizer shift it by -omega * t_start).
     """
     n = h.n_qubits
-    j = pulse.target_ion
-    if not 1 <= j <= n:
-        raise ValueError(f"target ion {j} out of range [1, {n}]")
     if state.amplitudes.size != 1 << n:
         raise ValueError("state size does not match Hamiltonian")
 
-    rates = diagonal_rates(h)
-    mask = 1 << (j - 1)
-    b_all = np.arange(1 << n)
-    b0 = b_all[(b_all & mask) == 0]
-    b1 = b0 | mask
+    rates = h.rates
+    b0, b1 = _pair_indices(n, pulse.target_ion)
 
     delta = rates[b1] - rates[b0] - pulse.drive_frequency
     u00, u01, u10, u11 = _block_unitary(delta, pulse.rabi_frequency, pulse.phase, pulse.duration)
@@ -195,13 +214,7 @@ def apply_pulse(state: SpinState, h: SpinHamiltonian, pulse: PulseSpec) -> SpinS
 
 def apply_hard_pulse(state: SpinState, ion: int, area: float, phase: float) -> SpinState:
     """Idealized zero-duration rotation of one qubit by the given area (rad)."""
-    n = state.n_qubits
-    if not 1 <= ion <= n:
-        raise ValueError(f"target ion {ion} out of range [1, {n}]")
-    mask = 1 << (ion - 1)
-    b_all = np.arange(1 << n)
-    b0 = b_all[(b_all & mask) == 0]
-    b1 = b0 | mask
+    b0, b1 = _pair_indices(state.n_qubits, ion)
     cos = np.cos(0.5 * area)
     sin = np.sin(0.5 * area)
     a0 = state.amplitudes[b0].copy()
@@ -218,16 +231,11 @@ def expectation(state: SpinState, observable: str, ion: int) -> float:
     """<sigma_alpha> of one qubit, alpha in {sx, sy, sz}."""
     if observable not in _OBSERVABLES:
         raise ValueError(f"observable must be one of {_OBSERVABLES}, got {observable!r}")
-    n = state.n_qubits
-    if not 1 <= ion <= n:
-        raise ValueError(f"ion index {ion} out of range [1, {n}]")
-    mask = 1 << (ion - 1)
-    b_all = np.arange(1 << n)
+    b0, b1 = _pair_indices(state.n_qubits, ion)
     if observable == "sz":
-        signs = np.where((b_all & mask) != 0, 1.0, -1.0)
+        signs = np.full(state.amplitudes.size, -1.0)
+        signs[b1] = 1.0
         return float(np.sum(signs * np.abs(state.amplitudes) ** 2))
-    b0 = b_all[(b_all & mask) == 0]
-    b1 = b0 | mask
     cross = np.sum(np.conj(state.amplitudes[b0]) * state.amplitudes[b1])
     if observable == "sx":
         return float(2.0 * cross.real)
@@ -236,99 +244,8 @@ def expectation(state: SpinState, observable: str, ion: int) -> float:
 
 def measurement_probabilities(state: SpinState, ions: list[int] | None = None) -> dict[str, float]:
     """Marginal z-basis outcome distribution over the listed ions (default all)."""
-    n = state.n_qubits
     if ions is None:
-        ions = list(range(1, n + 1))
+        ions = list(range(1, state.n_qubits + 1))
     probs = np.abs(state.amplitudes) ** 2
-    out: dict[str, float] = {}
-    for b, p in enumerate(probs):
-        key = "".join("1" if (b >> (ion - 1)) & 1 else "0" for ion in ions)
-        out[key] = out.get(key, 0.0) + float(p)
-    return out
-
-
-def sample_measurement(state: SpinState, rng: np.random.Generator | int) -> str:
-    """Draw one full z-basis outcome label with probability |amplitude|^2."""
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
-    probs = np.abs(state.amplitudes) ** 2
-    probs = probs / probs.sum()
-    index = int(rng.choice(probs.size, p=probs))
-    return label_of(index, state.n_qubits)
-
-
-# dense-matrix verification path -------------------------------------------
-
-_SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)  # sigma_z|1> = +|1>
-_SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
-
-
-class OracleTooLargeError(ValueError):
-    def __init__(self, n: int):
-        super().__init__(f"dense oracle supports at most {MAX_ORACLE_QUBITS} qubits, got {n}")
-
-
-def _operator_on(matrix: np.ndarray, ion: int, n: int) -> np.ndarray:
-    """Embed a single-qubit operator on qubit `ion` (bit ion-1 of the index)."""
-    op = np.kron(np.eye(1 << (n - ion), dtype=complex), matrix)
-    return np.kron(op, np.eye(1 << (ion - 1), dtype=complex))
-
-
-def _expm_scaled_series(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring with a Taylor series."""
-    norm = float(np.linalg.norm(a, np.inf))
-    scale = max(0, int(np.ceil(np.log2(norm / 0.5)))) if norm > 0.5 else 0
-    b = a / (1 << scale)
-    result = np.eye(a.shape[0], dtype=complex)
-    term = np.eye(a.shape[0], dtype=complex)
-    for k in range(1, 64):
-        term = term @ b / k
-        result = result + term
-        if np.linalg.norm(term, np.inf) < 1e-18 * np.linalg.norm(result, np.inf):
-            break
-    for _ in range(scale):
-        result = result @ result
-    return result
-
-
-def evolve_oracle(
-    state: SpinState, h: SpinHamiltonian, drives: list[PulseSpec], t: float
-) -> SpinState:
-    """Dense-matrix evolution used only to validate the fast paths.
-
-    Builds the full RWA Hamiltonian from explicit Pauli operators (in the
-    rotating frame of the single drive, if any) and exponentiates it.
-    Returns a new state; the input is untouched.
-    """
-    n = h.n_qubits
-    if n > MAX_ORACLE_QUBITS:
-        raise OracleTooLargeError(n)
-    if len(drives) > 1:
-        raise ValueError("simultaneous multi-tone drives are not supported")
-
-    dim = 1 << n
-    ham = np.zeros((dim, dim), dtype=complex)
-    z_ops = [_operator_on(_SIGMA_Z, ion, n) for ion in range(1, n + 1)]
-    for ion in range(n):
-        ham += 0.5 * h.omega_eff[ion] * z_ops[ion]
-    for a in range(n):
-        for b in range(a + 1, n):
-            ham -= 0.5 * h.coupling[a, b] * (z_ops[a] @ z_ops[b])
-
-    rotating_ion = None
-    if drives:
-        pulse = drives[0]
-        rotating_ion = pulse.target_ion
-        sp = _operator_on(_SIGMA_PLUS, pulse.target_ion, n)
-        ham -= 0.5 * pulse.drive_frequency * z_ops[pulse.target_ion - 1]
-        ham += 0.5 * pulse.rabi_frequency * (
-            np.exp(1j * pulse.phase) * sp + np.exp(-1j * pulse.phase) * sp.conj().T
-        )
-
-    propagator = _expm_scaled_series(-1j * ham * t)
-    amplitudes = propagator @ state.amplitudes
-    if rotating_ion is not None:
-        # undo the rotating-frame transformation at the final time
-        back = _expm_scaled_series(-1j * drives[0].drive_frequency * t * 0.5 * z_ops[rotating_ion - 1])
-        amplitudes = back @ amplitudes
-    return SpinState(amplitudes, state.qubit_order)
+    totals = np.bincount(outcome_indices(np.arange(probs.size), ions), weights=probs)
+    return {label_of(k, len(ions)): float(p) for k, p in enumerate(totals)}

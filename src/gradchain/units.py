@@ -84,7 +84,10 @@ def parse_quantity(text: str) -> tuple[float, str]:
     if unit not in _UNITS:
         raise UnknownUnitError(unit)
     scale, dim = _UNITS[unit]
-    return float(m.group(0)) * scale, dim
+    value = float(m.group(0)) * scale
+    if not math.isfinite(value):
+        raise QuantityError(f"quantity {stripped!r} is not a finite number", stripped)
+    return value, dim
 
 
 def format_quantity(value: float, dimension: str) -> str:

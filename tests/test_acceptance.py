@@ -16,16 +16,16 @@ from conftest import HBAR, MU_B, TWO_PI, YB_MASS, standard_raw
 from gradchain.chain import solve_chain, solve_equilibrium
 from gradchain.cli import main
 from gradchain.config import validate_config
-from gradchain.coupling import j_matrix, j_matrix_bruteforce_oracle, omega_gradients
+from gradchain.coupling import j_matrix, omega_gradients
 from gradchain.pulse import interpret, parse
 from gradchain.spins import (
     PulseSpec,
     SpinHamiltonian,
     SpinState,
     apply_pulse,
-    evolve_oracle,
     free_evolution,
 )
+from oracles import evolve_oracle, j_matrix_bruteforce_oracle
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 

@@ -186,6 +186,32 @@ def test_simulate_parse_error_exit4(trap2, tmp_path, capsys):
     assert "2:" in err  # line:column span
 
 
+@pytest.mark.filterwarnings("error")
+def test_simulate_non_finite_state_exit3(trap2, tmp_path, capsys):
+    program = tmp_path / "overflow.pp"
+    program.write_text("ions 2\npulse ion=1 rabi=1kHz detune=0 phase=0 area=0.5pi\n"
+                       "delay 1e300s\nlog sx all\n", encoding="utf-8")
+    out = tmp_path / "run.json"
+    code = main(["simulate", "--config", trap2, "--program", str(program),
+                 "--seed", "0", "--out", str(out), "--no-timestamp"])
+    assert code == 3
+    assert "3:1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_quantity_exit_codes(tmp_path, capsys):
+    trap = tmp_path / "trap.json"
+    trap.write_text(json.dumps(standard_raw(n=2, nu1="1e308kHz")), encoding="utf-8")
+    assert main(["chain", "--config", str(trap)]) == 2
+    trap.write_text(json.dumps(standard_raw(n=2)), encoding="utf-8")
+    program = tmp_path / "huge.pp"
+    program.write_text("ions 2\ndelay 1e400s\n", encoding="utf-8")
+    code = main(["simulate", "--config", str(trap), "--program", str(program),
+                 "--seed", "0", "--out", str(tmp_path / "run.json")])
+    assert code == 4
+    assert "2:7" in capsys.readouterr().err
+
+
 def test_simulate_deterministic(trap2, tmp_path):
     program = tmp_path / "cnot.pp"
     program.write_text(CNOT_PROGRAM, encoding="utf-8")

@@ -103,6 +103,13 @@ def test_negative_frequency_rejected():
         validate_config(raw)
 
 
+def test_non_finite_quantity_rejected():
+    with pytest.raises(OutOfRangeError):
+        validate_config(standard_raw(nu1="1e308kHz"))
+    with pytest.raises(OutOfRangeError):
+        validate_config(standard_raw(b="1e400T/m"))
+
+
 def test_quadratic_field():
     raw = standard_raw()
     raw["field"] = {"quadratic": {"B0": 0.0, "b": "5T/m", "c": 1000.0}}

@@ -14,12 +14,12 @@ from gradchain.coupling import (
     epsilon_matrix,
     exact_phases,
     j_matrix,
-    j_matrix_bruteforce_oracle,
     omega_gradients,
     qubit_frequencies,
     sideband_spectrum,
     validity_epsilon,
 )
+from oracles import j_matrix_bruteforce_oracle
 
 GRAD_10TM = MU_B * 10.0 / HBAR  # d(omega)/dz for Yb171 in 10 T/m
 

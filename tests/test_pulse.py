@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import TWO_PI
+from gradchain import spins
 from gradchain.pulse import (
     ConflictingFieldsError,
     Delay,
@@ -13,6 +14,7 @@ from gradchain.pulse import (
     ExpectationLog,
     MeasureZ,
     MissingFieldError,
+    ProgramRuntimeError,
     ProgramSyntaxError,
     Pulse,
     UnknownKeywordError,
@@ -150,6 +152,13 @@ def test_bad_quantity_has_position():
     assert line[err.value.span.col_start - 1:].startswith("5lightyears")
 
 
+def test_non_finite_quantity_is_syntax_error():
+    src = "ions 1\ndelay 1e400s\n"
+    with pytest.raises(ProgramSyntaxError) as err:
+        parse(src)
+    assert (err.value.span.line, err.value.span.col_start) == (2, 7)
+
+
 def test_pretty_print_round_trip_fixed_point():
     sources = [
         CNOT_SRC,
@@ -230,6 +239,34 @@ def test_echo_program_fringe_at_twice_j(config2, chain2, report2):
     phases = TWO_PI * 2 * j_hz * taus
     amplitude = 2 * abs(np.mean((values - values.mean()) * np.exp(1j * phases)))
     assert amplitude > 0.95
+
+
+def test_energy_table_built_once_per_hamiltonian(config2, chain2, report2, monkeypatch):
+    rng = np.random.default_rng(31)
+    lines = ["ions 2"]
+    for _ in range(40):
+        lines.append(f"pulse ion={rng.integers(1, 3)} rabi={rng.uniform(2e3, 1e4)!r}Hz "
+                     f"detune={rng.uniform(-100, 100)!r}Hz phase={rng.uniform(0, 6)!r}rad area=0.5pi")
+        lines.append(f"delay {rng.uniform(2e-4, 3e-3)!r}s")
+    program = parse("\n".join(lines) + "\nmeasure z all\n")
+    assert len(program.instructions) == 81
+
+    calls = []
+    original = spins.diagonal_rates
+    monkeypatch.setattr(spins, "diagonal_rates", lambda h: calls.append(h) or original(h))
+    record = interpret(program, config2, chain2, report2, "01", seed=4, shots=50)
+    assert len(calls) == 1
+    assert record.final_state.norm() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_state_fails_at_its_instruction(config2, chain2, report2):
+    program = parse("ions 2\npulse ion=1 rabi=1kHz detune=0 phase=0 area=0.5pi\n"
+                    "delay 1e300s\nmeasure z all\n")
+    with pytest.raises(ProgramRuntimeError) as err:
+        interpret(program, config2, chain2, report2, "00", seed=0, shots=10)
+    assert (err.value.span.line, err.value.span.col_start) == (3, 1)
+    assert "norm" in str(err.value)
 
 
 def test_interpret_checks_ion_count(config2, chain2, report2):

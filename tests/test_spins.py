@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from gradchain.pulse import marginal_counts
 from gradchain.spins import (
     BadLabelError,
-    OracleTooLargeError,
     PulseSpec,
     SpinHamiltonian,
     SpinState,
@@ -12,14 +12,13 @@ from gradchain.spins import (
     apply_hard_pulse,
     apply_pulse,
     diagonal_rates,
-    evolve_oracle,
     expectation,
     free_evolution,
     initialize,
     label_of,
     measurement_probabilities,
-    sample_measurement,
 )
+from oracles import OracleTooLargeError, evolve_oracle
 
 TWO_PI = 2.0 * np.pi
 
@@ -294,17 +293,16 @@ def test_expectation_validates_input():
 def test_sample_basis_state_certain():
     state = initialize(3, "101")
     rng = np.random.default_rng(0)
-    assert all(sample_measurement(state, rng) == "101" for _ in range(20))
+    assert marginal_counts(state, (1, 2, 3), rng, 20) == {"101": 20}
+    assert marginal_counts(state, (3, 2), rng, 20) == {"10": 20}
 
 
 def test_sample_uniform_statistics():
     state = SpinState(0.5 * np.ones(4, dtype=complex))
     rng = np.random.default_rng(123)
-    counts = {}
     shots = 100_000
-    for _ in range(shots):
-        outcome = sample_measurement(state, rng)
-        counts[outcome] = counts.get(outcome, 0) + 1
+    counts = marginal_counts(state, (1, 2), rng, shots)
+    assert sum(counts.values()) == shots
     for outcome in ("00", "10", "01", "11"):
         assert counts[outcome] / shots == pytest.approx(0.25, abs=0.01)
 
@@ -313,9 +311,34 @@ def test_sample_same_seed_same_sequence():
     state = SpinState(np.sqrt(np.array([0.1, 0.2, 0.3, 0.4], dtype=complex)))
     gen1 = np.random.default_rng(42)
     gen2 = np.random.default_rng(42)
-    seq1 = [sample_measurement(state, gen1) for _ in range(50)]
-    seq2 = [sample_measurement(state, gen2) for _ in range(50)]
+    seq1 = [marginal_counts(state, (1, 2), gen1, 1) for _ in range(50)]
+    seq2 = [marginal_counts(state, (1, 2), gen2, 1) for _ in range(50)]
     assert seq1 == seq2
+    assert len({next(iter(shot)) for shot in seq1}) > 1
+
+
+def test_marginal_counts_pinned():
+    # seeded counts from a per-shot string tally of the same draws; the bincount tally must match exactly
+    state = SpinState(np.sqrt(np.arange(1, 17) / 136.0).astype(complex))
+    assert marginal_counts(state, (3, 1), np.random.default_rng(2024), 1000) == {
+        "11": 355, "00": 157, "10": 286, "01": 202,
+    }
+    assert marginal_counts(state, (4, 2, 1), np.random.default_rng(7), 500) == {
+        "100": 82, "111": 102, "110": 97, "011": 36, "000": 15, "010": 46, "001": 29, "101": 93,
+    }
+    assert marginal_counts(state, (1, 2), np.random.default_rng(7), 0) == {}
+
+
+def test_measurement_probabilities_marginal():
+    state = SpinState(np.sqrt(np.arange(1, 17) / 136.0).astype(complex))
+    # outcome "ab": qubit 3 is a, qubit 1 is b; basis index b has weight (b + 1) / 136
+    expected = {"00": 0, "01": 0, "10": 0, "11": 0}
+    for b in range(16):
+        expected[f"{(b >> 2) & 1}{b & 1}"] += (b + 1) / 136.0
+    got = measurement_probabilities(state, [3, 1])
+    assert got.keys() == expected.keys()
+    for key in expected:
+        assert got[key] == pytest.approx(expected[key], rel=1e-14)
 
 
 # oracle equivalence ----------------------------------------------------------------
@@ -360,7 +383,7 @@ def test_oracle_matches_apply_pulse_n3():
 
 
 def test_oracle_scipy_cross_check():
-    # the in-package dense oracle against scipy's expm
+    # the dense oracle of tests/oracles.py against scipy's expm
     rng = np.random.default_rng(12)
     h = random_hamiltonian(rng, 3)
     state = random_state(rng, 3)

@@ -4,6 +4,7 @@ import pytest
 
 from gradchain.units import (
     MalformedNumberError,
+    QuantityError,
     UnknownUnitError,
     format_quantity,
     parse_quantity,
@@ -64,6 +65,14 @@ def test_malformed_number_carries_offender():
 def test_malformed_numbers(text):
     with pytest.raises(MalformedNumberError):
         parse_quantity(text)
+
+
+@pytest.mark.parametrize("text", ["1e400Hz", "1e308kHz", "-1e400T", "1e306GHz"])
+def test_non_finite_result_rejected(text):
+    # 1e400 overflows as written; 1e308kHz and 1e306GHz overflow when scaled to SI
+    with pytest.raises(QuantityError) as err:
+        parse_quantity(text)
+    assert err.value.offending == text
 
 
 @pytest.mark.parametrize(
