@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TrapConfig
+from .config import OutOfRangeError, TrapConfig
 from .constants import CONSTANTS
 
 _NEWTON_TOL = 0.5e-13
@@ -106,12 +106,23 @@ class ChainSolution:
 
 
 def length_scale(config: TrapConfig) -> float:
-    """Coulomb length scale zeta = (e^2 / 4 pi eps0 m nu1^2)^(1/3) in meters."""
+    """Coulomb length scale zeta = (e^2 / 4 pi eps0 m nu1^2)^(1/3) in meters.
+
+    Raises OutOfRangeError for an nu1 whose zeta is not a positive finite double.
+    """
     c = CONSTANTS
-    return (
-        c.elementary_charge**2
-        / (4.0 * math.pi * c.vacuum_permittivity * config.mass * config.nu1**2)
-    ) ** (1.0 / 3.0)
+    try:
+        zeta = (
+            c.elementary_charge**2
+            / (4.0 * math.pi * c.vacuum_permittivity * config.mass * config.nu1**2)
+        ) ** (1.0 / 3.0)
+    except (ZeroDivisionError, OverflowError):  # the denominator under- or overflows
+        zeta = math.nan
+    if not 0.0 < zeta < math.inf:
+        raise OutOfRangeError(
+            "nu1", f"axial frequency {config.axial_frequency_hz!r} Hz has no finite nonzero Coulomb length scale"
+        )
+    return zeta
 
 
 def stationarity_residual(u: np.ndarray) -> np.ndarray:

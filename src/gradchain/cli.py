@@ -18,6 +18,7 @@ import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -45,12 +46,55 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+_CONTAINERS = (dict, list, tuple, np.ndarray)
+
+
+def _json_text(node, pad: str = "") -> str:
+    """json.dumps(node, indent=2, sort_keys=True) of a value nested at indentation `pad`.
+
+    An ndarray counts as its tolist(). Before Python 3.13 `indent` switches json's C encoder off. Here a
+    container that holds no containers goes to the C encoder, with
+    separators that reproduce the indented layout, so Python lays out only
+    the nesting above such containers.
+    """
+    if isinstance(node, np.ndarray):
+        return _array_text(node, pad)
+    if not isinstance(node, (dict, list, tuple)):
+        return json.dumps(node)
+    inner = pad + "  "
+    if not any(map(isinstance, node.values() if isinstance(node, dict) else node, repeat(_CONTAINERS))):
+        flat = json.dumps(node, sort_keys=True, separators=(",\n" + inner, ": "))
+        return flat if len(flat) == 2 else f"{flat[0]}\n{inner}{flat[1:-1]}\n{pad}{flat[-1]}"
+    if isinstance(node, dict):
+        # json turns a non-str key into the text it would give the key as a value
+        items = [f"{json.dumps(k if isinstance(k, str) else json.dumps(k))}: {_json_text(v, inner)}"
+                 for k, v in sorted(node.items())]
+        brackets = "{}"
+    else:
+        items = [_json_text(v, inner) for v in node]
+        brackets = "[]"
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
+
+
+def _array_text(a: np.ndarray, pad: str) -> str:
+    """_json_text(a.tolist(), pad); a non-empty 2-D array of finite floats takes one repr each and one join."""
+    if a.ndim != 2 or a.size == 0 or a.dtype.kind != "f" or not np.isfinite(a).all():
+        return _json_text(a.tolist(), pad)  # json spells non-finite floats NaN/Infinity, not repr's nan/inf
+    rows, cols = a.shape
+    inner = pad + "    "
+    parts = [",\n" + inner] * (2 * a.size - 1)
+    parts[::2] = map(float.__repr__, a.ravel().tolist())
+    parts[2 * cols - 1::2 * cols] = [f"\n{pad}  ],\n{pad}  [\n{inner}"] * (rows - 1)
+    return f"[\n{pad}  [\n{inner}" + "".join(parts) + f"\n{pad}  ]\n{pad}]"
+
+
 def _write_json(path: Path, doc: dict, with_timestamp: bool) -> None:
+    """Write doc as json.dumps(doc, indent=2, sort_keys=True) + newline would, ndarrays as their tolist()."""
     if with_timestamp:
         doc = dict(doc)
         doc["generated_at"] = _timestamp()
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    path.write_text(_json_text(doc) + "\n", encoding="utf-8")
 
 
 def _write_matrix_csv(path: Path, matrix: np.ndarray, row_label: str) -> None:
@@ -210,6 +254,8 @@ class SweepSpec:
             raise ValueError(f"scale must be linear or log, got {self.scale!r}")
         if self.scale == "log" and self.start * self.stop <= 0.0:
             raise ValueError("log sweeps need nonzero endpoints of the same sign")
+        if self.scale == "linear" and not math.isfinite(self.stop - self.start):
+            raise ValueError("linear sweep range stop - start overflows")
 
     def values(self) -> np.ndarray:
         if self.scale == "log":
@@ -254,10 +300,12 @@ def _set_path(raw: dict, dotted: str, value: float) -> None:
 
 def _parse_sweep_bound(text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         value, _ = parse_quantity(text)
-        return value
+    if not math.isfinite(value):
+        raise QuantityError(f"sweep bound {text!r} is not a finite number", text)
+    return value
 
 
 def cmd_sweep(args) -> int:
@@ -349,7 +397,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (chain_mod.SolverError, pulse_mod.ProgramRuntimeError) as exc:
+    except (chain_mod.SolverError, coupling_mod.NonFiniteReportError, pulse_mod.ProgramRuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except pulse_mod.PulseProgramError as exc:

@@ -218,8 +218,8 @@ def _parse_field(raw, path: str = "field") -> FieldProfile:
             if key not in body:
                 raise MissingFieldError(f"{path}.quadratic.{key}")
         c = body["c"]
-        if not isinstance(c, (int, float)) or isinstance(c, bool):
-            raise OutOfRangeError(f"{path}.quadratic.c", "curvature must be a bare SI number (T/m^2)")
+        if not isinstance(c, (int, float)) or isinstance(c, bool) or not math.isfinite(c):
+            raise OutOfRangeError(f"{path}.quadratic.c", "curvature must be a finite bare SI number (T/m^2)")
         return QuadraticField(
             b0=_quantity(body.get("B0", 0.0), f"{path}.quadratic.B0", "field"),
             b=_quantity(body["b"], f"{path}.quadratic.b", "gradient"),
@@ -281,8 +281,9 @@ def validate_config(raw: dict) -> TrapConfig:
         if "explicit" not in dw:
             raise MissingFieldError("drive_wavevector.explicit")
         kval = dw["explicit"]
-        if not isinstance(kval, (int, float)) or isinstance(kval, bool) or kval <= 0:
-            raise OutOfRangeError("drive_wavevector.explicit", "wavevector must be a positive number (rad/m)")
+        if not isinstance(kval, (int, float)) or isinstance(kval, bool) or not 0 < kval < math.inf:
+            raise OutOfRangeError("drive_wavevector.explicit",
+                                  "wavevector must be a positive finite number (rad/m)")
         k = float(kval)
     elif dw != FROM_TRANSITION:
         raise OutOfRangeError("drive_wavevector", f"expected {FROM_TRANSITION!r} or {{'explicit': k}}, got {dw!r}")

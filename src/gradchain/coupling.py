@@ -40,6 +40,10 @@ class NonUniformGradientError(ValueError):
     """Closed-form estimate requested for a non-uniform field profile."""
 
 
+class NonFiniteReportError(RuntimeError):
+    """A coupling quantity overflowed to infinity or became NaN."""
+
+
 @dataclass(frozen=True)
 class CouplingReport:
     """All gradient-induced quantities for one chain configuration.
@@ -118,14 +122,13 @@ def epsilon_matrix(grads: np.ndarray, chain: ChainSolution) -> np.ndarray:
     return chain.mode_matrix * np.asarray(grads)[None, :] * per_mode[:, None]
 
 
-def j_matrix(grads: np.ndarray, chain: ChainSolution) -> np.ndarray:
+def j_matrix(eps: np.ndarray, chain: ChainSolution) -> np.ndarray:
     """Pairwise qubit coupling J[n, l] = sum_j nu_j eps[j, n] eps[j, l], rad/s.
 
-    Symmetric with zero diagonal (sigma_z^2 terms are constants and are
-    dropped); invariant under sign flips of any mode row since each term
-    carries two same-mode factors.
+    eps is epsilon_matrix(grads, chain). Symmetric with zero diagonal
+    (sigma_z^2 terms are constants and are dropped); invariant under sign
+    flips of any mode row since each term carries two same-mode factors.
     """
-    eps = epsilon_matrix(grads, chain)
     j = np.einsum("j,jn,jl->nl", chain.mode_frequencies, eps, eps)
     np.fill_diagonal(j, 0.0)
     return j
@@ -152,33 +155,29 @@ def approx_j(config: TrapConfig, chain: ChainSolution) -> float:
     )
 
 
-def validity_epsilon(config: TrapConfig, chain: ChainSolution) -> float:
+def validity_epsilon(config: TrapConfig, grads: np.ndarray) -> float:
     """Harmonic-approximation smallness parameter max_j |grad_j| dz_1 / nu_1.
 
-    Compares the gradient-induced potential term over one ground-state
-    extent with the mode quantum hbar*nu1; the derived Hamiltonian holds
-    while this is well below unity.
+    grads is omega_gradients(config, chain). Compares the gradient-induced
+    potential term over one ground-state extent with the mode quantum
+    hbar*nu1; the derived Hamiltonian holds while this is well below unity.
     """
-    grads = omega_gradients(config, chain)
     dz1 = math.sqrt(CONSTANTS.hbar / (2.0 * config.mass * config.nu1))
     return float(np.max(np.abs(grads)) * dz1 / config.nu1)
 
 
 def effective_lamb_dicke(
-    config: TrapConfig, chain: ChainSolution, grads: np.ndarray
+    chain: ChainSolution, eta_bare: np.ndarray, eps: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Effective Lamb-Dicke parameters, drive phases and carrier shifts.
 
     eta'[n, j] = |eta_n S[n, j] + i eps[n, j]| combines the bare
-    photon-recoil coupling with the gradient-induced one; for microwave
-    drives the eps term dominates by orders of magnitude. Returns
-    (eta_eff [mode, ion], phases per ion = pi/2 approximation,
-    shifts Delta_j in rad/s). The exact per-(mode, ion) phase is
-    pi/2 - atan2(eta_n S[n, j], eps[n, j]).
+    photon-recoil coupling eta_n = dz_n k with the gradient-induced one
+    eps = epsilon_matrix(grads, chain); for microwave drives the eps term
+    dominates by orders of magnitude. Returns (eta_eff [mode, ion],
+    phases per ion = pi/2 approximation, shifts Delta_j in rad/s). The
+    exact per-(mode, ion) phase is pi/2 - atan2(eta_n S[n, j], eps[n, j]).
     """
-    k = config.wavevector()
-    eta_bare = chain.ground_state_extents * k
-    eps = epsilon_matrix(grads, chain)
     bare_part = eta_bare[:, None] * chain.mode_matrix
     eta_eff = np.sqrt(bare_part**2 + eps**2)
     phases = np.full(chain.ion_count, 0.5 * math.pi)
@@ -186,33 +185,41 @@ def effective_lamb_dicke(
     return eta_eff, phases, shifts
 
 
-def exact_phases(config: TrapConfig, chain: ChainSolution, grads: np.ndarray) -> np.ndarray:
+def exact_phases(chain: ChainSolution, eta_bare: np.ndarray, eps: np.ndarray) -> np.ndarray:
     """Per-(mode, ion) drive phase pi/2 - atan2(eta_n S[n, j], eps[n, j])."""
-    k = config.wavevector()
-    eta_bare = chain.ground_state_extents * k
-    eps = epsilon_matrix(grads, chain)
     return 0.5 * math.pi - np.arctan2(eta_bare[:, None] * chain.mode_matrix, eps)
 
 
 def build_report(config: TrapConfig, chain: ChainSolution) -> CouplingReport:
-    """Assemble every gradient-induced quantity into one report."""
-    grads = omega_gradients(config, chain)
-    k = config.wavevector()
-    eta_eff, phases, shifts = effective_lamb_dicke(config, chain, grads)
-    return CouplingReport(
-        omega_gradients=grads,
-        epsilon_matrix=epsilon_matrix(grads, chain),
-        j_matrix=j_matrix(grads, chain),
-        shifts=shifts,
-        eta_bare=chain.ground_state_extents * k,
-        eta_eff=eta_eff,
-        phases=phases,
-        phases_exact=exact_phases(config, chain, grads),
-        validity=validity_epsilon(config, chain),
-        qubit_frequencies=qubit_frequencies(config, chain),
-        sign_convention=chain.SIGN_CONVENTION,
-        notes=(PHASE_AMBIGUITY_NOTE,),
-    )
+    """Assemble every gradient-induced quantity into one report.
+
+    Raises NonFiniteReportError if any of them is not finite, as for a
+    field gradient too large for double precision.
+    """
+    with np.errstate(all="ignore"):  # the check below reports overflow and NaN
+        grads = omega_gradients(config, chain)
+        eps = epsilon_matrix(grads, chain)
+        eta_bare = chain.ground_state_extents * config.wavevector()
+        eta_eff, phases, shifts = effective_lamb_dicke(chain, eta_bare, eps)
+        report = CouplingReport(
+            omega_gradients=grads,
+            epsilon_matrix=eps,
+            j_matrix=j_matrix(eps, chain),
+            shifts=shifts,
+            eta_bare=eta_bare,
+            eta_eff=eta_eff,
+            phases=phases,
+            phases_exact=exact_phases(chain, eta_bare, eps),
+            validity=validity_epsilon(config, grads),
+            qubit_frequencies=qubit_frequencies(config, chain),
+            sign_convention=chain.SIGN_CONVENTION,
+            notes=(PHASE_AMBIGUITY_NOTE,),
+        )
+    bad = [name for name, value in vars(report).items()
+           if isinstance(value, (np.ndarray, float)) and not np.isfinite(value).all()]
+    if bad:
+        raise NonFiniteReportError(f"coupling quantities are not finite: {', '.join(bad)}")
+    return report
 
 
 @dataclass(frozen=True)

@@ -38,8 +38,8 @@ from .spins import (
     expectation,
     free_evolution,
     initialize,
-    label_of,
     outcome_indices,
+    outcome_labels,
 )
 
 NORM_TOLERANCE = 1e-9  # largest |1 - ||psi||| accepted after each instruction
@@ -383,7 +383,8 @@ def marginal_counts(
     probs = probs / probs.sum()
     draws = rng.choice(probs.size, size=shots, p=probs)
     tally = np.bincount(outcome_indices(draws, ions))
-    return {label_of(k, len(ions)): int(c) for k, c in enumerate(tally) if c}
+    seen = np.flatnonzero(tally)
+    return dict(zip(outcome_labels(seen, len(ions)), tally[seen].tolist()))
 
 
 def interpret(

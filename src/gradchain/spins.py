@@ -55,9 +55,10 @@ class SpinState:
         return SpinState(self.amplitudes.copy(), self.qubit_order)
 
     def to_json_dict(self) -> dict:
+        """Amplitudes as a (2^n, 2) float array of [real, imag] rows; the CLI writes it as nested lists."""
         return {
             "basis_convention": self.qubit_order,
-            "amplitudes": [[float(a.real), float(a.imag)] for a in self.amplitudes],
+            "amplitudes": np.column_stack((self.amplitudes.real, self.amplitudes.imag)),
         }
 
 
@@ -137,9 +138,10 @@ def initialize(n: int, basis_label: str) -> SpinState:
     return SpinState(amplitudes)
 
 
-def label_of(index: int, n: int) -> str:
-    """n-character label of an outcome index, bit k first (a basis label when n = n_qubits)."""
-    return "".join("1" if (index >> q) & 1 else "0" for q in range(n))
+def outcome_labels(indices: np.ndarray, n: int) -> list[str]:
+    """n-character label of each outcome index, bit k first (basis labels when n = n_qubits)."""
+    bits = (np.asarray(indices, dtype=np.int64)[:, None] >> np.arange(n)) & 1
+    return (bits.astype(np.uint8) + ord("0")).view(f"S{n}").ravel().astype(str).tolist()
 
 
 def outcome_indices(basis: np.ndarray, ions: tuple[int, ...] | list[int]) -> np.ndarray:
@@ -248,4 +250,4 @@ def measurement_probabilities(state: SpinState, ions: list[int] | None = None) -
         ions = list(range(1, state.n_qubits + 1))
     probs = np.abs(state.amplitudes) ** 2
     totals = np.bincount(outcome_indices(np.arange(probs.size), ions), weights=probs)
-    return {label_of(k, len(ions)): float(p) for k, p in enumerate(totals)}
+    return dict(zip(outcome_labels(np.arange(totals.size), len(ions)), totals.tolist()))

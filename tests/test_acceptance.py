@@ -16,7 +16,7 @@ from conftest import HBAR, MU_B, TWO_PI, YB_MASS, standard_raw
 from gradchain.chain import solve_chain, solve_equilibrium
 from gradchain.cli import main
 from gradchain.config import validate_config
-from gradchain.coupling import j_matrix, omega_gradients
+from gradchain.coupling import epsilon_matrix, j_matrix, omega_gradients
 from gradchain.pulse import interpret, parse
 from gradchain.spins import (
     PulseSpec,
@@ -98,7 +98,7 @@ def test_criterion_04_j_oracle_equivalence():
                 field = {"sampled": {"points": [[float(z), float(b)] for z, b in zip(zs, bs)]}}
             cfg = validate_config(standard_raw(n=n) | {"field": field})
             grads = omega_gradients(cfg, chain)
-            fast = j_matrix(grads, chain)
+            fast = j_matrix(epsilon_matrix(grads, chain), chain)
             slow = j_matrix_bruteforce_oracle(grads, chain)
             scale = float(np.max(np.abs(fast)))
             if scale > 0:
@@ -114,7 +114,7 @@ def test_criterion_05_two_ion_closed_form():
         for nu1_hz in (5e4, 1e5, 6e5):
             cfg = validate_config(standard_raw(n=2, nu1=f"{nu1_hz!r}Hz", b=f"{b!r}T/m"))
             chain = solve_chain(cfg)
-            j = j_matrix(omega_gradients(cfg, chain), chain)[0, 1]
+            j = j_matrix(epsilon_matrix(omega_gradients(cfg, chain), chain), chain)[0, 1]
             grad = MU_B * b / HBAR
             closed_form = HBAR * grad**2 / (6 * YB_MASS * (TWO_PI * nu1_hz) ** 2)
             worst = max(worst, abs(j / closed_form - 1.0))
@@ -122,7 +122,7 @@ def test_criterion_05_two_ion_closed_form():
 
     standard = validate_config(standard_raw(n=2))
     chain = solve_chain(standard)
-    j_hz = j_matrix(omega_gradients(standard, chain), chain)[0, 1] / TWO_PI
+    j_hz = j_matrix(epsilon_matrix(omega_gradients(standard, chain), chain), chain)[0, 1] / TWO_PI
     assert j_hz == pytest.approx(19.3, rel=1e-3)
     verdict(5, f"J12 = hbar grad^2 / (6 m nu1^2) to {worst:.1e} over 3x3 grid; "
                f"standard case J12/2pi = {j_hz:.4f} Hz")

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -6,7 +7,12 @@ import numpy as np
 import pytest
 
 from conftest import standard_raw
-from gradchain.cli import SweepSpec, main
+from gradchain.chain import solve_chain
+from gradchain.cli import SweepSpec, _write_json, main
+from gradchain.config import validate_config
+from gradchain.coupling import build_report
+from gradchain.pulse import interpret, parse
+from gradchain.spins import SpinState
 
 CNOT_PROGRAM = """ions 2
 pulse ion=2 rabi=1.929847096624915Hz detune=-19.29847096624915Hz phase=0 area=1pi
@@ -212,6 +218,35 @@ def test_non_finite_quantity_exit_codes(tmp_path, capsys):
     assert "2:7" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+def test_non_finite_couplings_exit3(trap2, tmp_path, capsys):
+    steep = tmp_path / "steep.json"
+    steep.write_text(json.dumps(standard_raw(n=2, b="1e300T/m")), encoding="utf-8")
+    out_dir = tmp_path / "coup"
+    assert main(["couplings", "--config", str(steep), "--out-dir", str(out_dir), "--no-timestamp"]) == 3
+    assert not out_dir.exists()
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", trap2, "--param", "field.uniform.b", "--from", "1", "--to", "1e300",
+                 "--steps", "3", "--quantity", "max_J", "--out", str(out), "--no-timestamp"]) == 3
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 2
+    assert all(line.startswith("error: coupling quantities are not finite:") for line in lines)
+
+
+@pytest.mark.parametrize("nu1", ["1e-300Hz", "1e200Hz"])  # nu1**2 underflows to 0 / overflows
+@pytest.mark.parametrize("command", [["chain"], ["couplings", "--out-dir", "coup"]])
+def test_unrepresentable_length_scale_exit2(tmp_path, capsys, monkeypatch, nu1, command):
+    monkeypatch.chdir(tmp_path)
+    trap = tmp_path / "trap.json"
+    trap.write_text(json.dumps(standard_raw(n=2, nu1=nu1)), encoding="utf-8")
+    assert main([*command, "--config", str(trap)]) == 2
+    assert capsys.readouterr().err.startswith("error: field nu1:")
+    assert not (tmp_path / "coup").exists()
+
+
 def test_simulate_deterministic(trap2, tmp_path):
     program = tmp_path / "cnot.pp"
     program.write_text(CNOT_PROGRAM, encoding="utf-8")
@@ -274,6 +309,17 @@ def test_sweep_validates_endpoints(trap2, tmp_path):
     assert code == 2
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bound", ["1e400", "nan", "inf", "-inf"])
+def test_sweep_rejects_non_finite_bound(trap2, tmp_path, capsys, bound):
+    out = tmp_path / "s.csv"
+    code = main(["sweep", "--config", trap2, "--param", "nu1", "--from", "50kHz", f"--to={bound}",
+                 "--steps", "3", "--quantity", "max_J", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: sweep bound {bound!r} is not a finite number\n"
+    assert not out.exists()
+
+
 def test_sweep_bad_param_path(trap2, tmp_path):
     code = main(["sweep", "--config", trap2, "--param", "field.zigzag.b",
                  "--from", "1", "--to", "2", "--steps", "2",
@@ -326,6 +372,8 @@ def test_sweep_spec_validation():
         SweepSpec("nu1", -1.0, 1.0, 3, "log", "max_J")
     with pytest.raises(ValueError):
         SweepSpec("nu1", 1.0, 2.0, 3, "cubic", "max_J")
+    with pytest.raises(ValueError):
+        SweepSpec("nu1", -1.7e308, 1.7e308, 3, "linear", "max_J")  # linspace would step by inf
 
 
 # determinism and the module entry point ---------------------------------------------
@@ -369,3 +417,79 @@ def test_module_entry_point(trap2, tmp_path):
     )
     assert result.returncode == 0
     assert "min spacing" in result.stdout
+
+
+# the JSON writer -------------------------------------------------------------------
+
+def assert_writes_json_reference(path, doc):
+    """The writer's contract, spelled with the standard library: arrays count as their tolist()."""
+    got = path.read_text(encoding="utf-8")
+    want = json.dumps(doc, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n"
+    if got != want:  # a plain assert would diff megabytes of text
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+        pytest.fail(f"written text differs at character {at}: "
+                    f"{got[at - 30:at + 30]!r} != {want[at - 30:at + 30]!r}")
+
+
+def run_doc(n, source, shots, include_timing=False):
+    config = validate_config(standard_raw(n=n))
+    chain = solve_chain(config)
+    record = interpret(parse(source), config, chain, build_report(config, chain), "0" * n, seed=3, shots=shots)
+    return record.to_json_dict(include_timing=include_timing)
+
+
+def register_source(n, rng):
+    """A pi/2 pulse on every ion, then random pulses and delays, with logs and measurements."""
+    lines = [f"ions {n}"]
+    for k, ion in enumerate([*rng.permutation(n) + 1, *rng.integers(1, n + 1, 2 * n)]):
+        area = 0.5 if k < n else float(rng.choice([0.25, 0.5, 1.0]))
+        lines.append(f"pulse ion={ion} rabi={rng.uniform(2e3, 1e4)!r}Hz detune={rng.uniform(-100, 100)!r}Hz "
+                     f"phase={rng.uniform(0, 2 * math.pi)!r}rad area={area!r}pi")
+        lines.append(f"delay {rng.uniform(2e-4, 3e-3)!r}s")
+        if k % n == n - 1:
+            lines += ["log sz all", "measure z all"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def register_doc():
+    return run_doc(16, register_source(16, np.random.default_rng(16)), shots=20000, include_timing=True)
+
+
+@pytest.mark.parametrize("with_timestamp", [False, True])
+def test_write_json_16_ion_register(register_doc, tmp_path, with_timestamp):
+    out = tmp_path / "run.json"
+    _write_json(out, register_doc, with_timestamp)
+    doc = dict(register_doc)
+    if with_timestamp:
+        doc["generated_at"] = json.loads(out.read_text(encoding="utf-8"))["generated_at"]
+    assert "generated_at" not in register_doc
+    assert len(register_doc["final_state"]["amplitudes"]) == 1 << 16
+    assert len(register_doc["measurements"][-1]["counts"]) > 10000
+    assert_writes_json_reference(out, doc)
+
+
+SMALL_RUNS = {
+    "no shots": (2, CNOT_PROGRAM, 0),
+    "no measure": (2, "ions 2\npulse ion=1 rabi=1kHz detune=0 phase=0 area=0.5pi\ndelay 1ms\nlog sx all\n", 50),
+    "one qubit": (1, "ions 1\npulse ion=1 rabi=1kHz detune=0 phase=0 area=0.5pi\nmeasure z all\nlog sy 1\n", 50),
+}
+
+
+@pytest.mark.parametrize("case", SMALL_RUNS)
+def test_write_json_small_runs(tmp_path, case):
+    doc = run_doc(*SMALL_RUNS[case])
+    out = tmp_path / "run.json"
+    _write_json(out, doc, False)
+    assert_writes_json_reference(out, doc)
+
+
+@pytest.mark.parametrize("amplitudes", [
+    [-0.0 + 5e-324j, 1e-20 - 0.0j, 1.5e16 + 1e-5j, 0.1 + 2.5e-310j],  # signed zero, subnormals, exponents
+    [1.0 + 0.0j, complex(math.nan, 1.0), complex(math.inf, -math.inf), 0.0j],  # json spells NaN, Infinity
+])
+def test_write_json_float_spellings(tmp_path, amplitudes):
+    doc = {"final_state": SpinState(np.array(amplitudes)).to_json_dict(), "counts": {}, "empty": []}
+    out = tmp_path / "state.json"
+    _write_json(out, doc, False)
+    assert_writes_json_reference(out, doc)

@@ -108,6 +108,11 @@ def test_non_finite_quantity_rejected():
         validate_config(standard_raw(nu1="1e308kHz"))
     with pytest.raises(OutOfRangeError):
         validate_config(standard_raw(b="1e400T/m"))
+    for bad in (float("nan"), float("inf")):  # json.load reads NaN and Infinity
+        with pytest.raises(OutOfRangeError, match="quadratic.c"):
+            validate_config(standard_raw() | {"field": {"quadratic": {"b": "1T/m", "c": bad}}})
+        with pytest.raises(OutOfRangeError, match="drive_wavevector"):
+            validate_config(standard_raw() | {"drive_wavevector": {"explicit": bad}})
 
 
 def test_quadratic_field():

@@ -118,7 +118,7 @@ def test_two_ion_closed_form_grid():
     for b in (2.0, 10.0, 37.5):
         for nu1_hz in (5e4, 1e5, 4e5):
             cfg, chain = make(n=2, nu1=f"{nu1_hz!r}Hz", b=f"{b!r}T/m")
-            j = j_matrix(omega_gradients(cfg, chain), chain)
+            j = j_matrix(epsilon_matrix(omega_gradients(cfg, chain), chain), chain)
             grad = MU_B * b / HBAR
             expected = HBAR * grad**2 / (6 * YB_MASS * (TWO_PI * nu1_hz) ** 2)
             assert j[0, 1] == pytest.approx(expected, rel=1e-10)
@@ -132,7 +132,7 @@ def test_two_ion_j_is_19_3_hz(report2):
 
 def test_j_zero_gradient():
     cfg, chain = make(n=5, b="0T/m")
-    assert np.all(j_matrix(omega_gradients(cfg, chain), chain) == 0.0)
+    assert np.all(j_matrix(epsilon_matrix(omega_gradients(cfg, chain), chain), chain) == 0.0)
 
 
 def test_n10_max_j_within_order_of_magnitude(report10):
@@ -157,7 +157,7 @@ def test_oracle_equivalence_random_profiles(n):
     chain = solve_chain(validate_config(standard_raw(n=n)))
     for _ in range(6):
         grads = rng.uniform(-1e12, 1e12, n)
-        a = j_matrix(grads, chain)
+        a = j_matrix(epsilon_matrix(grads, chain), chain)
         b = j_matrix_bruteforce_oracle(grads, chain)
         scale = np.max(np.abs(a))
         assert np.max(np.abs(a - b)) <= 1e-12 * scale
@@ -167,23 +167,23 @@ def test_oracle_equivalence_random_profiles(n):
 def test_sign_flip_invariance():
     cfg, chain = make(n=4)
     grads = omega_gradients(cfg, chain)
-    j_ref = j_matrix(grads, chain)
+    j_ref = j_matrix(epsilon_matrix(grads, chain), chain)
     for row in range(4):
         flipped_s = chain.mode_matrix.copy()
         flipped_s[row] *= -1.0
         flipped = replace(chain, mode_matrix=flipped_s)
-        assert np.array_equal(j_matrix(grads, flipped), j_ref)
+        assert np.array_equal(j_matrix(epsilon_matrix(grads, flipped), flipped), j_ref)
 
 
 def test_j_scaling_laws():
     # J ~ b^2 and ~ nu1^-2: the mode spectrum and S are invariant, so the
     # whole matrix rescales; checked over the full 3x3 (b, nu1) grid
     base_cfg, base_chain = make(n=3)
-    base = j_matrix(omega_gradients(base_cfg, base_chain), base_chain)
+    base = j_matrix(epsilon_matrix(omega_gradients(base_cfg, base_chain), base_chain), base_chain)
     for b_factor in (2.0, 5.0, 11.0):
         for nu_factor in (2.0, 5.0, 11.0):
             cfg, chain = make(n=3, b=f"{10.0 * b_factor!r}T/m", nu1=f"{1e5 * nu_factor!r}Hz")
-            j = j_matrix(omega_gradients(cfg, chain), chain)
+            j = j_matrix(epsilon_matrix(omega_gradients(cfg, chain), chain), chain)
             assert np.allclose(j, base * b_factor**2 / nu_factor**2, rtol=1e-10)
 
 
@@ -222,13 +222,13 @@ def test_approx_j_requires_uniform():
 # validity ----------------------------------------------------------------------
 
 def test_validity_standard_case(config2, chain2, report2):
-    assert validity_epsilon(config2, chain2) == pytest.approx(0.0241, rel=0.01)
+    assert validity_epsilon(config2, omega_gradients(config2, chain2)) == pytest.approx(0.0241, rel=0.01)
     assert report2.harmonic_approximation_valid
 
 
 def test_validity_zero_gradient():
     cfg, chain = make(n=2, b="0T/m")
-    assert validity_epsilon(cfg, chain) == 0.0
+    assert validity_epsilon(cfg, omega_gradients(cfg, chain)) == 0.0
 
 
 def test_validity_strong_gradient_flagged():
@@ -250,8 +250,8 @@ def test_eta_bare_microwave_tiny(config10, chain10, report10):
 
 def test_zero_gradient_reductions():
     cfg, chain = make(n=3, b="0T/m")
-    grads = omega_gradients(cfg, chain)
-    eta_eff, phases, shifts = effective_lamb_dicke(cfg, chain, grads)
+    eps = epsilon_matrix(omega_gradients(cfg, chain), chain)
+    eta_eff, phases, shifts = effective_lamb_dicke(chain, chain.ground_state_extents * cfg.wavevector(), eps)
     k = TWO_PI * 12.6e9 / C_LIGHT
     eta_bare = chain.ground_state_extents * k
     assert np.allclose(eta_eff, np.abs(eta_bare[:, None] * chain.mode_matrix), atol=0)
@@ -260,17 +260,16 @@ def test_zero_gradient_reductions():
 
 
 def test_eta_eff_modulus_identity(config10, chain10):
-    grads = omega_gradients(config10, chain10)
-    eta_eff, _, _ = effective_lamb_dicke(config10, chain10, grads)
-    eps = epsilon_matrix(grads, chain10)
+    eps = epsilon_matrix(omega_gradients(config10, chain10), chain10)
     k = config10.wavevector()
+    eta_eff, _, _ = effective_lamb_dicke(chain10, chain10.ground_state_extents * k, eps)
     bare = chain10.ground_state_extents[:, None] * chain10.mode_matrix
     assert np.allclose(eta_eff**2, (k * bare) ** 2 + eps**2, rtol=1e-12)
 
 
 def test_two_ion_shifts(config2, chain2):
-    grads = omega_gradients(config2, chain2)
-    _, _, shifts = effective_lamb_dicke(config2, chain2, grads)
+    eps = epsilon_matrix(omega_gradients(config2, chain2), chain2)
+    _, _, shifts = effective_lamb_dicke(chain2, chain2.ground_state_extents * config2.wavevector(), eps)
     nu1 = TWO_PI * 1e5
     dz1 = np.sqrt(HBAR / (2 * YB_MASS * nu1))
     dz2 = dz1 * 3.0**-0.25
@@ -283,13 +282,12 @@ def test_two_ion_shifts(config2, chain2):
 
 
 def test_exact_phases_near_pi_half(config2, chain2):
-    grads = omega_gradients(config2, chain2)
-    phases = exact_phases(config2, chain2, grads)
+    eps = epsilon_matrix(omega_gradients(config2, chain2), chain2)
+    phases = exact_phases(chain2, chain2.ground_state_extents * config2.wavevector(), eps)
     # microwave eta is ~1e-6 of eps, so the exact phase sits within ~1e-3 of
     # +pi/2 (eps > 0) or -pi/2 (eps < 0, where the mode row is negative)
     wrapped = np.angle(np.exp(1j * phases))
     assert np.all(np.abs(np.abs(wrapped) - 0.5 * np.pi) < 1e-3)
-    eps = epsilon_matrix(grads, chain2)
     assert np.all(np.sign(wrapped) == np.sign(eps))
 
 
@@ -337,10 +335,10 @@ def test_spectrum_rejects_bad_ion(config2, chain2, report2):
 def test_quadratic_profile_gives_unequal_pair_couplings():
     # a position-dependent gradient makes J_nl differ between equivalent pairs
     cfg, chain = make(n=3, field={"quadratic": {"b": "10T/m", "c": 3e5}})
-    j = j_matrix(omega_gradients(cfg, chain), chain)
+    j = j_matrix(epsilon_matrix(omega_gradients(cfg, chain), chain), chain)
     assert abs(j[0, 1] - j[1, 2]) > 0.05 * abs(j[0, 1])
     uniform_cfg, uniform_chain = make(n=3)
-    j_u = j_matrix(omega_gradients(uniform_cfg, uniform_chain), uniform_chain)
+    j_u = j_matrix(epsilon_matrix(omega_gradients(uniform_cfg, uniform_chain), uniform_chain), uniform_chain)
     assert j_u[0, 1] == pytest.approx(j_u[1, 2], rel=1e-10)  # mirror symmetry
 
 

@@ -1,0 +1,199 @@
+"""Property tests: every input from outside the program fails only in the documented ways.
+
+Runs are derandomized and keep no example database, so the suite tests
+the same examples on every run.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gradchain.cli import _json_text, main
+from gradchain.config import ConfigError, OutOfProfileRangeError, validate_config
+from gradchain.constants import UnknownSpeciesError
+from gradchain.pulse import PulseProgramError, parse, pretty_print
+from gradchain.units import QuantityError
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+json_values = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+UNITS = ("", "Hz", "kHz", "MHz", "GHz", "s", "ms", "us", "T", "T/m", "m", "um", "nm", "deg", "rad", "pi", "x")
+numbers = st.floats() | st.integers(-10**6, 10**6)
+quantities = numbers | st.builds(
+    lambda x, unit: f"{x!r}{unit}",
+    st.floats(allow_nan=False) | st.integers(-10**6, 10**6),
+    st.sampled_from(UNITS),
+)
+fields = st.one_of(
+    st.fixed_dictionaries({"uniform": st.fixed_dictionaries({"b": quantities}, optional={"B0": quantities})}),
+    st.fixed_dictionaries(
+        {"quadratic": st.fixed_dictionaries({"b": quantities, "c": numbers}, optional={"B0": quantities})}
+    ),
+    st.fixed_dictionaries(
+        {"sampled": st.fixed_dictionaries({"points": st.lists(st.lists(quantities, min_size=2, max_size=2),
+                                                                max_size=5)})}
+    ),
+    json_values,
+)
+configs = st.fixed_dictionaries(
+    {
+        "species": st.sampled_from(["Yb171"]) | st.text(max_size=6),
+        "N": st.integers(1, 50) | scalars,
+        "nu1": quantities,
+        "field": fields,
+    },
+    optional={"drive_wavevector": st.just("from_transition") | st.fixed_dictionaries({"explicit": numbers}),
+              "comment": st.text(max_size=8)},
+)
+
+CONFIG_ERRORS = (ConfigError, QuantityError, UnknownSpeciesError, OutOfProfileRangeError)
+
+
+@PROPERTY
+@given(json_values | configs)
+def test_validate_config_fails_only_with_config_errors(raw):
+    try:
+        validate_config(raw)
+    except CONFIG_ERRORS:
+        pass
+
+
+# pulse programs -------------------------------------------------------------------
+
+ions = st.integers(1, 4)
+ion_sets = st.just("all") | st.lists(st.integers(-1, 5), min_size=1, max_size=4).map(
+    lambda xs: ",".join(map(str, xs))
+)
+pulse_fields = st.lists(
+    st.sampled_from(["ion", "rabi", "detune", "phase", "area", "dur", "gain"]).flatmap(
+        lambda key: st.builds(lambda v: f"{key}={v}", st.integers(-1, 5) | quantities)
+    ),
+    max_size=6,
+)
+program_lines = st.one_of(
+    ions.map(lambda n: f"ions {n}"),
+    pulse_fields.map(lambda fs: " ".join(["pulse", *fs])),
+    quantities.map(lambda q: f"delay {q}"),
+    ion_sets.map(lambda s: f"measure z {s}"),
+    st.tuples(st.sampled_from(["sx", "sy", "sz", "sw"]), ion_sets).map(lambda t: f"log {t[0]} {t[1]}"),
+    st.text(max_size=12),
+)
+program_texts = st.text() | st.lists(program_lines, max_size=8).map("\n".join)
+
+
+@PROPERTY
+@given(program_texts)
+def test_parse_fails_only_with_program_errors(text):
+    try:
+        parse(text)
+    except PulseProgramError:
+        pass
+
+
+positive = st.floats(min_value=0.0, max_value=1e12)
+valid_instructions = st.one_of(
+    st.builds(lambda i, r, d, p, a: f"pulse ion={i} rabi={r!r}Hz detune={d!r}Hz phase={p!r}rad area={a!r}pi",
+              st.integers(1, 3), st.floats(min_value=1e-3, max_value=1e6), st.floats(-1e6, 1e6),
+              st.floats(-10.0, 10.0), st.floats(0.0, 4.0)),
+    st.builds(lambda i, t: f"pulse ion={i} rabi=1kHz detune=0 phase=90deg dur={t!r}s",
+              st.integers(1, 3), positive),
+    positive.map(lambda t: f"delay {t!r}s"),
+    st.sampled_from(["measure z all", "measure z 3,1", "log sx all", "log sy 2", "log sz 1,2,3"]),
+)
+
+
+@PROPERTY
+@given(st.lists(valid_instructions, max_size=8))
+def test_pretty_print_is_a_fixed_point(lines):
+    program = parse("\n".join(["ions 3", *lines]))
+    text = pretty_print(program)
+    assert pretty_print(parse(text)) == text
+
+
+# the CLI on generated configs ------------------------------------------------------
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def typical_or_any(lo, hi):
+    """Mostly values of a working trap, and now and then any finite double."""
+    return st.floats(lo, hi) | st.floats(lo, hi) | finite
+
+
+trap_configs = st.fixed_dictionaries(
+    {
+        "species": st.just("Yb171"),
+        "N": st.integers(1, 50),
+        "nu1": typical_or_any(1e4, 1e6)
+        | st.builds(lambda x, unit: f"{x!r}{unit}", finite, st.sampled_from(["Hz", "kHz", "MHz", "GHz"])),
+        "field": st.one_of(
+            st.builds(lambda b0, b: {"uniform": {"B0": b0, "b": b}},
+                      typical_or_any(-1, 1), typical_or_any(-100, 100)),
+            st.builds(lambda b0, b, c: {"quadratic": {"B0": b0, "b": b, "c": c}},
+                      typical_or_any(-1, 1), typical_or_any(-100, 100), typical_or_any(-1e7, 1e7) | numbers),
+            st.lists(st.tuples(typical_or_any(-1e-3, 1e-3), typical_or_any(-1, 1)),
+                     min_size=2, max_size=5, unique_by=lambda p: p[0]).map(
+                lambda pts: {"sampled": {"points": sorted(map(list, pts))}}
+            ),
+        ),
+    },
+    optional={"drive_wavevector": st.fixed_dictionaries({"explicit": typical_or_any(1.0, 1e8) | numbers})},
+)
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning reaching stderr fails too
+@PROPERTY
+@given(trap_configs)
+def test_cli_exit_codes_on_generated_configs(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp)
+        config = base / "trap.json"
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        program = base / "p.pp"
+        program.write_text(f"ions {raw['N']}\npulse ion=1 rabi=1kHz detune=0 phase=0 area=0.5pi\n"
+                           "delay 1ms\nlog sx all\nmeasure z all\n", encoding="utf-8")
+        commands = [
+            ["chain", "--out", str(base / "chain.json")],
+            ["couplings", "--out-dir", str(base / "coup")],
+            ["spectrum", "--ion", "1", "--out", str(base / "spec.csv")],
+            ["simulate", "--program", str(program), "--shots", "10", "--out", str(base / "run.json")],
+        ]
+        for command in commands:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main([*command, "--config", str(config), "--no-timestamp"])
+            assert code in (0, 2, 3, 4), command
+
+
+# the JSON writer --------------------------------------------------------------------
+
+arrays = st.tuples(st.integers(0, 4), st.integers(0, 3)).flatmap(
+    lambda shape: st.lists(st.floats(width=64), min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]).map(
+        lambda xs: np.array(xs, dtype=float).reshape(shape)
+    )
+)
+documents = st.recursive(
+    scalars | arrays,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4)
+    | st.dictionaries(st.integers() | st.booleans(), inner, max_size=3),  # json stringifies these keys
+    max_leaves=16,
+)
+
+
+@PROPERTY
+@given(documents)
+def test_json_text_matches_json_dumps(doc):
+    assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True, default=np.ndarray.tolist)

@@ -281,7 +281,8 @@ def test_interpret_deterministic(config2, chain2, report2):
     b = interpret(program, config2, chain2, report2, "10", seed=99, shots=100)
     doc_a = a.to_json_dict(include_timing=False)
     doc_b = b.to_json_dict(include_timing=False)
-    assert json.dumps(doc_a, sort_keys=True) == json.dumps(doc_b, sort_keys=True)
+    as_text = dict(sort_keys=True, default=np.ndarray.tolist)  # final-state amplitudes are an array
+    assert json.dumps(doc_a, **as_text) == json.dumps(doc_b, **as_text)
 
 
 def test_run_record_serialization(config2, chain2, report2):

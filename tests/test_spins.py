@@ -15,8 +15,8 @@ from gradchain.spins import (
     expectation,
     free_evolution,
     initialize,
-    label_of,
     measurement_probabilities,
+    outcome_labels,
 )
 from oracles import OracleTooLargeError, evolve_oracle
 
@@ -78,7 +78,7 @@ def test_initialize_convention():
     state = initialize(2, "10")
     assert state.amplitudes[1] == 1.0
     assert np.sum(np.abs(state.amplitudes)) == 1.0
-    assert label_of(1, 2) == "10"
+    assert outcome_labels([1], 2) == ["10"]
 
 
 def test_initialize_large_register():
@@ -327,6 +327,13 @@ def test_marginal_counts_pinned():
         "100": 82, "111": 102, "110": 97, "011": 36, "000": 15, "010": 46, "001": 29, "101": 93,
     }
     assert marginal_counts(state, (1, 2), np.random.default_rng(7), 0) == {}
+
+
+def test_outcome_labels_match_format():
+    rng = np.random.default_rng(5)
+    for n in range(1, 17):
+        ks = np.concatenate(([0, 1, (1 << n) - 1], rng.integers(0, 1 << n, 20)))
+        assert outcome_labels(ks, n) == [format(int(k), f"0{n}b")[::-1] for k in ks]
 
 
 def test_measurement_probabilities_marginal():
