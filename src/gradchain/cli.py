@@ -15,7 +15,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import repeat
@@ -47,10 +49,11 @@ def _timestamp() -> str:
 
 
 _CONTAINERS = (dict, list, tuple, np.ndarray)
+_ARRAY_BLOCK_ROWS = 4096  # rows of a 2-D array formatted per piece: ~200 kB of text for a 16-qubit state
 
 
-def _json_text(node, pad: str = "") -> str:
-    """json.dumps(node, indent=2, sort_keys=True) of a value nested at indentation `pad`.
+def _json_pieces(node, pad: str = "") -> Iterator[str]:
+    """Yield json.dumps(node, indent=2, sort_keys=True) of a value nested at indentation `pad`, in pieces.
 
     An ndarray counts as its tolist(). Before Python 3.13 `indent` switches json's C encoder off. Here a
     container that holds no containers goes to the C encoder, with
@@ -58,43 +61,77 @@ def _json_text(node, pad: str = "") -> str:
     the nesting above such containers.
     """
     if isinstance(node, np.ndarray):
-        return _array_text(node, pad)
+        yield from _array_pieces(node, pad)
+        return
     if not isinstance(node, (dict, list, tuple)):
-        return json.dumps(node)
+        yield json.dumps(node)
+        return
     inner = pad + "  "
     if not any(map(isinstance, node.values() if isinstance(node, dict) else node, repeat(_CONTAINERS))):
         flat = json.dumps(node, sort_keys=True, separators=(",\n" + inner, ": "))
-        return flat if len(flat) == 2 else f"{flat[0]}\n{inner}{flat[1:-1]}\n{pad}{flat[-1]}"
+        yield flat if len(flat) == 2 else f"{flat[0]}\n{inner}{flat[1:-1]}\n{pad}{flat[-1]}"
+        return
     if isinstance(node, dict):
         # json turns a non-str key into the text it would give the key as a value
-        items = [f"{json.dumps(k if isinstance(k, str) else json.dumps(k))}: {_json_text(v, inner)}"
-                 for k, v in sorted(node.items())]
+        items = ((f"{json.dumps(k if isinstance(k, str) else json.dumps(k))}: ", v) for k, v in sorted(node.items()))
         brackets = "{}"
     else:
-        items = [_json_text(v, inner) for v in node]
+        items = (("", v) for v in node)
         brackets = "[]"
-    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
+    # a container that holds a container is not empty, so its opening bracket always leads an item
+    separator = f"{brackets[0]}\n{inner}"
+    for key, v in items:
+        yield separator + key
+        yield from _json_pieces(v, inner)
+        separator = ",\n" + inner
+    yield f"\n{pad}{brackets[1]}"
 
 
-def _array_text(a: np.ndarray, pad: str) -> str:
-    """_json_text(a.tolist(), pad); a non-empty 2-D array of finite floats takes one repr each and one join."""
+def _array_pieces(a: np.ndarray, pad: str) -> Iterator[str]:
+    """_json_pieces(a.tolist(), pad); a non-empty 2-D array of finite floats takes one repr each, one join a block."""
     if a.ndim != 2 or a.size == 0 or a.dtype.kind != "f" or not np.isfinite(a).all():
-        return _json_text(a.tolist(), pad)  # json spells non-finite floats NaN/Infinity, not repr's nan/inf
-    rows, cols = a.shape
+        yield from _json_pieces(a.tolist(), pad)  # json spells non-finite floats NaN/Infinity, not repr's nan/inf
+        return
+    cols = a.shape[1]
     inner = pad + "    "
-    parts = [",\n" + inner] * (2 * a.size - 1)
-    parts[::2] = map(float.__repr__, a.ravel().tolist())
-    parts[2 * cols - 1::2 * cols] = [f"\n{pad}  ],\n{pad}  [\n{inner}"] * (rows - 1)
-    return f"[\n{pad}  [\n{inner}" + "".join(parts) + f"\n{pad}  ]\n{pad}]"
+    row_separator = f"\n{pad}  ],\n{pad}  [\n{inner}"
+    separator = f"[\n{pad}  [\n{inner}"
+    for start in range(0, len(a), _ARRAY_BLOCK_ROWS):
+        block = a[start:start + _ARRAY_BLOCK_ROWS]
+        parts = [",\n" + inner] * (2 * block.size - 1)
+        parts[::2] = map(float.__repr__, block.ravel().tolist())
+        parts[2 * cols - 1::2 * cols] = [row_separator] * (len(block) - 1)
+        yield separator + "".join(parts)
+        separator = row_separator
+    yield f"\n{pad}  ]\n{pad}]"
+
+
+def _json_text(node) -> str:
+    """json.dumps(node, indent=2, sort_keys=True), ndarrays as their tolist()."""
+    return "".join(_json_pieces(node))
 
 
 def _write_json(path: Path, doc: dict, with_timestamp: bool) -> None:
-    """Write doc as json.dumps(doc, indent=2, sort_keys=True) + newline would, ndarrays as their tolist()."""
+    """Write doc as json.dumps(doc, indent=2, sort_keys=True) + newline would, ndarrays as their tolist().
+
+    The text goes to the file piece by piece, so the whole document never
+    exists as one string. It is written to a temporary file next to `path`
+    and renamed onto `path` only once complete; on any failure the
+    temporary file is removed and `path` is left as it was.
+    """
     if with_timestamp:
         doc = dict(doc)
         doc["generated_at"] = _timestamp()
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(_json_text(doc) + "\n", encoding="utf-8")
+    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(partial, "w", encoding="utf-8") as fh:
+            fh.writelines(_json_pieces(doc))
+            fh.write("\n")
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def _write_matrix_csv(path: Path, matrix: np.ndarray, row_label: str) -> None:
@@ -267,6 +304,8 @@ class SweepSpec:
 
 
 def _sweep_value(quantity: str, config: TrapConfig) -> float:
+    if quantity == "min_spacing" and config.ion_count < 2:
+        raise ValueError(f"sweep quantity min_spacing needs at least 2 ions, config has N={config.ion_count}")
     solution = _solve(config)
     if quantity == "min_spacing":
         return solution.min_spacing_m()
@@ -298,11 +337,15 @@ def _set_path(raw: dict, dotted: str, value: float) -> None:
     node[parts[-1]] = value
 
 
-def _parse_sweep_bound(text: str) -> float:
+def _parse_sweep_bound(text: str, raw: dict, parameter: str) -> float:
+    """A sweep bound in SI: a bare number as it is, a quantity only if the swept field accepts its text."""
     try:
         value = float(text)
     except ValueError:
         value, _ = parse_quantity(text)
+        probe = json.loads(json.dumps(raw))
+        _set_path(probe, parameter, text)
+        validate_config(probe)  # the field's own check rejects a unit of another dimension
     if not math.isfinite(value):
         raise QuantityError(f"sweep bound {text!r} is not a finite number", text)
     return value
@@ -315,8 +358,8 @@ def cmd_sweep(args) -> int:
 
     spec = SweepSpec(
         parameter=args.param,
-        start=_parse_sweep_bound(getattr(args, "from")),
-        stop=_parse_sweep_bound(args.to),
+        start=_parse_sweep_bound(getattr(args, "from"), raw, args.param),
+        stop=_parse_sweep_bound(args.to, raw, args.param),
         steps=args.steps,
         scale=args.scale,
         quantity=args.quantity,

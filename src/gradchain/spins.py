@@ -19,6 +19,7 @@ than approximated: the exactness guarantee needs one tone at a time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -49,7 +50,9 @@ class SpinState:
         return int(self.amplitudes.size).bit_length() - 1
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        # einsum, not np.linalg.norm or a dot: their BLAS call leaves OpenBLAS threads spinning afterwards
+        parts = np.ascontiguousarray(self.amplitudes, dtype=complex).view(np.float64)
+        return math.sqrt(float(np.einsum("i,i->", parts, parts)))
 
     def copy(self) -> "SpinState":
         return SpinState(self.amplitudes.copy(), self.qubit_order)

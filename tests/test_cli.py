@@ -2,13 +2,14 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import standard_raw
 from gradchain.chain import solve_chain
-from gradchain.cli import SweepSpec, _write_json, main
+from gradchain.cli import SweepSpec, _json_text, _write_json, main
 from gradchain.config import validate_config
 from gradchain.coupling import build_report
 from gradchain.pulse import interpret, parse
@@ -320,6 +321,48 @@ def test_sweep_rejects_non_finite_bound(trap2, tmp_path, capsys, bound):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("param, start, stop", [
+    ("nu1", "1T/m", "2ms"),
+    ("nu1", "50kHz", "2ms"),
+    ("field.uniform.b", "1kHz", "2T/m"),
+    ("field.uniform.b", "1T/m", "2T"),
+])
+def test_sweep_bound_unit_must_fit_parameter(trap2, tmp_path, capsys, param, start, stop):
+    out = tmp_path / "s.csv"
+    code = main(["sweep", "--config", trap2, "--param", param, "--from", start, "--to", stop,
+                 "--steps", "3", "--quantity", "max_J", "--out", str(out)])
+    assert code == 2
+    assert "expected" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("param, with_units, si", [
+    ("nu1", ("50kHz", "0.1MHz"), ("5e4", "100000")),
+    ("field.uniform.b", ("1T/m", "30T/m"), ("1", "30")),
+])
+def test_sweep_bound_units_equal_si_numbers(trap2, tmp_path, param, with_units, si):
+    texts = []
+    for tag, (start, stop) in (("units", with_units), ("si", si)):
+        out = tmp_path / f"{tag}.csv"
+        assert main(["sweep", "--config", trap2, "--param", param, "--from", start, "--to", stop,
+                     "--steps", "3", "--quantity", "max_J", "--out", str(out)]) == 0
+        texts.append(out.read_text())
+    assert texts[0] == texts[1]
+
+
+@pytest.mark.filterwarnings("error")
+def test_sweep_min_spacing_needs_two_ions(tmp_path, capsys):
+    config = tmp_path / "trap1.json"
+    config.write_text(json.dumps(standard_raw(n=1)), encoding="utf-8")
+    out = tmp_path / "s.csv"
+    code = main(["sweep", "--config", str(config), "--param", "nu1", "--from", "50kHz", "--to", "100kHz",
+                 "--steps", "2", "--quantity", "min_spacing", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: sweep quantity min_spacing needs at least 2 ions, config has N=1\n"
+    assert not out.exists()
+
+
 def test_sweep_bad_param_path(trap2, tmp_path):
     code = main(["sweep", "--config", trap2, "--param", "field.zigzag.b",
                  "--from", "1", "--to", "2", "--steps", "2",
@@ -493,3 +536,36 @@ def test_write_json_float_spellings(tmp_path, amplitudes):
     out = tmp_path / "state.json"
     _write_json(out, doc, False)
     assert_writes_json_reference(out, doc)
+
+
+def test_write_json_peak_memory_below_file_size(register_doc, tmp_path):
+    """The document text is streamed: the writer never holds a string the size of the file."""
+    out = tmp_path / "run.json"
+    tracemalloc.start()
+    try:
+        _write_json(out, register_doc, False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < out.stat().st_size
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 1), (4095, 2), (4096, 2), (4097, 2), (8193, 3)])
+def test_json_text_array_blocks(rows, cols):
+    a = np.random.default_rng(rows).normal(size=(rows, cols))
+    doc = {"a": a, "nested": [{"b": a[:3]}]}
+    assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True, default=np.ndarray.tolist)
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_write_json_failure_leaves_nothing(tmp_path, existing):
+    out = tmp_path / "run.json"
+    if existing:
+        out.write_text("earlier run\n", encoding="utf-8")
+    # the array's text is written before json meets the set
+    doc = {"amplitudes": np.ones((5000, 2)), "z": [{"outcomes": {1, 2}}]}
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        _write_json(out, doc, False)
+    assert [p.name for p in tmp_path.iterdir()] == (["run.json"] if existing else [])
+    if existing:
+        assert out.read_text(encoding="utf-8") == "earlier run\n"

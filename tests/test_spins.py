@@ -87,6 +87,13 @@ def test_initialize_large_register():
     assert state.norm() == 1.0
 
 
+def test_norm_matches_linalg_norm():
+    rng = np.random.default_rng(5)
+    for amplitudes in (rng.normal(size=1 << 10) + 1j * rng.normal(size=1 << 10), np.arange(4.0), np.zeros(2)):
+        want = np.linalg.norm(amplitudes)
+        assert SpinState(amplitudes).norm() == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
 def test_initialize_bad_labels():
     with pytest.raises(BadLabelError):
         initialize(2, "0")
