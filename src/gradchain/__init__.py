@@ -12,7 +12,6 @@ from .config import TrapConfig, load_config, validate_config
 from .constants import CONSTANTS, SPECIES_REGISTRY, PhysicalConstants, Species
 from .coupling import (
     CouplingReport,
-    approx_j,
     build_report,
     effective_lamb_dicke,
     epsilon_matrix,
@@ -27,13 +26,12 @@ from .spins import (
     PulseSpec,
     SpinHamiltonian,
     SpinState,
-    apply_hard_pulse,
     apply_pulse,
     expectation,
     free_evolution,
     initialize,
 )
-from .units import format_quantity, parse_quantity
+from .units import parse_quantity
 
 __version__ = "0.1.0"
 
@@ -50,15 +48,12 @@ __all__ = [
     "SpinHamiltonian",
     "SpinState",
     "TrapConfig",
-    "approx_j",
-    "apply_hard_pulse",
     "apply_pulse",
     "build_report",
     "dynamical_matrix",
     "effective_lamb_dicke",
     "epsilon_matrix",
     "expectation",
-    "format_quantity",
     "free_evolution",
     "initialize",
     "interpret",

@@ -143,13 +143,9 @@ def _write_matrix_csv(path: Path, matrix: np.ndarray, row_label: str) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _solve(config: TrapConfig) -> chain_mod.ChainSolution:
-    return chain_mod.solve_chain(config)
-
-
 def cmd_chain(args) -> int:
     config = load_config(args.config)
-    solution = _solve(config)
+    solution = chain_mod.solve_chain(config)
     if args.out:
         _write_json(Path(args.out), solution.to_json_dict(), not args.no_timestamp)
 
@@ -172,7 +168,7 @@ def cmd_chain(args) -> int:
 
 def cmd_couplings(args) -> int:
     config = load_config(args.config)
-    solution = _solve(config)
+    solution = chain_mod.solve_chain(config)
     report = coupling_mod.build_report(config, solution)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -195,7 +191,7 @@ def cmd_spectrum(args) -> int:
     if not 1 <= args.ion <= config.ion_count:
         print(f"error: ion index {args.ion} out of range [1, {config.ion_count}]", file=sys.stderr)
         return EXIT_INPUT
-    solution = _solve(config)
+    solution = chain_mod.solve_chain(config)
     report = coupling_mod.build_report(config, solution)
     lines = coupling_mod.sideband_spectrum(config, solution, report, args.ion)
 
@@ -216,6 +212,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.shots < 0:
+        raise ValueError(f"--shots must be >= 0, got {args.shots}")
     config = load_config(args.config)
     try:
         source = Path(args.program).read_text(encoding="utf-8")
@@ -228,7 +226,7 @@ def cmd_simulate(args) -> int:
         print(f"error: {args.program}:{exc}", file=sys.stderr)
         return EXIT_PROGRAM
 
-    solution = _solve(config)
+    solution = chain_mod.solve_chain(config)
     report = coupling_mod.build_report(config, solution)
     initial = args.initial if args.initial is not None else "0" * config.ion_count
     record = pulse_mod.interpret(
@@ -306,7 +304,7 @@ class SweepSpec:
 def _sweep_value(quantity: str, config: TrapConfig) -> float:
     if quantity == "min_spacing" and config.ion_count < 2:
         raise ValueError(f"sweep quantity min_spacing needs at least 2 ions, config has N={config.ion_count}")
-    solution = _solve(config)
+    solution = chain_mod.solve_chain(config)
     if quantity == "min_spacing":
         return solution.min_spacing_m()
     report = coupling_mod.build_report(config, solution)

@@ -63,9 +63,6 @@ class UniformGradientField:
     def gradient_at(self, z: float) -> float:
         return self.b
 
-    def to_raw(self) -> dict:
-        return {"uniform": {"B0": self.b0, "b": self.b}}
-
 
 @dataclass(frozen=True)
 class QuadraticField:
@@ -80,9 +77,6 @@ class QuadraticField:
 
     def gradient_at(self, z: float) -> float:
         return self.b + 2.0 * self.c * z
-
-    def to_raw(self) -> dict:
-        return {"quadratic": {"B0": self.b0, "b": self.b, "c": self.c}}
 
 
 @dataclass(frozen=True)
@@ -122,9 +116,6 @@ class SampledField:
         (z0, b0), (z1, b1) = self.points[i], self.points[i + 1]
         return (b1 - b0) / (z1 - z0)
 
-    def to_raw(self) -> dict:
-        return {"sampled": {"points": [[z, b] for z, b in self.points]}}
-
 
 FieldProfile = UniformGradientField | QuadraticField | SampledField
 
@@ -160,17 +151,6 @@ class TrapConfig:
         if self.drive_wavevector is not None:
             return self.drive_wavevector
         return self.species.omega0 / CONSTANTS.speed_of_light
-
-    def to_raw(self) -> dict:
-        raw = {
-            "species": self.species.name,
-            "N": self.ion_count,
-            "nu1": self.axial_frequency_hz,
-            "field": self.field.to_raw(),
-        }
-        if self.drive_wavevector is not None:
-            raw["drive_wavevector"] = {"explicit": self.drive_wavevector}
-        return raw
 
 
 def _quantity(raw, path: str, dimension: str) -> float:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainSolution
-from .config import TrapConfig, UniformGradientField
+from .config import TrapConfig
 from .constants import CONSTANTS
 
 VALIDITY_THRESHOLD = 0.1
@@ -34,10 +34,6 @@ PHASE_AMBIGUITY_NOTE = (
     "per-ion drive phase is the small-eta approximation pi/2; the exact "
     "arctangent depends on the mode index and is reported per (mode, ion)"
 )
-
-
-class NonUniformGradientError(ValueError):
-    """Closed-form estimate requested for a non-uniform field profile."""
 
 
 class NonFiniteReportError(RuntimeError):
@@ -132,27 +128,6 @@ def j_matrix(eps: np.ndarray, chain: ChainSolution) -> np.ndarray:
     j = np.einsum("j,jn,jl->nl", chain.mode_frequencies, eps, eps)
     np.fill_diagonal(j, 0.0)
     return j
-
-
-def approx_j(config: TrapConfig, chain: ChainSolution) -> float:
-    """Closed-form order-of-magnitude coupling for a uniform gradient, rad/s.
-
-    J ~ (1 / 4 N m hbar) (dmu mu_B B')^2 (1 / nu1^2) sum_j lambda_j^-2,
-    which assumes every mode amplitude is ~ N^(-1/2). Crude by design;
-    exact values come from j_matrix.
-    """
-    if not isinstance(config.field, UniformGradientField):
-        raise NonUniformGradientError(
-            "closed-form J estimate requires a uniform field gradient"
-        )
-    moment = config.species.differential_moment * CONSTANTS.bohr_magneton
-    n = config.ion_count
-    lambda_sq = chain.mode_eigenvalues
-    return (
-        (moment * config.field.b) ** 2
-        / (4.0 * n * config.mass * CONSTANTS.hbar * config.nu1**2)
-        * float(np.sum(1.0 / lambda_sq))
-    )
 
 
 def validity_epsilon(config: TrapConfig, grads: np.ndarray) -> float:

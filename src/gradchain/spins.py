@@ -43,7 +43,6 @@ class SpinState:
     """Owned, mutable amplitude vector over the computational basis."""
 
     amplitudes: np.ndarray
-    qubit_order: str = BASIS_CONVENTION
 
     @property
     def n_qubits(self) -> int:
@@ -55,12 +54,12 @@ class SpinState:
         return math.sqrt(float(np.einsum("i,i->", parts, parts)))
 
     def copy(self) -> "SpinState":
-        return SpinState(self.amplitudes.copy(), self.qubit_order)
+        return SpinState(self.amplitudes.copy())
 
     def to_json_dict(self) -> dict:
         """Amplitudes as a (2^n, 2) float array of [real, imag] rows; the CLI writes it as nested lists."""
         return {
-            "basis_convention": self.qubit_order,
+            "basis_convention": BASIS_CONVENTION,
             "amplitudes": np.column_stack((self.amplitudes.real, self.amplitudes.imag)),
         }
 
@@ -217,18 +216,6 @@ def apply_pulse(state: SpinState, h: SpinHamiltonian, pulse: PulseSpec) -> SpinS
     return state
 
 
-def apply_hard_pulse(state: SpinState, ion: int, area: float, phase: float) -> SpinState:
-    """Idealized zero-duration rotation of one qubit by the given area (rad)."""
-    b0, b1 = _pair_indices(state.n_qubits, ion)
-    cos = np.cos(0.5 * area)
-    sin = np.sin(0.5 * area)
-    a0 = state.amplitudes[b0].copy()
-    a1 = state.amplitudes[b1]
-    state.amplitudes[b0] = cos * a0 - 1j * sin * np.exp(-1j * phase) * a1
-    state.amplitudes[b1] = cos * a1 - 1j * sin * np.exp(1j * phase) * a0
-    return state
-
-
 _OBSERVABLES = ("sx", "sy", "sz")
 
 
@@ -245,12 +232,3 @@ def expectation(state: SpinState, observable: str, ion: int) -> float:
     if observable == "sx":
         return float(2.0 * cross.real)
     return float(-2.0 * cross.imag)  # sy = i|0><1| - i|1><0| in this sign convention
-
-
-def measurement_probabilities(state: SpinState, ions: list[int] | None = None) -> dict[str, float]:
-    """Marginal z-basis outcome distribution over the listed ions (default all)."""
-    if ions is None:
-        ions = list(range(1, state.n_qubits + 1))
-    probs = np.abs(state.amplitudes) ** 2
-    totals = np.bincount(outcome_indices(np.arange(probs.size), ions), weights=probs)
-    return dict(zip(outcome_labels(np.arange(totals.size), len(ions)), totals.tolist()))

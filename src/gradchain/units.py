@@ -1,4 +1,4 @@
-"""Parsing and formatting of dimensioned quantities like "100kHz" or "0.5pi".
+"""Parsing of dimensioned quantities like "100kHz" or "0.5pi".
 
 The unit set is deliberately closed: frequencies (ordinary, not angular),
 times, magnetic fields, field gradients, lengths and angles. Frequencies
@@ -35,15 +35,6 @@ _UNITS: dict[str, tuple[float, str]] = {
     "deg": (math.pi / 180.0, ANGLE),
     "rad": (1.0, ANGLE),
     "pi": (math.pi, ANGLE),
-}
-
-_BASE_UNIT = {
-    FREQUENCY: "Hz",
-    TIME: "s",
-    FIELD: "T",
-    GRADIENT: "T/m",
-    LENGTH: "m",
-    ANGLE: "rad",
 }
 
 _NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
@@ -88,10 +79,3 @@ def parse_quantity(text: str) -> tuple[float, str]:
     if not math.isfinite(value):
         raise QuantityError(f"quantity {stripped!r} is not a finite number", stripped)
     return value, dim
-
-
-def format_quantity(value: float, dimension: str) -> str:
-    """Render an SI value in its dimension's base unit, round-trip exact."""
-    if dimension not in _BASE_UNIT:
-        raise ValueError(f"unknown dimension tag {dimension!r}")
-    return f"{value!r}{_BASE_UNIT[dimension]}"

@@ -3,7 +3,9 @@
 The dense-matrix spin evolution builds the full RWA Hamiltonian from
 explicit Pauli operators and exponentiates it; the brute-force J expands
 the squared mode-displacement sum term by term. Neither shares code with
-the fast paths in gradchain.spins and gradchain.coupling.
+the fast paths in gradchain.spins and gradchain.coupling. The idealized
+hard pulse and the exact outcome distribution are references for the
+echo, frame and conditional-flip tests.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import numpy as np
 
 from gradchain.chain import ChainSolution
 from gradchain.constants import CONSTANTS
-from gradchain.spins import PulseSpec, SpinHamiltonian, SpinState
+from gradchain.spins import PulseSpec, SpinHamiltonian, SpinState, _pair_indices, outcome_indices, outcome_labels
 
 MAX_ORACLE_QUBITS = 6
 
@@ -113,4 +115,27 @@ def evolve_oracle(
         # undo the rotating-frame transformation at the final time
         back = _expm_scaled_series(-1j * drives[0].drive_frequency * t * 0.5 * z_ops[rotating_ion - 1])
         amplitudes = back @ amplitudes
-    return SpinState(amplitudes, state.qubit_order)
+    return SpinState(amplitudes)
+
+
+# idealized references ------------------------------------------------------
+
+def apply_hard_pulse(state: SpinState, ion: int, area: float, phase: float) -> SpinState:
+    """Idealized zero-duration rotation of one qubit by the given area (rad)."""
+    b0, b1 = _pair_indices(state.n_qubits, ion)
+    cos = np.cos(0.5 * area)
+    sin = np.sin(0.5 * area)
+    a0 = state.amplitudes[b0].copy()
+    a1 = state.amplitudes[b1]
+    state.amplitudes[b0] = cos * a0 - 1j * sin * np.exp(-1j * phase) * a1
+    state.amplitudes[b1] = cos * a1 - 1j * sin * np.exp(1j * phase) * a0
+    return state
+
+
+def measurement_probabilities(state: SpinState, ions: list[int] | None = None) -> dict[str, float]:
+    """Marginal z-basis outcome distribution over the listed ions (default all)."""
+    if ions is None:
+        ions = list(range(1, state.n_qubits + 1))
+    probs = np.abs(state.amplitudes) ** 2
+    totals = np.bincount(outcome_indices(np.arange(probs.size), ions), weights=probs)
+    return dict(zip(outcome_labels(np.arange(totals.size), len(ions)), totals.tolist()))

@@ -1,0 +1,117 @@
+"""Print sha256 digests of a fixed set of gradchain CLI runs, for byte-identity checks.
+
+Every command runs as a fresh `python -m gradchain ... --no-timestamp`
+process against the package in this checkout's `src/`, with the shipped
+configs and programs copied into a temporary directory, so no output
+depends on where the checkout lives. For each command the script prints
+the digests of its stdout, its stderr, its exit code and every file it
+wrote. Run it at two commits and diff the two listings:
+
+    python tests/output_digest.py > before.txt   # at the parent commit
+    python tests/output_digest.py > after.txt    # at the change
+    diff before.txt after.txt
+
+The command set: `chain`, `couplings`, `spectrum` of the first and the last
+ion (the last with --emit-plot-data) and a 7-point log sweep of `max_J`
+over `nu1`, on each shipped config; `simulate` of cnot, ramsey and echo
+with CLI defaults, with `--seed 5 --shots 3000` and with `--shots 0`, and
+echo with --emit-plot-data; and two generated 16-ion, 80-op, 20000-shot
+programs (perfbench's `register_program`, seeds 31 and 32). This script
+is not a test module and pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import random
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ("trap.json", "trap_n10.json", "trap_quadratic.json")
+PROGRAMS = ("cnot.pp", "ramsey.pp", "echo.pp")
+REGISTER_SEEDS = (31, 32)
+REGISTER_N = 16
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _register_inputs(work: Path) -> list[tuple[str, list[str]]]:
+    """Two generated 16-ion programs on a 16-ion uniform-gradient trap."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import register_program
+
+    config = {"species": "Yb171", "N": REGISTER_N, "nu1": "150kHz",
+              "field": {"uniform": {"B0": "0T", "b": "20T/m"}}}
+    (work / "n16.json").write_text(json.dumps(config), encoding="utf-8")
+    commands = []
+    for seed in REGISTER_SEEDS:
+        rng = random.Random(seed)
+        program = f"register_{seed}.pp"
+        (work / program).write_text(register_program(rng, REGISTER_N), encoding="utf-8")
+        initial = "".join(rng.choice("01") for _ in range(REGISTER_N))
+        commands.append((f"register_{seed}", [
+            "simulate", "--config", "n16.json", "--program", program, "--initial", initial,
+            "--seed", str(seed), "--shots", "20000", "--out", "{out}/run.json"]))
+    return commands
+
+
+def _commands(work: Path) -> list[tuple[str, list[str]]]:
+    commands = []
+    for name in CONFIGS:
+        stem = name.removesuffix(".json")
+        n = json.loads((work / name).read_text(encoding="utf-8"))["N"]
+        commands += [
+            (f"{stem}_chain", ["chain", "--config", name, "--out", "{out}/chain.json"]),
+            (f"{stem}_couplings", ["couplings", "--config", name, "--out-dir", "{out}"]),
+            (f"{stem}_spectrum_1", ["spectrum", "--config", name, "--ion", "1", "--out", "{out}/spectrum.csv"]),
+            (f"{stem}_spectrum_{n}", ["spectrum", "--config", name, "--ion", str(n),
+                                      "--out", "{out}/spectrum.csv", "--emit-plot-data"]),
+            (f"{stem}_sweep", ["sweep", "--config", name, "--param", "nu1", "--from", "50kHz",
+                               "--to", "400kHz", "--steps", "7", "--scale", "log",
+                               "--quantity", "max_J", "--out", "{out}/sweep.csv"]),
+        ]
+    for program in PROGRAMS:
+        stem = program.removesuffix(".pp")
+        base = ["simulate", "--config", "trap.json", "--program", program, "--out", "{out}/run.json"]
+        commands += [
+            (f"{stem}_defaults", base),
+            (f"{stem}_seed5", base + ["--seed", "5", "--shots", "3000"]),
+            (f"{stem}_shots0", base + ["--shots", "0"]),
+        ]
+    commands.append(("echo_plot", ["simulate", "--config", "trap.json", "--program", "echo.pp",
+                                   "--out", "{out}/run.json", "--emit-plot-data"]))
+    return commands + _register_inputs(work)
+
+
+def main() -> int:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src")
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for name in CONFIGS + PROGRAMS:
+            shutil.copy(ROOT / "configs" / name, work / name)
+        for label, args in _commands(work):
+            out = Path("out") / label
+            (work / out).mkdir(parents=True)
+            argv = [a.replace("{out}", str(out)) for a in args] + ["--no-timestamp"]
+            done = subprocess.run([sys.executable, "-m", "gradchain", *argv], cwd=work, env=env,
+                                  capture_output=True, check=False)
+            print(f"{label}: {' '.join(argv)}")
+            print(f"  exit {done.returncode}")
+            print(f"  stdout {_sha(done.stdout)}")
+            print(f"  stderr {_sha(done.stderr)}")
+            for path in sorted(p for p in (work / out).rglob("*") if p.is_file()):
+                print(f"  {path.relative_to(work / out).as_posix()} {_sha(path.read_bytes())}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

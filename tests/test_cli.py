@@ -206,6 +206,21 @@ def test_simulate_non_finite_state_exit3(trap2, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("source", [CNOT_PROGRAM, "ions 2\ndelay 1ms\n"], ids=["measure", "no_measure"])
+def test_simulate_negative_shots_exit2(trap2, tmp_path, capsys, source):
+    program = tmp_path / "prog.pp"
+    program.write_text(source, encoding="utf-8")
+    out_dir = tmp_path / "out"
+    code = main(["simulate", "--config", trap2, "--program", str(program),
+                 "--shots", "-5", "--out", str(out_dir / "run.json"), "--no-timestamp"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --shots must be >= 0, got -5\n"
+    assert not out_dir.exists()
+
+
 def test_non_finite_quantity_exit_codes(tmp_path, capsys):
     trap = tmp_path / "trap.json"
     trap.write_text(json.dumps(standard_raw(n=2, nu1="1e308kHz")), encoding="utf-8")

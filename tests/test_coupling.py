@@ -7,8 +7,6 @@ from conftest import C_LIGHT, HBAR, MU_B, TWO_PI, YB_MASS, standard_raw
 from gradchain.chain import solve_chain
 from gradchain.config import OutOfProfileRangeError, validate_config
 from gradchain.coupling import (
-    NonUniformGradientError,
-    approx_j,
     build_report,
     effective_lamb_dicke,
     epsilon_matrix,
@@ -185,38 +183,6 @@ def test_j_scaling_laws():
             cfg, chain = make(n=3, b=f"{10.0 * b_factor!r}T/m", nu1=f"{1e5 * nu_factor!r}Hz")
             j = j_matrix(epsilon_matrix(omega_gradients(cfg, chain), chain), chain)
             assert np.allclose(j, base * b_factor**2 / nu_factor**2, rtol=1e-10)
-
-
-# closed-form estimate ---------------------------------------------------------
-
-def test_approx_j_single_ion_exact():
-    cfg, chain = make(n=1)
-    expected = (MU_B * 10.0) ** 2 / (4 * YB_MASS * HBAR * (TWO_PI * 1e5) ** 2)
-    assert approx_j(cfg, chain) == pytest.approx(expected, rel=1e-12)
-
-
-def test_approx_j_nu1_power_law():
-    cfg_a, chain_a = make(n=5)
-    cfg_b, chain_b = make(n=5, nu1="400kHz")
-    assert approx_j(cfg_b, chain_b) == pytest.approx(approx_j(cfg_a, chain_a) / 16.0, rel=1e-10)
-
-
-def test_approx_j_n10_frozen(config10, chain10):
-    # keep within a factor of ten of the exact nearest-neighbor couplings
-    assert approx_j(config10, chain10) / TWO_PI == pytest.approx(5.397628553441851, rel=1e-10)
-
-
-def test_approx_j_vs_exact_neighbors(config10, chain10, report10):
-    neighbor = np.array([report10.j_matrix[i, i + 1] for i in range(9)])
-    estimate = approx_j(config10, chain10)
-    ratio = estimate / neighbor.mean()
-    assert 0.1 < ratio < 10.0
-
-
-def test_approx_j_requires_uniform():
-    cfg, chain = make(n=2, field={"quadratic": {"b": "10T/m", "c": 100.0}})
-    with pytest.raises(NonUniformGradientError):
-        approx_j(cfg, chain)
 
 
 # validity ----------------------------------------------------------------------

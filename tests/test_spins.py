@@ -9,16 +9,14 @@ from gradchain.spins import (
     SpinHamiltonian,
     SpinState,
     StateTooLargeError,
-    apply_hard_pulse,
     apply_pulse,
     diagonal_rates,
     expectation,
     free_evolution,
     initialize,
-    measurement_probabilities,
     outcome_labels,
 )
-from oracles import OracleTooLargeError, evolve_oracle
+from oracles import OracleTooLargeError, apply_hard_pulse, evolve_oracle, measurement_probabilities
 
 TWO_PI = 2.0 * np.pi
 
