@@ -229,9 +229,7 @@ def cmd_simulate(args) -> int:
     solution = chain_mod.solve_chain(config)
     report = coupling_mod.build_report(config, solution)
     initial = args.initial if args.initial is not None else "0" * config.ion_count
-    record = pulse_mod.interpret(
-        program, config, solution, report, initial, seed=args.seed, shots=args.shots
-    )
+    record = pulse_mod.interpret(program, report.j_matrix, initial, seed=args.seed, shots=args.shots)
 
     out = Path(args.out)
     _write_json(out, record.to_json_dict(include_timing=not args.no_timestamp), not args.no_timestamp)

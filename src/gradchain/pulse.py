@@ -10,11 +10,11 @@ Grammar (one instruction per line, `#` starts a comment):
 
 Quantities take the unit suffixes of gradchain.units; bare numbers are SI
 (Hz, s, rad). Pulse areas must carry the `pi` suffix. `detune` is relative
-to the target ion's effective carrier (qubit frequency plus gradient-induced
-shift), so detune=0 drives the shifted carrier resonantly; which neighbor
-states are resonant is then set purely by the J couplings. Drive phases are
-synthesizer-referenced: a tone restarted later in the sequence stays phase
-coherent with itself.
+to the target ion's carrier, so detune=0 drives the carrier resonantly;
+which neighbor states are resonant is then set purely by the J couplings.
+Drive phases are synthesizer-referenced: a tone restarted later in the
+sequence stays phase coherent with itself. The interpreter evolves in that
+synthesizer frame (FRAME), so carrier frequencies and shifts never enter.
 """
 
 from __future__ import annotations
@@ -26,9 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import ChainSolution
-from .config import TrapConfig
-from .coupling import CouplingReport
 from .units import ANGLE, FREQUENCY, TIME, QuantityError, parse_quantity
 from .spins import (
     SpinHamiltonian,
@@ -43,6 +40,8 @@ from .spins import (
 )
 
 NORM_TOLERANCE = 1e-9  # largest |1 - ||psi||| accepted after each instruction
+FRAME = ("synthesizer frame: each qubit's phase is counted against its own carrier; "
+         "amplitude phases and <sx>, <sy> are in this frame, populations and <sz> do not depend on it")
 
 
 @dataclass(frozen=True)
@@ -370,6 +369,7 @@ class RunRecord:
             "expectation_log": self.expectation_log,
             "measurements": self.measurements,
             "final_state": self.final_state.to_json_dict() if self.final_state else None,
+            "frame": FRAME,
         }
         if include_timing and self.wall_time_s is not None:
             doc["wall_time_s"] = self.wall_time_s
@@ -389,31 +389,26 @@ def marginal_counts(
 
 def interpret(
     program: PulseProgram,
-    config: TrapConfig,
-    chain: ChainSolution,
-    report: CouplingReport,
+    coupling: np.ndarray,
     initial: str,
     seed: int,
     shots: int = 100,
 ) -> RunRecord:
-    """Execute a program against the spin simulator.
+    """Execute a program on the register whose J matrix (rad/s) is `coupling`.
 
-    The drive tone of each pulse is the ion's effective carrier
-    (qubit frequency + gradient shift) plus the programmed detune. Pulse
-    phases are shifted by -omega * t_start so that the synthesizer stays
-    phase coherent across the whole sequence. A pulse or delay that leaves
-    the state non-finite or its norm off 1 by more than NORM_TOLERANCE
-    raises ProgramRuntimeError.
+    The register evolves in the synthesizer frame (FRAME), where the energy
+    table holds only the J terms. A pulse's tone is its detune, and its phase
+    is shifted by -2 pi detune t_start so that the synthesizer stays phase
+    coherent across the whole sequence. A pulse or delay that leaves the
+    state non-finite or its norm off 1 by more than NORM_TOLERANCE raises
+    ProgramRuntimeError.
     """
-    if program.n_ions != config.ion_count:
-        raise ValueError(
-            f"program declares {program.n_ions} ions but config has {config.ion_count}"
-        )
-    n = config.ion_count
-    hamiltonian = SpinHamiltonian(
-        omega_eff=report.qubit_frequencies + report.shifts,
-        coupling=report.j_matrix,
-    )
+    n = len(coupling)
+    if program.n_ions != n:
+        raise ValueError(f"program declares {program.n_ions} ions but the coupling matrix has {n}")
+    if shots < 0:
+        raise ValueError(f"shots must be >= 0, got {shots}")
+    hamiltonian = SpinHamiltonian(np.zeros(n), coupling)
     state = initialize(n, initial)
     rng = np.random.default_rng(seed)
     record = RunRecord(n_qubits=n, initial_label=initial, seed=seed, shots=shots)
@@ -424,9 +419,9 @@ def interpret(
         try:
             if isinstance(ins, Pulse):
                 omega_r = 2.0 * math.pi * ins.rabi_hz
-                omega_drive = hamiltonian.omega_eff[ins.ion - 1] + 2.0 * math.pi * ins.detune_hz
+                tone = 2.0 * math.pi * ins.detune_hz
                 duration = ins.duration_s if ins.duration_s is not None else ins.area_pi * math.pi / omega_r
-                spec = PulseSpec(ins.ion, omega_r, omega_drive, ins.phase_rad - omega_drive * t, duration)
+                spec = PulseSpec(ins.ion, omega_r, tone, ins.phase_rad - tone * t, duration)
                 with np.errstate(over="ignore", invalid="ignore"):  # the norm check below reports it
                     apply_pulse(state, hamiltonian, spec)
                 t += duration

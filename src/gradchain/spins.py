@@ -66,7 +66,7 @@ class SpinState:
 
 @dataclass(frozen=True)
 class SpinHamiltonian:
-    """Effective qubit frequencies (carrier shifts folded in) and J couplings."""
+    """Qubit frequencies in the evolution's frame (zero in pulse.interpret's) and J couplings."""
 
     omega_eff: np.ndarray  # rad/s per qubit
     coupling: np.ndarray   # J, rad/s, symmetric, zero diagonal
@@ -192,8 +192,8 @@ def apply_pulse(state: SpinState, h: SpinHamiltonian, pulse: PulseSpec) -> SpinS
 
     Every spectator configuration c defines an independent 2x2 block with
     detuning delta(c); spectator phases accumulate exactly alongside. The
-    drive phase is interpreted at the pulse's local t = 0 (callers that
-    model a phase-coherent synthesizer shift it by -omega * t_start).
+    drive phase is taken at the pulse's local t = 0 (pulse.interpret, in the
+    synthesizer frame where the tone is the detune, shifts it by -tone * t_start).
     """
     n = h.n_qubits
     if state.amplitudes.size != 1 << n:
@@ -209,7 +209,7 @@ def apply_pulse(state: SpinState, h: SpinHamiltonian, pulse: PulseSpec) -> SpinS
     a1 = state.amplitudes[b1]
     new0 = u00 * a0 + u01 * a1
     new1 = u10 * a0 + u11 * a1
-    # back out of the per-block rotating frame into the lab frame
+    # back out of the per-block rotating frame into the frame of h
     lab0 = np.exp(-1j * rates[b0] * pulse.duration)
     state.amplitudes[b0] = lab0 * new0
     state.amplitudes[b1] = lab0 * np.exp(-1j * pulse.drive_frequency * pulse.duration) * new1

@@ -3,17 +3,21 @@
 The dense-matrix spin evolution builds the full RWA Hamiltonian from
 explicit Pauli operators and exponentiates it; the brute-force J expands
 the squared mode-displacement sum term by term. Neither shares code with
-the fast paths in gradchain.spins and gradchain.coupling. The idealized
-hard pulse and the exact outcome distribution are references for the
-echo, frame and conditional-flip tests.
+the fast paths in gradchain.spins and gradchain.coupling. The 50-digit
+lab-frame evolution keeps the GHz carriers that the interpreter's
+synthesizer frame leaves out. The idealized hard pulse and the exact
+outcome distribution are references for the echo, frame and
+conditional-flip tests.
 """
 
 from __future__ import annotations
 
+import mpmath
 import numpy as np
 
 from gradchain.chain import ChainSolution
 from gradchain.constants import CONSTANTS
+from gradchain.pulse import Delay, ExpectationLog, Pulse, PulseProgram
 from gradchain.spins import PulseSpec, SpinHamiltonian, SpinState, _pair_indices, outcome_indices, outcome_labels
 
 MAX_ORACLE_QUBITS = 6
@@ -116,6 +120,65 @@ def evolve_oracle(
         back = _expm_scaled_series(-1j * drives[0].drive_frequency * t * 0.5 * z_ops[rotating_ion - 1])
         amplitudes = back @ amplitudes
     return SpinState(amplitudes)
+
+
+def lab_frame_sz_oracle(
+    omega: np.ndarray, coupling: np.ndarray, program: PulseProgram, initial: str, dps: int = 50
+) -> list[float]:
+    """Every `log sz` value of a program, from a lab-frame evolution at `dps` digits.
+
+    H0 = (1/2) sum_n w_n s_n - (1/2) sum_{n<l} J_nl s_n s_l keeps the carriers
+    w_n in full. A pulse on ion j adds (W/2)(e^{i(phase - w_d T)} |1><0|_j + h.c.)
+    at the tone w_d = w_j + 2 pi detune, with T the time since the sequence
+    started: one phase-coherent synthesizer. Over a pulse from T0 to T0 + tau
+    the state goes through R(T0 + tau)^dagger expm(-i H_R tau) R(T0), where
+    R(T) = exp(i w_d T s_j / 2) and H_R = H0 - (w_d / 2) s_j + (W/2)(e^{i phase}
+    |1><0|_j + h.c.) does not depend on time. Only <sz> is logged, because it is
+    the same in every frame.
+    """
+    with mpmath.workdps(dps):
+        n = program.n_ions
+        dim = 1 << n
+        w = [mpmath.mpf(float(x)) for x in omega]
+        j = [[mpmath.mpf(float(x)) for x in row] for row in coupling]
+        s = [[1 if (b >> q) & 1 else -1 for q in range(n)] for b in range(dim)]
+        energy = [
+            sum(w[q] * s[b][q] for q in range(n)) / 2
+            - sum(j[a][c] * s[b][a] * s[b][c] for a in range(n) for c in range(a + 1, n)) / 2
+            for b in range(dim)
+        ]
+        amp = mpmath.matrix(dim, 1)
+        amp[sum(1 << q for q, c in enumerate(initial) if c == "1")] = 1
+        t = mpmath.mpf(0)
+        logged = []
+        for ins in program.instructions:
+            if isinstance(ins, Pulse):
+                q = ins.ion - 1
+                rabi = 2 * mpmath.pi * mpmath.mpf(ins.rabi_hz)
+                tone = w[q] + 2 * mpmath.pi * mpmath.mpf(ins.detune_hz)
+                tau = (mpmath.mpf(ins.duration_s) if ins.duration_s is not None
+                       else mpmath.mpf(ins.area_pi) * mpmath.pi / rabi)
+                h_r = mpmath.matrix(dim, dim)
+                for b in range(dim):
+                    h_r[b, b] = energy[b] - tone * s[b][q] / 2
+                    if s[b][q] < 0:
+                        h_r[b | 1 << q, b] = rabi / 2 * mpmath.expj(mpmath.mpf(ins.phase_rad))
+                        h_r[b, b | 1 << q] = rabi / 2 * mpmath.expj(-mpmath.mpf(ins.phase_rad))
+                into = mpmath.diag([mpmath.expj(tone * t * s[b][q] / 2) for b in range(dim)])
+                out_of = mpmath.diag([mpmath.expj(-tone * (t + tau) * s[b][q] / 2) for b in range(dim)])
+                amp = out_of * (mpmath.expm(-1j * h_r * tau) * (into * amp))
+                t += tau
+            elif isinstance(ins, Delay):
+                tau = mpmath.mpf(ins.duration_s)
+                for b in range(dim):
+                    amp[b] *= mpmath.expj(-energy[b] * tau)
+                t += tau
+            elif isinstance(ins, ExpectationLog):
+                if ins.observable != "sz":
+                    raise ValueError("the lab-frame oracle logs only sz, the one frame-independent observable")
+                for ion in ins.ions if ins.ions is not None else range(1, n + 1):
+                    logged.append(float(sum(s[b][ion - 1] * abs(amp[b]) ** 2 for b in range(dim))))
+        return logged
 
 
 # idealized references ------------------------------------------------------

@@ -15,7 +15,9 @@ The command set: `chain`, `couplings`, `spectrum` of the first and the last
 ion (the last with --emit-plot-data) and a 7-point log sweep of `max_J`
 over `nu1`, on each shipped config; `simulate` of cnot, ramsey and echo
 with CLI defaults, with `--seed 5 --shots 3000` and with `--shots 0`, and
-echo with --emit-plot-data; and two generated 16-ion, 80-op, 20000-shot
+echo with --emit-plot-data; `simulate` on trap_n10 of FRAME_PROGRAM, whose
+logged <sx> and <sy> after detuned, phased pulses depend on the frame the
+simulator evolves in; and two generated 16-ion, 80-op, 20000-shot
 programs (perfbench's `register_program`, seeds 31 and 32). This script
 is not a test module and pytest does not collect it.
 """
@@ -37,6 +39,14 @@ CONFIGS = ("trap.json", "trap_n10.json", "trap_quadratic.json")
 PROGRAMS = ("cnot.pp", "ramsey.pp", "echo.pp")
 REGISTER_SEEDS = (31, 32)
 REGISTER_N = 16
+FRAME_PROGRAM = """ions 10
+pulse ion=3 rabi=2kHz detune=150Hz phase=0.7rad area=0.5pi
+delay 3ms
+pulse ion=4 rabi=2kHz detune=-40Hz phase=1.1rad area=0.5pi
+log sx all
+log sy all
+measure z all
+"""
 
 
 def _sha(data: bytes) -> str:
@@ -88,6 +98,9 @@ def _commands(work: Path) -> list[tuple[str, list[str]]]:
         ]
     commands.append(("echo_plot", ["simulate", "--config", "trap.json", "--program", "echo.pp",
                                    "--out", "{out}/run.json", "--emit-plot-data"]))
+    (work / "frame.pp").write_text(FRAME_PROGRAM, encoding="utf-8")
+    commands.append(("frame_n10", ["simulate", "--config", "trap_n10.json", "--program", "frame.pp",
+                                   "--out", "{out}/run.json"]))
     return commands + _register_inputs(work)
 
 

@@ -184,7 +184,7 @@ def test_criterion_08_dynamics_oracle():
                f"({elapsed:.2f} s)")
 
 
-def test_criterion_09_conditional_dynamics(config2, chain2, report2):
+def test_criterion_09_conditional_dynamics(report2):
     started = time.perf_counter()
     j_hz = float(report2.j_matrix[0, 1] / TWO_PI)
 
@@ -194,9 +194,9 @@ def test_criterion_09_conditional_dynamics(config2, chain2, report2):
         f"pulse ion=2 rabi={j_hz / 10!r}Hz detune={-j_hz!r}Hz phase=0 area=1pi\n"
         "measure z all\n"
     )
-    on = interpret(cnot, config2, chain2, report2, "10", seed=1, shots=1)
+    on = interpret(cnot, report2.j_matrix, "10", seed=1, shots=1)
     flip = float(np.abs(on.final_state.amplitudes[3]) ** 2)
-    off = interpret(cnot, config2, chain2, report2, "00", seed=1, shots=1)
+    off = interpret(cnot, report2.j_matrix, "00", seed=1, shots=1)
     leak = float(np.abs(off.final_state.amplitudes[2]) ** 2)
     assert flip > 0.99
     assert leak < 0.05
@@ -213,7 +213,7 @@ def test_criterion_09_conditional_dynamics(config2, chain2, report2):
             "pulse ion=1 rabi=5kHz detune=0 phase=0 area=0.5pi\n"
             "log sz 1\n"
         )
-        record = interpret(parse(src), config2, chain2, report2, "00", seed=1, shots=1)
+        record = interpret(parse(src), report2.j_matrix, "00", seed=1, shots=1)
         values.append(record.expectation_log[-1]["value"])
     values = np.array(values)
 

@@ -197,7 +197,7 @@ def test_simulate_parse_error_exit4(trap2, tmp_path, capsys):
 def test_simulate_non_finite_state_exit3(trap2, tmp_path, capsys):
     program = tmp_path / "overflow.pp"
     program.write_text("ions 2\npulse ion=1 rabi=1kHz detune=0 phase=0 area=0.5pi\n"
-                       "delay 1e300s\nlog sx all\n", encoding="utf-8")
+                       "delay 1e308s\nlog sx all\n", encoding="utf-8")
     out = tmp_path / "run.json"
     code = main(["simulate", "--config", trap2, "--program", str(program),
                  "--seed", "0", "--out", str(out), "--no-timestamp"])
@@ -492,7 +492,7 @@ def assert_writes_json_reference(path, doc):
 def run_doc(n, source, shots, include_timing=False):
     config = validate_config(standard_raw(n=n))
     chain = solve_chain(config)
-    record = interpret(parse(source), config, chain, build_report(config, chain), "0" * n, seed=3, shots=shots)
+    record = interpret(parse(source), build_report(config, chain).j_matrix, "0" * n, seed=3, shots=shots)
     return record.to_json_dict(include_timing=include_timing)
 
 

@@ -5,6 +5,7 @@ the same examples on every run.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import tempfile
@@ -15,10 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradchain.chain import solve_chain
 from gradchain.cli import _json_text, main
-from gradchain.config import ConfigError, OutOfProfileRangeError, validate_config
+from gradchain.config import ConfigError, OutOfProfileRangeError, load_config, validate_config
 from gradchain.constants import UnknownSpeciesError
-from gradchain.pulse import PulseProgramError, parse, pretty_print
+from gradchain.coupling import build_report
+from gradchain.pulse import PulseProgramError, interpret, parse, pretty_print
 from gradchain.units import QuantityError
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -175,6 +178,44 @@ def test_cli_exit_codes_on_generated_configs(raw):
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 code = main([*command, "--config", str(config), "--no-timestamp"])
             assert code in (0, 2, 3, 4), command
+
+
+# mode-sign convention ---------------------------------------------------------------
+
+TRAP_N10 = Path(__file__).resolve().parents[1] / "configs" / "trap_n10.json"
+N10_PROGRAM = parse("""ions 10
+pulse ion=1 rabi=3kHz detune=0 phase=0 area=0.5pi
+pulse ion=4 rabi=3kHz detune=25Hz phase=0.7rad area=0.5pi
+delay 12ms
+pulse ion=5 rabi=3kHz detune=-7Hz phase=1.3rad area=1pi
+delay 5ms
+log sx all
+log sy all
+log sz all
+measure z all
+""")
+
+
+def run_json_text(config, chain) -> str:
+    """The run.json text (as written under --no-timestamp) of N10_PROGRAM on this chain."""
+    record = interpret(N10_PROGRAM, build_report(config, chain).j_matrix, "0101100000", seed=7, shots=500)
+    return _json_text(record.to_json_dict(include_timing=False))
+
+
+@pytest.fixture(scope="module")
+def trap_n10():
+    config = load_config(TRAP_N10)
+    return config, solve_chain(config)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.lists(st.booleans(), min_size=10, max_size=10).filter(any))
+def test_run_json_ignores_mode_signs(trap_n10, flips):
+    config, chain = trap_n10
+    signs = np.where(flips, -1.0, 1.0)
+    flipped = dataclasses.replace(chain, mode_matrix=signs[:, None] * chain.mode_matrix)
+    same = run_json_text(config, flipped) == run_json_text(config, chain)  # a bool: a failure prints no long text diff
+    assert same, f"run.json changed when mode rows {np.flatnonzero(flips) + 1} were flipped"
 
 
 # the JSON writer --------------------------------------------------------------------

@@ -1,11 +1,15 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import TWO_PI
 from gradchain import spins
+from gradchain.chain import solve_chain
+from gradchain.config import load_config
+from gradchain.coupling import build_report
 from gradchain.pulse import (
     ConflictingFieldsError,
     Delay,
@@ -22,6 +26,9 @@ from gradchain.pulse import (
     parse,
     pretty_print,
 )
+from oracles import lab_frame_sz_oracle
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 CNOT_SRC = """ions 2
 pulse ion=2 rabi=4Hz detune=-19.3Hz phase=0 area=1pi
@@ -173,16 +180,16 @@ def test_pretty_print_round_trip_fixed_point():
 
 # interpreter -----------------------------------------------------------------
 
-def test_delays_preserve_populations(config2, chain2, report2):
+def test_delays_preserve_populations(report2):
     program = parse("ions 2\ndelay 1ms\ndelay 2ms\nmeasure z all\n")
-    record = interpret(program, config2, chain2, report2, "10", seed=5, shots=64)
+    record = interpret(program, report2.j_matrix, "10", seed=5, shots=64)
     assert record.measurements[0]["counts"] == {"10": 64}
     probs = np.abs(record.final_state.amplitudes) ** 2
     assert probs[1] == pytest.approx(1.0, abs=1e-12)
     assert record.total_time_s == pytest.approx(3e-3)
 
 
-def test_cnot_program(config2, chain2, report2):
+def test_cnot_program(report2):
     j_hz = float(report2.j_matrix[0, 1] / TWO_PI)
     src = (
         "ions 2\n"
@@ -190,24 +197,24 @@ def test_cnot_program(config2, chain2, report2):
         "measure z all\n"
     )
     program = parse(src)
-    record = interpret(program, config2, chain2, report2, "10", seed=1, shots=400)
+    record = interpret(program, report2.j_matrix, "10", seed=1, shots=400)
     counts = record.measurements[0]["counts"]
     assert counts.get("11", 0) / 400 > 0.99
-    record0 = interpret(program, config2, chain2, report2, "00", seed=1, shots=400)
+    record0 = interpret(program, report2.j_matrix, "00", seed=1, shots=400)
     counts0 = record0.measurements[0]["counts"]
     assert counts0.get("01", 0) / 400 < 0.05
 
 
-def test_measure_marginal_subset(config2, chain2, report2):
+def test_measure_marginal_subset(report2):
     program = parse("ions 2\nmeasure z 2\n")
-    record = interpret(program, config2, chain2, report2, "10", seed=0, shots=16)
+    record = interpret(program, report2.j_matrix, "10", seed=0, shots=16)
     assert record.measurements[0]["counts"] == {"0": 16}
     assert record.measurements[0]["ions"] == [2]
 
 
-def test_log_records_time_and_value(config2, chain2, report2):
+def test_log_records_time_and_value(report2):
     program = parse("ions 2\ndelay 5ms\nlog sz all\n")
-    record = interpret(program, config2, chain2, report2, "10", seed=0, shots=1)
+    record = interpret(program, report2.j_matrix, "10", seed=0, shots=1)
     entries = record.expectation_log
     assert len(entries) == 2
     assert entries[0] == {"time_s": 5e-3, "observable": "sz", "ion": 1, "value": pytest.approx(1.0)}
@@ -215,7 +222,7 @@ def test_log_records_time_and_value(config2, chain2, report2):
     assert entries[1]["value"] == pytest.approx(-1.0)
 
 
-def test_echo_program_fringe_at_twice_j(config2, chain2, report2):
+def test_echo_program_fringe_at_twice_j(report2):
     # hallmark of the echo: carrier offsets refocus, the coupling phase
     # doubles, so the readout fringe runs at 2J instead of J
     j_hz = float(report2.j_matrix[0, 1] / TWO_PI)
@@ -232,7 +239,7 @@ def test_echo_program_fringe_at_twice_j(config2, chain2, report2):
             "pulse ion=1 rabi=5kHz detune=0 phase=0 area=0.5pi\n"
             "log sz 1\n"
         )
-        record = interpret(parse(src), config2, chain2, report2, "00", seed=1, shots=1)
+        record = interpret(parse(src), report2.j_matrix, "00", seed=1, shots=1)
         values.append(record.expectation_log[-1]["value"])
     values = np.array(values)
     # quadrature demodulation at the expected rate recovers nearly all contrast
@@ -241,7 +248,7 @@ def test_echo_program_fringe_at_twice_j(config2, chain2, report2):
     assert amplitude > 0.95
 
 
-def test_energy_table_built_once_per_hamiltonian(config2, chain2, report2, monkeypatch):
+def test_energy_table_built_once_per_hamiltonian(report2, monkeypatch):
     rng = np.random.default_rng(31)
     lines = ["ions 2"]
     for _ in range(40):
@@ -254,40 +261,59 @@ def test_energy_table_built_once_per_hamiltonian(config2, chain2, report2, monke
     calls = []
     original = spins.diagonal_rates
     monkeypatch.setattr(spins, "diagonal_rates", lambda h: calls.append(h) or original(h))
-    record = interpret(program, config2, chain2, report2, "01", seed=4, shots=50)
+    record = interpret(program, report2.j_matrix, "01", seed=4, shots=50)
     assert len(calls) == 1
     assert record.final_state.norm() == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.filterwarnings("error")
-def test_non_finite_state_fails_at_its_instruction(config2, chain2, report2):
+def test_non_finite_state_fails_at_its_instruction(report2):
     program = parse("ions 2\npulse ion=1 rabi=1kHz detune=0 phase=0 area=0.5pi\n"
-                    "delay 1e300s\nmeasure z all\n")
+                    "delay 1e308s\nmeasure z all\n")
     with pytest.raises(ProgramRuntimeError) as err:
-        interpret(program, config2, chain2, report2, "00", seed=0, shots=10)
+        interpret(program, report2.j_matrix, "00", seed=0, shots=10)
     assert (err.value.span.line, err.value.span.col_start) == (3, 1)
     assert "norm" in str(err.value)
 
 
-def test_interpret_checks_ion_count(config2, chain2, report2):
+def test_interpret_checks_ion_count(report2):
     program = parse("ions 3\ndelay 1ms\n")
     with pytest.raises(ValueError):
-        interpret(program, config2, chain2, report2, "000", seed=0)
+        interpret(program, report2.j_matrix, "000", seed=0)
 
 
-def test_interpret_deterministic(config2, chain2, report2):
+@pytest.mark.parametrize("source", ["ions 2\ndelay 1ms\n", CNOT_SRC])
+def test_interpret_rejects_negative_shots(report2, source):
+    with pytest.raises(ValueError, match="shots must be >= 0, got -5"):
+        interpret(parse(source), report2.j_matrix, "10", seed=0, shots=-5)
+
+
+@pytest.mark.parametrize("name", ["ramsey.pp", "echo.pp"])
+def test_logged_sz_matches_50_digit_lab_frame_evolution(name):
+    # the oracle keeps the ~12.6 GHz carriers and the report's shifts; the interpreter never sees them
+    config = load_config(CONFIGS / "trap.json")
+    report = build_report(config, solve_chain(config))
+    program = parse((CONFIGS / name).read_text(encoding="utf-8"))
+    record = interpret(program, report.j_matrix, "00", seed=0, shots=1)
+    exact = lab_frame_sz_oracle(report.qubit_frequencies + report.shifts, report.j_matrix, program, "00")
+    logged = [entry["value"] for entry in record.expectation_log]
+    assert len(logged) == len(exact) == 1
+    assert logged == pytest.approx(exact, rel=0.0, abs=1e-12)
+
+
+def test_interpret_deterministic(report2):
     program = parse(CNOT_SRC)
-    a = interpret(program, config2, chain2, report2, "10", seed=99, shots=100)
-    b = interpret(program, config2, chain2, report2, "10", seed=99, shots=100)
+    a = interpret(program, report2.j_matrix, "10", seed=99, shots=100)
+    b = interpret(program, report2.j_matrix, "10", seed=99, shots=100)
     doc_a = a.to_json_dict(include_timing=False)
     doc_b = b.to_json_dict(include_timing=False)
     as_text = dict(sort_keys=True, default=np.ndarray.tolist)  # final-state amplitudes are an array
     assert json.dumps(doc_a, **as_text) == json.dumps(doc_b, **as_text)
 
 
-def test_run_record_serialization(config2, chain2, report2):
+def test_run_record_serialization(report2):
     program = parse(CNOT_SRC)
-    record = interpret(program, config2, chain2, report2, "10", seed=2, shots=10)
+    record = interpret(program, report2.j_matrix, "10", seed=2, shots=10)
     doc = record.to_json_dict()
     assert doc["n_qubits"] == 2
     assert doc["initial"] == "10"
