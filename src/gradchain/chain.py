@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import OutOfRangeError, TrapConfig
+from .config import MAX_IONS, OutOfRangeError, TrapConfig
 from .constants import CONSTANTS
 
 _NEWTON_TOL = 0.5e-13
@@ -170,8 +170,8 @@ def solve_equilibrium(n: int) -> np.ndarray:
     is only a guard. If the centred result misses _RESIDUAL_TOL,
     NoConvergenceError names the steps taken and the stop reason.
     """
-    if not 1 <= n <= 50:
-        raise ValueError(f"ion count must be in [1, 50], got {n}")
+    if not 1 <= n <= MAX_IONS:
+        raise ValueError(f"ion count must be in [1, {MAX_IONS}], got {n}")
     if n == 1:
         return np.zeros(1)
 

@@ -17,8 +17,7 @@ import json
 import math
 import os
 import sys
-from collections.abc import Iterator
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 from datetime import datetime, timezone
 from itertools import repeat
 from pathlib import Path
@@ -28,7 +27,7 @@ import numpy as np
 from . import chain as chain_mod
 from . import coupling as coupling_mod
 from . import pulse as pulse_mod
-from .config import ConfigError, OutOfProfileRangeError, TrapConfig, load_config, validate_config
+from .config import ConfigError, OutOfProfileRangeError, TrapConfig, load_config, read_document, validate_config
 from .constants import UnknownSpeciesError
 from .units import QuantityError, parse_quantity
 
@@ -134,13 +133,19 @@ def _write_json(path: Path, doc: dict, with_timestamp: bool) -> None:
         raise
 
 
-def _write_matrix_csv(path: Path, matrix: np.ndarray, row_label: str) -> None:
-    n_rows, n_cols = matrix.shape
-    lines = [row_label + "," + ",".join(str(i + 1) for i in range(n_cols))]
-    for r in range(n_rows):
-        lines.append(str(r + 1) + "," + ",".join(_fmt(matrix[r, c]) for c in range(n_cols)))
+def _write_table(path: Path, header: Sequence[str], rows: list[Sequence[str]],
+                 plot_path: Path | None = None, plot_columns: tuple[int, int] = (0, 1)) -> None:
+    """Write the CSV of `header` and `rows` (cell texts); with `plot_path`, also the two plot columns space-joined."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_text("\n".join(map(",".join, [header, *rows])) + "\n", encoding="utf-8")
+    if plot_path is not None:
+        x, y = plot_columns
+        plot_path.write_text("\n".join(f"{row[x]} {row[y]}" for row in rows) + "\n", encoding="utf-8")
+
+
+def _write_matrix_csv(path: Path, matrix: np.ndarray, row_label: str) -> None:
+    header = [row_label, *map(str, range(1, matrix.shape[1] + 1))]
+    _write_table(path, header, [[str(r), *map(_fmt, row)] for r, row in enumerate(matrix, start=1)])
 
 
 def cmd_chain(args) -> int:
@@ -196,17 +201,10 @@ def cmd_spectrum(args) -> int:
     lines = coupling_mod.sideband_spectrum(config, solution, report, args.ion)
 
     base = report.qubit_frequencies[args.ion - 1]
-    rows = ["offset_hz,amplitude,label"]
-    plot_rows = []
-    for line in lines:
-        offset_hz = (line.frequency - base) / (2.0 * math.pi)
-        rows.append(f"{_fmt(offset_hz)},{_fmt(line.amplitude)},{line.label}")
-        plot_rows.append(f"{_fmt(offset_hz)} {_fmt(line.amplitude)}")
+    rows = [[_fmt((line.frequency - base) / (2.0 * math.pi)), _fmt(line.amplitude), line.label] for line in lines]
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    if args.emit_plot_data:
-        out.with_suffix(out.suffix + ".dat").write_text("\n".join(plot_rows) + "\n", encoding="utf-8")
+    _write_table(out, ["offset_hz", "amplitude", "label"], rows,
+                 out.with_suffix(out.suffix + ".dat") if args.emit_plot_data else None)
     print(f"wrote {len(lines)} spectral lines for ion {args.ion}")
     return EXIT_OK
 
@@ -234,7 +232,6 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     _write_json(out, record.to_json_dict(include_timing=not args.no_timestamp), not args.no_timestamp)
 
-    hist_path = out.with_name(out.stem + "_hist.csv")
     if record.measurements:
         counts = record.measurements[-1]["counts"]
     else:
@@ -242,22 +239,15 @@ def cmd_simulate(args) -> int:
         counts = pulse_mod.marginal_counts(
             record.final_state, tuple(range(1, record.n_qubits + 1)), rng, args.shots
         )
-    rows = ["outcome,count"]
-    for outcome in sorted(counts):
-        rows.append(f"{outcome},{counts[outcome]}")
-    hist_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    _write_table(out.with_name(out.stem + "_hist.csv"), ["outcome", "count"],
+                 [[outcome, str(counts[outcome])] for outcome in sorted(counts)])
 
     if record.expectation_log:
-        log_rows = ["time_s,observable,ion,value"]
-        plot_rows = []
-        for entry in record.expectation_log:
-            log_rows.append(f"{_fmt(entry['time_s'])},{entry['observable']},"
-                            f"{entry['ion']},{_fmt(entry['value'])}")
-            plot_rows.append(f"{_fmt(entry['time_s'])} {_fmt(entry['value'])}")
         log_path = out.with_name(out.stem + "_log.csv")
-        log_path.write_text("\n".join(log_rows) + "\n", encoding="utf-8")
-        if args.emit_plot_data:
-            log_path.with_suffix(".dat").write_text("\n".join(plot_rows) + "\n", encoding="utf-8")
+        rows = [[_fmt(entry["time_s"]), entry["observable"], str(entry["ion"]), _fmt(entry["value"])]
+                for entry in record.expectation_log]
+        _write_table(log_path, ["time_s", "observable", "ion", "value"], rows,
+                     log_path.with_suffix(".dat") if args.emit_plot_data else None, plot_columns=(0, 3))
 
     print(f"simulated {len(program.instructions)} instructions, "
           f"sequence duration {record.total_time_s:.6g} s")
@@ -267,41 +257,42 @@ def cmd_simulate(args) -> int:
 _SWEEP_QUANTITIES = ("max_J", "epsilon", "min_spacing")
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """One-parameter scan: config path to vary, range, and output quantity."""
-
-    parameter: str   # dotted path into the raw config, e.g. field.uniform.b
-    start: float
-    stop: float
-    steps: int
-    scale: str       # linear | log
-    quantity: str    # max_J | epsilon | min_spacing | delta_shift[j]
-
-    def __post_init__(self):
-        if self.steps < 2:
-            raise ValueError(f"sweep needs steps >= 2, got {self.steps}")
-        if self.start == self.stop:
-            raise ValueError("sweep endpoints must differ")
-        if self.scale not in ("linear", "log"):
-            raise ValueError(f"scale must be linear or log, got {self.scale!r}")
-        if self.scale == "log" and self.start * self.stop <= 0.0:
-            raise ValueError("log sweeps need nonzero endpoints of the same sign")
-        if self.scale == "linear" and not math.isfinite(self.stop - self.start):
-            raise ValueError("linear sweep range stop - start overflows")
-
-    def values(self) -> np.ndarray:
-        if self.scale == "log":
-            sign = math.copysign(1.0, self.start)
-            return sign * np.logspace(
-                math.log10(abs(self.start)), math.log10(abs(self.stop)), self.steps
-            )
-        return np.linspace(self.start, self.stop, self.steps)
+def _sweep_values(start: float, stop: float, steps: int, scale: str) -> np.ndarray:
+    """`steps` values from start to stop, evenly spaced (linear) or evenly spaced in log |value| (log)."""
+    if steps < 2:
+        raise ValueError(f"sweep needs steps >= 2, got {steps}")
+    if start == stop:
+        raise ValueError("sweep endpoints must differ")
+    if scale not in ("linear", "log"):
+        raise ValueError(f"scale must be linear or log, got {scale!r}")
+    if scale == "log" and start * stop <= 0.0:
+        raise ValueError("log sweeps need nonzero endpoints of the same sign")
+    if scale == "linear" and not math.isfinite(stop - start):
+        raise ValueError("linear sweep range stop - start overflows")
+    if scale == "log":
+        return math.copysign(1.0, start) * np.logspace(math.log10(abs(start)), math.log10(abs(stop)), steps)
+    return np.linspace(start, stop, steps)
 
 
-def _sweep_value(quantity: str, config: TrapConfig) -> float:
-    if quantity == "min_spacing" and config.ion_count < 2:
-        raise ValueError(f"sweep quantity min_spacing needs at least 2 ions, config has N={config.ion_count}")
+def _sweep_ion(quantity: str, ion_count: int) -> int:
+    """Check a sweep quantity against the base config; the ion j of delta_shift[j], 0 for the others."""
+    if quantity == "min_spacing" and ion_count < 2:
+        raise ValueError(f"sweep quantity min_spacing needs at least 2 ions, config has N={ion_count}")
+    if quantity in _SWEEP_QUANTITIES:
+        return 0
+    try:
+        if not (quantity.startswith("delta_shift[") and quantity.endswith("]")):
+            raise ValueError
+        ion = int(quantity[len("delta_shift["):-1])
+    except ValueError:
+        raise ValueError(f"unknown sweep quantity {quantity!r} "
+                         f"(supported: {', '.join(_SWEEP_QUANTITIES)}, delta_shift[j])") from None
+    if not 1 <= ion <= ion_count:
+        raise ValueError(f"sweep quantity {quantity!r}: ion index {ion} out of range [1, {ion_count}]")
+    return ion
+
+
+def _sweep_value(quantity: str, ion: int, config: TrapConfig) -> float:
     solution = chain_mod.solve_chain(config)
     if quantity == "min_spacing":
         return solution.min_spacing_m()
@@ -310,15 +301,7 @@ def _sweep_value(quantity: str, config: TrapConfig) -> float:
         return float(np.max(np.abs(report.j_matrix))) / (2.0 * math.pi)
     if quantity == "epsilon":
         return report.validity
-    if quantity.startswith("delta_shift[") and quantity.endswith("]"):
-        ion = int(quantity[len("delta_shift["):-1])
-        if not 1 <= ion <= config.ion_count:
-            raise ValueError(f"delta_shift ion index {ion} out of range")
-        return float(report.shifts[ion - 1]) / (2.0 * math.pi)
-    raise ValueError(
-        f"unknown sweep quantity {quantity!r} "
-        f"(supported: {', '.join(_SWEEP_QUANTITIES)}, delta_shift[j])"
-    )
+    return float(report.shifts[ion - 1]) / (2.0 * math.pi)
 
 
 def _set_path(raw: dict, dotted: str, value: float) -> None:
@@ -348,33 +331,19 @@ def _parse_sweep_bound(text: str, raw: dict, parameter: str) -> float:
 
 
 def cmd_sweep(args) -> int:
-    with open(args.config, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    validate_config(raw)  # fail early on a bad base config
+    raw = read_document(args.config)
+    ion = _sweep_ion(args.quantity, validate_config(raw).ion_count)  # fail early on a bad base config or quantity
+    values = _sweep_values(_parse_sweep_bound(getattr(args, "from"), raw, args.param),
+                           _parse_sweep_bound(args.to, raw, args.param), args.steps, args.scale)
 
-    spec = SweepSpec(
-        parameter=args.param,
-        start=_parse_sweep_bound(getattr(args, "from"), raw, args.param),
-        stop=_parse_sweep_bound(args.to, raw, args.param),
-        steps=args.steps,
-        scale=args.scale,
-        quantity=args.quantity,
-    )
-    values = spec.values()
-
-    rows = [f"{spec.parameter},{spec.quantity}"]
-    plot_rows = []
+    rows = []
     for value in values:
         point_raw = json.loads(json.dumps(raw))
-        _set_path(point_raw, spec.parameter, float(value))
-        result = _sweep_value(spec.quantity, validate_config(point_raw))
-        rows.append(f"{_fmt(value)},{_fmt(result)}")
-        plot_rows.append(f"{_fmt(value)} {_fmt(result)}")
+        _set_path(point_raw, args.param, float(value))
+        rows.append([_fmt(value), _fmt(_sweep_value(args.quantity, ion, validate_config(point_raw)))])
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    if args.emit_plot_data:
-        out.with_suffix(out.suffix + ".dat").write_text("\n".join(plot_rows) + "\n", encoding="utf-8")
+    _write_table(out, [args.param, args.quantity], rows,
+                 out.with_suffix(out.suffix + ".dat") if args.emit_plot_data else None)
     print(f"swept {args.param} over {args.steps} points -> {args.quantity}")
     return EXIT_OK
 
@@ -386,31 +355,28 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", required=True, help="trap config JSON file")
-        p.add_argument("--no-timestamp", action="store_true",
-                       help="omit timestamp/wall-time fields for byte-reproducible output")
-        p.add_argument("--emit-plot-data", action="store_true",
-                       help="also write gnuplot-ready two-column .dat files")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True, help="trap config JSON file")
+    common.add_argument("--no-timestamp", action="store_true",
+                        help="omit timestamp/wall-time fields for byte-reproducible output")
+    plot_data = argparse.ArgumentParser(add_help=False)
+    plot_data.add_argument("--emit-plot-data", action="store_true",
+                           help="also write gnuplot-ready two-column .dat files")
 
-    p = sub.add_parser("chain", help="solve equilibrium geometry and normal modes")
-    common(p)
+    p = sub.add_parser("chain", parents=[common], help="solve equilibrium geometry and normal modes")
     p.add_argument("--out", help="write ChainSolution JSON here")
     p.set_defaults(func=cmd_chain)
 
-    p = sub.add_parser("couplings", help="compute J/epsilon matrices, shifts, validity")
-    common(p)
+    p = sub.add_parser("couplings", parents=[common], help="compute J/epsilon matrices, shifts, validity")
     p.add_argument("--out-dir", required=True, help="directory for CSV/JSON outputs")
     p.set_defaults(func=cmd_couplings)
 
-    p = sub.add_parser("spectrum", help="microwave sideband stick spectrum of one ion")
-    common(p)
+    p = sub.add_parser("spectrum", parents=[common, plot_data], help="microwave sideband stick spectrum of one ion")
     p.add_argument("--ion", type=int, required=True)
     p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("simulate", help="run a pulse program")
-    common(p)
+    p = sub.add_parser("simulate", parents=[common, plot_data], help="run a pulse program")
     p.add_argument("--program", required=True, help=".pp pulse program file")
     p.add_argument("--initial", default=None, help="initial basis label, default all zeros")
     p.add_argument("--seed", type=int, default=0)
@@ -418,8 +384,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="RunRecord JSON path")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("sweep", help="sweep one config parameter, tabulate one quantity")
-    common(p)
+    p = sub.add_parser("sweep", parents=[common, plot_data], help="sweep one config parameter, tabulate one quantity")
     p.add_argument("--param", required=True, help="config path, e.g. field.uniform.b or nu1")
     p.add_argument("--from", required=True, help="start value (quantity or SI number)")
     p.add_argument("--to", required=True, help="end value")

@@ -277,11 +277,17 @@ def validate_config(raw: dict) -> TrapConfig:
     )
 
 
+def read_document(path):
+    """Parse a config file's JSON; a file that is not UTF-8 JSON is a ConfigError naming the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+
+
 def load_config(path) -> TrapConfig:
     """Read and validate a config file."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    return validate_config(raw)
+    return validate_config(read_document(path))

@@ -7,7 +7,8 @@ the fast paths in gradchain.spins and gradchain.coupling. The 50-digit
 lab-frame evolution keeps the GHz carriers that the interpreter's
 synthesizer frame leaves out. The idealized hard pulse and the exact
 outcome distribution are references for the echo, frame and
-conditional-flip tests.
+conditional-flip tests; they find a qubit's bit in a basis index one
+index at a time, without gradchain.spins' bit-index helpers.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from gradchain.chain import ChainSolution
 from gradchain.constants import CONSTANTS
 from gradchain.pulse import Delay, ExpectationLog, Pulse, PulseProgram
-from gradchain.spins import PulseSpec, SpinHamiltonian, SpinState, _pair_indices, outcome_indices, outcome_labels
+from gradchain.spins import PulseSpec, SpinHamiltonian, SpinState
 
 MAX_ORACLE_QUBITS = 6
 
@@ -185,20 +186,32 @@ def lab_frame_sz_oracle(
 
 def apply_hard_pulse(state: SpinState, ion: int, area: float, phase: float) -> SpinState:
     """Idealized zero-duration rotation of one qubit by the given area (rad)."""
-    b0, b1 = _pair_indices(state.n_qubits, ion)
+    n = state.n_qubits
+    if not 1 <= ion <= n:
+        raise ValueError(f"ion index {ion} out of range [1, {n}]")
     cos = np.cos(0.5 * area)
     sin = np.sin(0.5 * area)
-    a0 = state.amplitudes[b0].copy()
-    a1 = state.amplitudes[b1]
-    state.amplitudes[b0] = cos * a0 - 1j * sin * np.exp(-1j * phase) * a1
-    state.amplitudes[b1] = cos * a1 - 1j * sin * np.exp(1j * phase) * a0
+    amps = state.amplitudes
+    for b0 in range(1 << n):
+        if (b0 >> (ion - 1)) & 1:
+            continue  # every pair is visited from its |0> member
+        b1 = b0 + (1 << (ion - 1))
+        a0, a1 = amps[b0], amps[b1]
+        amps[b0] = cos * a0 - 1j * sin * np.exp(-1j * phase) * a1
+        amps[b1] = cos * a1 - 1j * sin * np.exp(1j * phase) * a0
     return state
 
 
 def measurement_probabilities(state: SpinState, ions: list[int] | None = None) -> dict[str, float]:
-    """Marginal z-basis outcome distribution over the listed ions (default all)."""
+    """Marginal z-basis outcome distribution over the listed ions (default all).
+
+    Character k of an outcome label is the bit of qubit ions[k]; every label
+    of len(ions) characters is present, in order of its binary value read
+    from the last character to the first.
+    """
     if ions is None:
         ions = list(range(1, state.n_qubits + 1))
-    probs = np.abs(state.amplitudes) ** 2
-    totals = np.bincount(outcome_indices(np.arange(probs.size), ions), weights=probs)
-    return dict(zip(outcome_labels(np.arange(totals.size), len(ions)), totals.tolist()))
+    totals = {format(outcome, f"0{len(ions)}b")[::-1]: 0.0 for outcome in range(1 << len(ions))}
+    for b in range(1 << state.n_qubits):
+        totals["".join(str((b >> (ion - 1)) & 1) for ion in ions)] += abs(state.amplitudes[b]) ** 2
+    return totals

@@ -13,9 +13,10 @@ wrote. Run it at two commits and diff the two listings:
 
 The command set: `chain`, `couplings`, `spectrum` of the first and the last
 ion (the last with --emit-plot-data) and a 7-point log sweep of `max_J`
-over `nu1`, on each shipped config; `simulate` of cnot, ramsey and echo
-with CLI defaults, with `--seed 5 --shots 3000` and with `--shots 0`, and
-echo with --emit-plot-data; `simulate` on trap_n10 of FRAME_PROGRAM, whose
+over `nu1`, on each shipped config; a 5-point linear sweep of `max_J`
+over `field.uniform.b` on trap.json with --emit-plot-data; `simulate` of
+cnot, ramsey and echo with CLI defaults, with `--seed 5 --shots 3000`
+and with `--shots 0`, and echo with --emit-plot-data; `simulate` on trap_n10 of FRAME_PROGRAM, whose
 logged <sx> and <sy> after detuned, phased pulses depend on the frame the
 simulator evolves in; and two generated 16-ion, 80-op, 20000-shot
 programs (perfbench's `register_program`, seeds 31 and 32). This script
@@ -88,6 +89,9 @@ def _commands(work: Path) -> list[tuple[str, list[str]]]:
                                "--to", "400kHz", "--steps", "7", "--scale", "log",
                                "--quantity", "max_J", "--out", "{out}/sweep.csv"]),
         ]
+    commands.append(("trap_sweep_plot", ["sweep", "--config", "trap.json", "--param", "field.uniform.b",
+                                         "--from", "1T/m", "--to", "100T/m", "--steps", "5", "--quantity",
+                                         "max_J", "--out", "{out}/sweep.csv", "--emit-plot-data"]))
     for program in PROGRAMS:
         stem = program.removesuffix(".pp")
         base = ["simulate", "--config", "trap.json", "--program", program, "--out", "{out}/run.json"]

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import standard_raw
 from gradchain.chain import solve_chain
-from gradchain.cli import SweepSpec, _json_text, _write_json, main
+from gradchain.cli import _json_text, _sweep_values, _write_json, main
 from gradchain.config import validate_config
 from gradchain.coupling import build_report
 from gradchain.pulse import interpret, parse
@@ -414,24 +414,84 @@ def test_sweep_delta_shift_quantity(trap2, tmp_path):
 
 
 def test_sweep_spec_validation():
-    good = SweepSpec("nu1", 1e4, 1e6, 5, "log", "max_J")
-    values = good.values()
+    values = _sweep_values(1e4, 1e6, 5, "log")
     assert len(values) == 5
     assert values[0] == pytest.approx(1e4) and values[-1] == pytest.approx(1e6)
-    descending = SweepSpec("nu1", 1e6, 1e4, 3, "linear", "epsilon").values()
+    descending = _sweep_values(1e6, 1e4, 3, "linear")
     assert np.all(np.diff(descending) < 0)
-    negative_log = SweepSpec("field.uniform.b", -1.0, -100.0, 3, "log", "max_J").values()
+    negative_log = _sweep_values(-1.0, -100.0, 3, "log")
     assert np.all(negative_log < 0)
     with pytest.raises(ValueError):
-        SweepSpec("nu1", 1.0, 2.0, 1, "linear", "max_J")
+        _sweep_values(1.0, 2.0, 1, "linear")
     with pytest.raises(ValueError):
-        SweepSpec("nu1", 1.0, 1.0, 3, "linear", "max_J")
+        _sweep_values(1.0, 1.0, 3, "linear")
     with pytest.raises(ValueError):
-        SweepSpec("nu1", -1.0, 1.0, 3, "log", "max_J")
+        _sweep_values(-1.0, 1.0, 3, "log")
     with pytest.raises(ValueError):
-        SweepSpec("nu1", 1.0, 2.0, 3, "cubic", "max_J")
+        _sweep_values(1.0, 2.0, 3, "cubic")
     with pytest.raises(ValueError):
-        SweepSpec("nu1", -1.7e308, 1.7e308, 3, "linear", "max_J")  # linspace would step by inf
+        _sweep_values(-1.7e308, 1.7e308, 3, "linear")  # linspace would step by inf
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("quantity, message", [
+    ("bogus", "unknown sweep quantity 'bogus'"),
+    ("delta_shift[x]", "unknown sweep quantity 'delta_shift[x]'"),
+    ("delta_shift[99]", "sweep quantity 'delta_shift[99]': ion index 99 out of range [1, 2]"),
+])
+def test_sweep_rejects_quantity_before_any_point(trap2, tmp_path, capsys, monkeypatch, quantity, message):
+    def no_solve(config):
+        raise AssertionError("a chain was solved for an invalid quantity")
+
+    monkeypatch.setattr("gradchain.chain.solve_chain", no_solve)
+    out = tmp_path / "s.csv"
+    code = main(["sweep", "--config", trap2, "--param", "nu1", "--from", "50kHz", "--to", "100kHz",
+                 "--steps", "2", "--quantity", quantity, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_sweep_plot_data_is_the_csv_columns(trap2, tmp_path):
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", "--config", trap2, "--param", "nu1", "--from", "50kHz", "--to", "200kHz",
+                 "--steps", "4", "--quantity", "max_J", "--out", str(out), "--emit-plot-data"])
+    assert code == 0
+    header, rows = read_csv(out)
+    assert header == ["nu1", "max_J"]
+    dat = tmp_path / "sweep.csv.dat"
+    assert dat.read_text(encoding="utf-8") == "".join(f"{x} {y}\n" for x, y in rows)
+    assert sorted(p.name for p in tmp_path.iterdir() if p.suffix != ".json") == ["sweep.csv", "sweep.csv.dat"]
+
+
+@pytest.mark.parametrize("command", ["sweep", "chain"])
+@pytest.mark.parametrize("content, detail", [
+    (b'{"N": 2, x}', "invalid JSON"),
+    (b'{"comment": "\xff"}', "not UTF-8"),
+])
+def test_malformed_config_error_names_the_path(tmp_path, capsys, command, content, detail):
+    config = tmp_path / "bad.json"
+    config.write_bytes(content)
+    argv = {"chain": ["chain", "--config", str(config)],
+            "sweep": ["sweep", "--config", str(config), "--param", "nu1", "--from", "1", "--to", "2",
+                      "--steps", "2", "--quantity", "max_J", "--out", str(tmp_path / "s.csv")]}[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {config}: {detail}")
+
+
+@pytest.mark.parametrize("command", [
+    ["chain", "--out", "chain.json"],
+    ["couplings", "--out-dir", "out"],
+])
+def test_emit_plot_data_only_where_it_writes(trap2, tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--config", trap2, "--emit-plot-data"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --emit-plot-data" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["trap2.json"]
 
 
 # determinism and the module entry point ---------------------------------------------
