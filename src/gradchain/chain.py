@@ -58,8 +58,8 @@ class ChainSolution:
     entry of largest magnitude is positive, ties (magnitudes equal to a
     relative 1e-9) broken toward the lowest ion index. In a harmonic trap
     every row is tied, so the rule, not the eigensolver, fixes the signs.
-    Quantities that are odd under eigenvector sign flips (e.g. the carrier
-    shifts Delta_j downstream) inherit this convention.
+    Quantities that are odd under eigenvector sign flips (downstream, the
+    epsilon matrix and the exact drive phases) inherit this convention.
     """
 
     length_scale: float                 # zeta, m

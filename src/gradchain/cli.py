@@ -198,10 +198,9 @@ def cmd_spectrum(args) -> int:
         return EXIT_INPUT
     solution = chain_mod.solve_chain(config)
     report = coupling_mod.build_report(config, solution)
-    lines = coupling_mod.sideband_spectrum(config, solution, report, args.ion)
+    lines = coupling_mod.sideband_spectrum(solution, report, args.ion)
 
-    base = report.qubit_frequencies[args.ion - 1]
-    rows = [[_fmt((line.frequency - base) / (2.0 * math.pi)), _fmt(line.amplitude), line.label] for line in lines]
+    rows = [[_fmt(line.offset / (2.0 * math.pi)), _fmt(line.amplitude), line.label] for line in lines]
     out = Path(args.out)
     _write_table(out, ["offset_hz", "amplitude", "label"], rows,
                  out.with_suffix(out.suffix + ".dat") if args.emit_plot_data else None)
@@ -215,8 +214,8 @@ def cmd_simulate(args) -> int:
     config = load_config(args.config)
     try:
         source = Path(args.program).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"error: cannot read program: {exc}", file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read program {args.program}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
         program = pulse_mod.parse(source)

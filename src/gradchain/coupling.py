@@ -8,7 +8,9 @@ vibrational modes this produces
         eps[j, n] = S[j, n] * grad_n * dz_j / nu_j,
   * an effective qubit-qubit Ising coupling
         J[n, l] = sum_j nu_j * eps[j, n] * eps[j, l],
-  * per-ion carrier shifts Delta_j = (1/2) sum_n nu_n eps[n, j],
+  * per-ion carrier shifts, from the same polaron transformation,
+        Delta_n = -sum_l sum_j nu_j * eps+[j, n] * eps[j, l],
+    where eps+ is eps with the moment sum mu0 + mu1 in place of mu1 - mu0,
   * and effective Lamb-Dicke parameters eta'[n, j] that let microwave
     radiation drive motional sidebands despite a negligible bare eta.
 
@@ -30,11 +32,6 @@ from .constants import CONSTANTS
 
 VALIDITY_THRESHOLD = 0.1
 
-PHASE_AMBIGUITY_NOTE = (
-    "per-ion drive phase is the small-eta approximation pi/2; the exact "
-    "arctangent depends on the mode index and is reported per (mode, ion)"
-)
-
 
 class NonFiniteReportError(RuntimeError):
     """A coupling quantity overflowed to infinity or became NaN."""
@@ -45,9 +42,9 @@ class CouplingReport:
     """All gradient-induced quantities for one chain configuration.
 
     Matrix index conventions: epsilon_matrix, eta_eff and phases_exact are
-    [mode, ion]; j_matrix is [ion, ion] (symmetric, zero diagonal). The
-    shifts and J entries depend on the mode-matrix sign convention recorded
-    in sign_convention.
+    [mode, ion]; j_matrix is [ion, ion] (symmetric, zero diagonal). Of
+    these only epsilon_matrix and phases_exact depend on the mode-matrix
+    sign convention recorded in sign_convention.
     """
 
     omega_gradients: np.ndarray    # rad/(s m) per ion
@@ -56,12 +53,10 @@ class CouplingReport:
     shifts: np.ndarray             # Delta_j, rad/s per ion
     eta_bare: np.ndarray           # per mode
     eta_eff: np.ndarray            # [mode, ion]
-    phases: np.ndarray             # rad per ion (pi/2 approximation)
     phases_exact: np.ndarray       # rad, [mode, ion]
     validity: float                # max |grad| dz_1 / nu_1
     qubit_frequencies: np.ndarray  # omega_n(z0_n), rad/s per ion
     sign_convention: str
-    notes: tuple[str, ...] = ()
 
     @property
     def ion_count(self) -> int:
@@ -81,7 +76,6 @@ class CouplingReport:
             "shifts_hz": (self.shifts / two_pi).tolist(),
             "eta_bare": self.eta_bare.tolist(),
             "eta_eff": self.eta_eff.tolist(),
-            "phases_rad": self.phases.tolist(),
             "phases_exact_rad": self.phases_exact.tolist(),
             "qubit_frequencies_hz": (self.qubit_frequencies / two_pi).tolist(),
             "validity": {
@@ -90,19 +84,19 @@ class CouplingReport:
                 "harmonic_approximation_valid": self.harmonic_approximation_valid,
             },
             "sign_convention": self.sign_convention,
-            "notes": list(self.notes),
         }
 
 
-def omega_gradients(config: TrapConfig, chain: ChainSolution) -> np.ndarray:
-    """Zeeman frequency gradient of each ion's qubit at its rest position.
+def omega_gradients(config: TrapConfig, chain: ChainSolution, moment: float | None = None) -> np.ndarray:
+    """Zeeman frequency gradient moment * mu_B * B'(z0_n) / hbar of each ion at its rest position, rad/(s m).
 
-    d(omega_n)/dz = (mu1 - mu0) * mu_B * B'(z0_n) / hbar, in rad/(s m).
+    moment is in Bohr magnetons; the default, the differential moment
+    mu1 - mu0, gives the qubit's own gradient d(omega_n)/dz.
     Raises OutOfProfileRangeError if an ion sits outside a sampled profile.
     """
-    moment = config.species.differential_moment * CONSTANTS.bohr_magneton
+    moment = config.species.differential_moment if moment is None else moment
     grads = [config.field.gradient_at(z) for z in chain.positions_m]
-    return moment * np.asarray(grads) / CONSTANTS.hbar
+    return moment * CONSTANTS.bohr_magneton * np.asarray(grads) / CONSTANTS.hbar
 
 
 def qubit_frequencies(config: TrapConfig, chain: ChainSolution) -> np.ndarray:
@@ -130,6 +124,19 @@ def j_matrix(eps: np.ndarray, chain: ChainSolution) -> np.ndarray:
     return j
 
 
+def carrier_shifts(eps_sum: np.ndarray, eps: np.ndarray, chain: ChainSolution) -> np.ndarray:
+    """Carrier shift Delta_n = -sum_l sum_j nu_j eps_sum[j, n] eps[j, l] of each ion, rad/s.
+
+    eps_sum is epsilon_matrix of the gradients of the moment sum mu0 + mu1,
+    not eps times (mu0 + mu1)/(mu1 - mu0), so mu0 = mu1 gives 0, not NaN.
+    With |s><s| = (1 + s sigma_z)/2, the polaron transformation that gives
+    J also leaves a term in sigma_z_n; Delta_n, twice its coefficient, is
+    the centre of ion n's conditional lines. Invariant under mode-row sign
+    flips, like J.
+    """
+    return -np.einsum("j,jn,jl->n", chain.mode_frequencies, eps_sum, eps)
+
+
 def validity_epsilon(config: TrapConfig, grads: np.ndarray) -> float:
     """Harmonic-approximation smallness parameter max_j |grad_j| dz_1 / nu_1.
 
@@ -141,23 +148,16 @@ def validity_epsilon(config: TrapConfig, grads: np.ndarray) -> float:
     return float(np.max(np.abs(grads)) * dz1 / config.nu1)
 
 
-def effective_lamb_dicke(
-    chain: ChainSolution, eta_bare: np.ndarray, eps: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Effective Lamb-Dicke parameters, drive phases and carrier shifts.
+def effective_lamb_dicke(chain: ChainSolution, eta_bare: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """Effective Lamb-Dicke parameters eta'[n, j] = |eta_n S[n, j] + i eps[n, j]|, [mode, ion].
 
-    eta'[n, j] = |eta_n S[n, j] + i eps[n, j]| combines the bare
-    photon-recoil coupling eta_n = dz_n k with the gradient-induced one
-    eps = epsilon_matrix(grads, chain); for microwave drives the eps term
-    dominates by orders of magnitude. Returns (eta_eff [mode, ion],
-    phases per ion = pi/2 approximation, shifts Delta_j in rad/s). The
-    exact per-(mode, ion) phase is pi/2 - atan2(eta_n S[n, j], eps[n, j]).
+    Combines the bare photon-recoil coupling eta_n = dz_n k with the
+    gradient-induced one eps = epsilon_matrix(grads, chain); for microwave
+    drives the eps term dominates by orders of magnitude. The phase of the
+    sum is exact_phases.
     """
     bare_part = eta_bare[:, None] * chain.mode_matrix
-    eta_eff = np.sqrt(bare_part**2 + eps**2)
-    phases = np.full(chain.ion_count, 0.5 * math.pi)
-    shifts = 0.5 * chain.mode_frequencies @ eps
-    return eta_eff, phases, shifts
+    return np.sqrt(bare_part**2 + eps**2)
 
 
 def exact_phases(chain: ChainSolution, eta_bare: np.ndarray, eps: np.ndarray) -> np.ndarray:
@@ -174,21 +174,20 @@ def build_report(config: TrapConfig, chain: ChainSolution) -> CouplingReport:
     with np.errstate(all="ignore"):  # the check below reports overflow and NaN
         grads = omega_gradients(config, chain)
         eps = epsilon_matrix(grads, chain)
+        species = config.species
+        eps_sum = epsilon_matrix(omega_gradients(config, chain, species.moment_state0 + species.moment_state1), chain)
         eta_bare = chain.ground_state_extents * config.wavevector()
-        eta_eff, phases, shifts = effective_lamb_dicke(chain, eta_bare, eps)
         report = CouplingReport(
             omega_gradients=grads,
             epsilon_matrix=eps,
             j_matrix=j_matrix(eps, chain),
-            shifts=shifts,
+            shifts=carrier_shifts(eps_sum, eps, chain),
             eta_bare=eta_bare,
-            eta_eff=eta_eff,
-            phases=phases,
+            eta_eff=effective_lamb_dicke(chain, eta_bare, eps),
             phases_exact=exact_phases(chain, eta_bare, eps),
             validity=validity_epsilon(config, grads),
             qubit_frequencies=qubit_frequencies(config, chain),
             sign_convention=chain.SIGN_CONVENTION,
-            notes=(PHASE_AMBIGUITY_NOTE,),
         )
     bad = [name for name, value in vars(report).items()
            if isinstance(value, (np.ndarray, float)) and not np.isfinite(value).all()]
@@ -199,30 +198,28 @@ def build_report(config: TrapConfig, chain: ChainSolution) -> CouplingReport:
 
 @dataclass(frozen=True)
 class SpectralLine:
-    frequency: float   # rad/s, absolute
+    offset: float      # rad/s from the ion's qubit frequency omega_j(z0_j)
     amplitude: float   # relative to the carrier
     label: str
 
 
-def sideband_spectrum(
-    config: TrapConfig, chain: ChainSolution, report: CouplingReport, ion: int
-) -> list[SpectralLine]:
+def sideband_spectrum(chain: ChainSolution, report: CouplingReport, ion: int) -> list[SpectralLine]:
     """First-order stick spectrum of the drive response of one ion.
 
-    Carrier of unit amplitude at omega_j(z0_j) + Delta_j; one red and one
-    blue sideband per mode, displaced by -/+ nu_n with amplitude
-    eta'[n, j] (motional ground state, first order). Sorted by frequency.
-    Ion indices are 1-based.
+    Offsets are from the ion's qubit frequency omega_j(z0_j): the carrier
+    of unit amplitude sits at Delta_j, and one red and one blue sideband
+    per mode at Delta_j -/+ nu_n with amplitude eta'[n, j] (motional ground
+    state, first order). Sorted by offset. Ion indices are 1-based.
     """
     if not 1 <= ion <= chain.ion_count:
         raise ValueError(f"ion index must be in [1, {chain.ion_count}], got {ion}")
     idx = ion - 1
-    carrier = report.qubit_frequencies[idx] + report.shifts[idx]
+    carrier = report.shifts[idx]
     lines = [SpectralLine(float(carrier), 1.0, "carrier")]
     for mode in range(chain.ion_count):
         nu = chain.mode_frequencies[mode]
         amp = float(report.eta_eff[mode, idx])
         lines.append(SpectralLine(float(carrier - nu), amp, f"red_{mode + 1}"))
         lines.append(SpectralLine(float(carrier + nu), amp, f"blue_{mode + 1}"))
-    lines.sort(key=lambda line: line.frequency)
+    lines.sort(key=lambda line: line.offset)
     return lines

@@ -2,13 +2,15 @@
 
 The dense-matrix spin evolution builds the full RWA Hamiltonian from
 explicit Pauli operators and exponentiates it; the brute-force J expands
-the squared mode-displacement sum term by term. Neither shares code with
-the fast paths in gradchain.spins and gradchain.coupling. The 50-digit
-lab-frame evolution keeps the GHz carriers that the interpreter's
-synthesizer frame leaves out. The idealized hard pulse and the exact
-outcome distribution are references for the echo, frame and
-conditional-flip tests; they find a qubit's bit in a basis index one
-index at a time, without gradchain.spins' bit-index helpers.
+the squared mode-displacement sum term by term; the carrier shifts come
+from diagonalizing the spin-phonon Hamiltonian in a truncated Fock space.
+None shares code with the fast paths in gradchain.spins and
+gradchain.coupling. The 50-digit lab-frame evolution keeps the GHz
+carriers that the interpreter's synthesizer frame leaves out. The
+idealized hard pulse and the exact outcome distribution are references
+for the echo, frame and conditional-flip tests; they find a qubit's bit
+in a basis index one index at a time, without gradchain.spins' bit-index
+helpers.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import mpmath
 import numpy as np
 
 from gradchain.chain import ChainSolution
+from gradchain.config import TrapConfig
 from gradchain.constants import CONSTANTS
 from gradchain.pulse import Delay, ExpectationLog, Pulse, PulseProgram
 from gradchain.spins import PulseSpec, SpinHamiltonian, SpinState
@@ -44,6 +47,43 @@ def j_matrix_bruteforce_oracle(grads: np.ndarray, chain: ChainSolution) -> np.nd
                     continue  # sigma_z^2 = identity: constant energy offset
                 j[n, l] += prefactor * grads[n] * grads[l] * row[n] * row[l]
     return j
+
+
+def carrier_shift_oracle(config: TrapConfig, chain: ChainSolution, fock_levels: int = 12) -> np.ndarray:
+    """Centre of each ion's conditional resonance lines, rad/s from its qubit frequency, by diagonalization.
+
+    H/hbar = sum_j [w0_j |0><0|_j + w1_j |1><1|_j] + sum_n nu_n a_n^dagger a_n,
+    where level s of ion j has the Zeeman frequency w_s = mu_s mu_B B / hbar
+    at z0_j + q_j, to first order in the displacement
+    q_j = sum_n S[n, j] dz_n (a_n + a_n^dagger). The level energies at rest
+    give the qubit frequency and are left out. For a fixed spin
+    configuration the modes decouple, and each one's ground energy is the
+    lowest eigenvalue of its Hamiltonian in `fock_levels` Fock states; no
+    displacement or polaron formula is used. Ion j's line for a
+    configuration of the others is the energy with ion j in |1> less the
+    energy with it in |0>; the midpoint of its lowest and highest line is
+    returned. Visits all 2^N configurations, so keep N small.
+    """
+    n = chain.ion_count
+    slopes = [[mu * CONSTANTS.bohr_magneton * config.field.gradient_at(z) / CONSTANTS.hbar
+               for z in chain.positions_m]
+              for mu in (config.species.moment_state0, config.species.moment_state1)]  # [level][ion]
+    lower = np.diag(np.sqrt(np.arange(1.0, fock_levels)), 1)  # a in the Fock basis
+    number = np.diag(np.arange(float(fock_levels)))
+    energy = []
+    for bits in range(1 << n):
+        total = 0.0
+        for mode in range(n):
+            nu = chain.mode_frequencies[mode]
+            force = chain.ground_state_extents[mode] * sum(
+                slopes[(bits >> ion) & 1][ion] * chain.mode_matrix[mode, ion] for ion in range(n))
+            total += nu * np.linalg.eigvalsh(number + force / nu * (lower + lower.T))[0]
+        energy.append(total)
+    centres = []
+    for ion in range(n):
+        lines = [energy[b | 1 << ion] - energy[b] for b in range(1 << n) if not (b >> ion) & 1]
+        centres.append(0.5 * (min(lines) + max(lines)))
+    return np.array(centres)
 
 
 # dense-matrix verification path -------------------------------------------

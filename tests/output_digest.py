@@ -14,7 +14,9 @@ wrote. Run it at two commits and diff the two listings:
 The command set: `chain`, `couplings`, `spectrum` of the first and the last
 ion (the last with --emit-plot-data) and a 7-point log sweep of `max_J`
 over `nu1`, on each shipped config; a 5-point linear sweep of `max_J`
-over `field.uniform.b` on trap.json with --emit-plot-data; `simulate` of
+over `field.uniform.b` on trap.json with --emit-plot-data; a 5-point
+linear sweep of the carrier shift `delta_shift[1]` over
+`field.quadratic.b` on trap_quadratic.json; `simulate` of
 cnot, ramsey and echo with CLI defaults, with `--seed 5 --shots 3000`
 and with `--shots 0`, and echo with --emit-plot-data; `simulate` on trap_n10 of FRAME_PROGRAM, whose
 logged <sx> and <sy> after detuned, phased pulses depend on the frame the
@@ -92,6 +94,9 @@ def _commands(work: Path) -> list[tuple[str, list[str]]]:
     commands.append(("trap_sweep_plot", ["sweep", "--config", "trap.json", "--param", "field.uniform.b",
                                          "--from", "1T/m", "--to", "100T/m", "--steps", "5", "--quantity",
                                          "max_J", "--out", "{out}/sweep.csv", "--emit-plot-data"]))
+    commands.append(("quadratic_sweep_shift", ["sweep", "--config", "trap_quadratic.json", "--param",
+                                               "field.quadratic.b", "--from", "1T/m", "--to", "20T/m", "--steps",
+                                               "5", "--quantity", "delta_shift[1]", "--out", "{out}/sweep.csv"]))
     for program in PROGRAMS:
         stem = program.removesuffix(".pp")
         base = ["simulate", "--config", "trap.json", "--program", program, "--out", "{out}/run.json"]

@@ -7,9 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import standard_raw
+from conftest import HBAR, MU_B, TWO_PI, YB_MASS, standard_raw
 from gradchain.chain import solve_chain
-from gradchain.cli import _json_text, _sweep_values, _write_json, main
+from gradchain.cli import _fmt, _json_text, _sweep_values, _write_json, main
 from gradchain.config import validate_config
 from gradchain.coupling import build_report
 from gradchain.pulse import interpret, parse
@@ -122,8 +122,8 @@ def test_spectrum_lines(trap2, tmp_path):
     assert offsets == sorted(offsets)
     carrier = [r for r in rows if r[2] == "carrier"][0]
     assert float(carrier[1]) == 1.0
-    # carrier offset equals the gradient-induced shift of ion 1
-    assert float(carrier[0]) == pytest.approx(report["shifts_hz"][0], rel=1e-6)
+    # carrier offset is the shift of ion 1, to every printed digit
+    assert carrier[0] == _fmt(report["shifts_hz"][0])
     # sideband amplitudes equal the eta' column of the report
     for mode in (1, 2):
         for side in ("red", "blue"):
@@ -191,6 +191,19 @@ def test_simulate_parse_error_exit4(trap2, tmp_path, capsys):
     assert code == 4
     err = capsys.readouterr().err
     assert "2:" in err  # line:column span
+
+
+def test_simulate_program_not_utf8_names_the_program(trap2, tmp_path, capsys):
+    program = tmp_path / "bad.pp"
+    program.write_bytes(b"ions 2\n\xff\n")
+    out_dir = tmp_path / "out"
+    code = main(["simulate", "--config", trap2, "--program", str(program),
+                 "--out", str(out_dir / "run.json"), "--no-timestamp"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read program {program}: 'utf-8' codec can't decode byte 0xff")
+    assert not out_dir.exists()
 
 
 @pytest.mark.filterwarnings("error")
@@ -407,10 +420,11 @@ def test_sweep_delta_shift_quantity(trap2, tmp_path):
                  "--quantity", "delta_shift[1]", "--out", str(out), "--no-timestamp"])
     assert code == 0
     _, rows = read_csv(out)
-    # shift is linear in the gradient
+    # the shift is -hbar (d omega/dz)^2 / (2 m nu1^2): quadratic in the gradient
     values = np.array([float(r[1]) for r in rows])
     params = np.array([float(r[0]) for r in rows])
-    assert np.allclose(values / params, values[0] / params[0], rtol=1e-9)
+    per_gradient_squared = -HBAR * (MU_B / HBAR) ** 2 / (2 * YB_MASS * (TWO_PI * 1e5) ** 2) / TWO_PI
+    assert values / params**2 == pytest.approx(np.full(4, per_gradient_squared), rel=1e-10)
 
 
 def test_sweep_spec_validation():

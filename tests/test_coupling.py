@@ -1,11 +1,12 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import C_LIGHT, HBAR, MU_B, TWO_PI, YB_MASS, standard_raw
 from gradchain.chain import solve_chain
-from gradchain.config import OutOfProfileRangeError, validate_config
+from gradchain.config import OutOfProfileRangeError, load_config, validate_config
 from gradchain.coupling import (
     build_report,
     effective_lamb_dicke,
@@ -17,8 +18,9 @@ from gradchain.coupling import (
     sideband_spectrum,
     validity_epsilon,
 )
-from oracles import j_matrix_bruteforce_oracle
+from oracles import carrier_shift_oracle, j_matrix_bruteforce_oracle
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 GRAD_10TM = MU_B * 10.0 / HBAR  # d(omega)/dz for Yb171 in 10 T/m
 
 
@@ -217,34 +219,55 @@ def test_eta_bare_microwave_tiny(config10, chain10, report10):
 def test_zero_gradient_reductions():
     cfg, chain = make(n=3, b="0T/m")
     eps = epsilon_matrix(omega_gradients(cfg, chain), chain)
-    eta_eff, phases, shifts = effective_lamb_dicke(chain, chain.ground_state_extents * cfg.wavevector(), eps)
+    eta_eff = effective_lamb_dicke(chain, chain.ground_state_extents * cfg.wavevector(), eps)
     k = TWO_PI * 12.6e9 / C_LIGHT
     eta_bare = chain.ground_state_extents * k
     assert np.allclose(eta_eff, np.abs(eta_bare[:, None] * chain.mode_matrix), atol=0)
-    assert np.all(shifts == 0.0)
-    assert np.all(phases == 0.5 * np.pi)
+    assert np.all(build_report(cfg, chain).shifts == 0.0)
 
 
 def test_eta_eff_modulus_identity(config10, chain10):
     eps = epsilon_matrix(omega_gradients(config10, chain10), chain10)
     k = config10.wavevector()
-    eta_eff, _, _ = effective_lamb_dicke(chain10, chain10.ground_state_extents * k, eps)
+    eta_eff = effective_lamb_dicke(chain10, chain10.ground_state_extents * k, eps)
     bare = chain10.ground_state_extents[:, None] * chain10.mode_matrix
     assert np.allclose(eta_eff**2, (k * bare) ** 2 + eps**2, rtol=1e-12)
 
 
-def test_two_ion_shifts(config2, chain2):
-    eps = epsilon_matrix(omega_gradients(config2, chain2), chain2)
-    _, _, shifts = effective_lamb_dicke(chain2, chain2.ground_state_extents * config2.wavevector(), eps)
-    nu1 = TWO_PI * 1e5
-    dz1 = np.sqrt(HBAR / (2 * YB_MASS * nu1))
-    dz2 = dz1 * 3.0**-0.25
-    expected1 = GRAD_10TM / (2 * np.sqrt(2.0)) * (dz1 + dz2)
-    expected2 = GRAD_10TM / (2 * np.sqrt(2.0)) * (dz1 - dz2)
-    assert shifts[0] == pytest.approx(expected1, rel=1e-10)
-    assert shifts[1] == pytest.approx(expected2, rel=1e-10)
-    assert shifts[0] / TWO_PI == pytest.approx(1.50e3, rel=0.01)
-    assert shifts[1] / TWO_PI == pytest.approx(0.20e3, rel=0.03)
+# carrier shifts -----------------------------------------------------------------
+
+
+def test_two_ion_shifts():
+    # both ions of configs/trap.json see 10 T/m, so both lines centre at -hbar (d omega/dz)^2 / (2 m nu1^2)
+    cfg = load_config(CONFIGS / "trap.json")
+    chain = solve_chain(cfg)
+    shifts = build_report(cfg, chain).shifts
+    assert shifts == pytest.approx(carrier_shift_oracle(cfg, chain), rel=1e-9)
+    expected = -HBAR * GRAD_10TM**2 / (2 * YB_MASS * (TWO_PI * 1e5) ** 2)
+    assert shifts == pytest.approx([expected, expected], rel=1e-12)
+    assert shifts[0] / TWO_PI == pytest.approx(-57.8954129, rel=1e-9)
+
+
+@pytest.mark.parametrize("moments", [None, (0.5, 2.0), (2.0, 0.5), (1.0, 1.0)])
+def test_quadratic_profile_shifts_match_fock_oracle(moments):
+    # moments (mu0, mu1) other than Yb171's (0, 1) check the (mu0 + mu1) factor; mu0 = mu1 moves no line
+    cfg = load_config(CONFIGS / "trap_quadratic.json")
+    if moments is not None:
+        cfg = replace(cfg, species=replace(cfg.species, name="test", moment_state0=moments[0],
+                                           moment_state1=moments[1]))
+    chain = solve_chain(cfg)
+    shifts = build_report(cfg, chain).shifts
+    assert np.all(np.isfinite(shifts))
+    assert shifts == pytest.approx(carrier_shift_oracle(cfg, chain), rel=1e-9, abs=0)
+
+
+def test_uniform_gradient_shift_closed_form():
+    # only the centre-of-mass mode has a nonzero ion sum, so every ion of every chain shifts alike
+    expected = -HBAR * GRAD_10TM**2 / (2 * YB_MASS * (TWO_PI * 1e5) ** 2)
+    for n in range(1, 51):
+        cfg, chain = make(n=n)
+        shifts = build_report(cfg, chain).shifts
+        assert np.max(np.abs(shifts / expected - 1.0)) <= 1e-12, n
 
 
 def test_exact_phases_near_pi_half(config2, chain2):
@@ -260,32 +283,26 @@ def test_exact_phases_near_pi_half(config2, chain2):
 # sideband spectrum ----------------------------------------------------------------
 
 def test_spectrum_two_ions(config2, chain2, report2):
-    lines = sideband_spectrum(config2, chain2, report2, 1)
+    lines = sideband_spectrum(chain2, report2, 1)
     assert len(lines) == 5  # carrier + 2 modes x 2 signs
-    freqs = [line.frequency for line in lines]
-    assert freqs == sorted(freqs)
+    offsets = [line.offset for line in lines]
+    assert offsets == sorted(offsets)
     carrier = [line for line in lines if line.label == "carrier"][0]
     assert carrier.amplitude == 1.0
-    assert carrier.frequency == pytest.approx(
-        report2.qubit_frequencies[0] + report2.shifts[0], rel=1e-15
-    )
+    assert carrier.offset == report2.shifts[0]
     for mode in (1, 2):
         red = [line for line in lines if line.label == f"red_{mode}"][0]
         blue = [line for line in lines if line.label == f"blue_{mode}"][0]
         assert red.amplitude == blue.amplitude == report2.eta_eff[mode - 1, 0]
-        # carrier ~ 2 pi 12.6 GHz, so differencing leaves ~1e-5 rad/s noise
-        assert blue.frequency - carrier.frequency == pytest.approx(
-            chain2.mode_frequencies[mode - 1], abs=1e-4
-        )
-        assert carrier.frequency - red.frequency == pytest.approx(
-            chain2.mode_frequencies[mode - 1], abs=1e-4
-        )
+        # offsets are ~6e5 rad/s, so differencing two of them costs at most an ulp or so
+        assert blue.offset - carrier.offset == pytest.approx(chain2.mode_frequencies[mode - 1], rel=1e-15)
+        assert carrier.offset - red.offset == pytest.approx(chain2.mode_frequencies[mode - 1], rel=1e-15)
 
 
 def test_spectrum_zero_gradient_carrier_only():
     cfg, chain = make(n=2, b="0T/m")
     report = build_report(cfg, chain)
-    lines = sideband_spectrum(cfg, chain, report, 2)
+    lines = sideband_spectrum(chain, report, 2)
     sidebands = [line for line in lines if line.label != "carrier"]
     assert all(line.amplitude <= report.eta_bare.max() for line in sidebands)
     assert all(line.amplitude < 1e-5 for line in sidebands)
@@ -293,7 +310,7 @@ def test_spectrum_zero_gradient_carrier_only():
 
 def test_spectrum_rejects_bad_ion(config2, chain2, report2):
     with pytest.raises(ValueError):
-        sideband_spectrum(config2, chain2, report2, 3)
+        sideband_spectrum(chain2, report2, 3)
 
 
 # report ------------------------------------------------------------------------
@@ -353,3 +370,6 @@ def test_report_serialization(report2):
     assert doc["validity"]["threshold"] == 0.1
     assert len(doc["phases_exact_rad"]) == 2
     assert doc["sign_convention"]
+    assert sorted(doc) == ["epsilon_matrix", "eta_bare", "eta_eff", "ion_count", "j_matrix_hz", "phases_exact_rad",
+                           "qubit_frequencies_hz", "qubit_frequency_gradients_hz_per_m", "shifts_hz",
+                           "sign_convention", "validity"]

@@ -10,12 +10,14 @@ import io
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradchain import chain as chain_mod
 from gradchain.chain import solve_chain
 from gradchain.cli import _json_text, main
 from gradchain.config import ConfigError, OutOfProfileRangeError, load_config, validate_config
@@ -216,6 +218,28 @@ def test_run_json_ignores_mode_signs(trap_n10, flips):
     flipped = dataclasses.replace(chain, mode_matrix=signs[:, None] * chain.mode_matrix)
     same = run_json_text(config, flipped) == run_json_text(config, chain)  # a bool: a failure prints no long text diff
     assert same, f"run.json changed when mode rows {np.flatnonzero(flips) + 1} were flipped"
+
+
+def spectrum_csv_text(chain, ion: int) -> str:
+    """The spectrum CSV that `spectrum --ion` writes for trap_n10 when the chain solver returns `chain`."""
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(chain_mod, "solve_chain", return_value=chain):
+        out = Path(tmp) / "spectrum.csv"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["spectrum", "--config", str(TRAP_N10), "--ion", str(ion), "--out", str(out)]) == 0
+        return out.read_text(encoding="utf-8")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.lists(st.booleans(), min_size=10, max_size=10).filter(any), st.integers(1, 10))
+def test_couplings_and_spectrum_ignore_mode_signs(trap_n10, flips, ion):
+    config, chain = trap_n10
+    signs = np.where(flips, -1.0, 1.0)
+    flipped = dataclasses.replace(chain, mode_matrix=signs[:, None] * chain.mode_matrix)
+    report, flipped_report = build_report(config, chain), build_report(config, flipped)
+    for name in ("j_matrix", "shifts", "eta_eff"):
+        same = np.array_equal(getattr(flipped_report, name), getattr(report, name))  # a bool: no long array diff
+        assert same, f"{name} changed when mode rows {np.flatnonzero(flips) + 1} were flipped"
+    assert spectrum_csv_text(flipped, ion) == spectrum_csv_text(chain, ion)
 
 
 # the JSON writer --------------------------------------------------------------------
