@@ -26,7 +26,6 @@ _NEWTON_TOL = 0.5e-13
 _RESIDUAL_TOL = 1e-12
 _MAX_NEWTON_STEPS = 200
 _SIGN_TIE_TOL = 1e-9
-_DEGENERACY_TOL = 1e-9
 
 
 class SolverError(RuntimeError):
@@ -56,22 +55,20 @@ class ChainSolution:
     mode_matrix rows are modes, columns are ions: S[j, n] is the
     participation of ion n+1 in mode j+1. Rows are sign-fixed so the
     entry of largest magnitude is positive, ties (magnitudes equal to a
-    relative 1e-9) broken toward the lowest ion index. In a harmonic trap
-    every row is tied, so the rule, not the eigensolver, fixes the signs.
+    relative 1e-9) broken toward the lowest ion index. Every row is exactly
+    even or odd about the centre, hence tied: the rule fixes the signs.
     Quantities that are odd under eigenvector sign flips (downstream, the
     epsilon matrix and the exact drive phases) inherit this convention.
     """
 
     length_scale: float                 # zeta, m
-    positions: np.ndarray               # u, dimensionless, ascending, mean zero
-    dynamical_matrix: np.ndarray        # A, dimensionless, symmetric
+    positions: np.ndarray               # u, dimensionless, ascending, u[::-1] == -u exactly
     mode_eigenvalues: np.ndarray        # lambda^2, ascending
     mode_matrix: np.ndarray             # S, orthogonal, rows = modes
     mode_frequencies: np.ndarray        # nu_j = nu1 * lambda_j, rad/s
     ground_state_extents: np.ndarray    # dz_j = sqrt(hbar / 2 m nu_j), m
     mass: float                         # kg
     nu1: float                          # rad/s
-    warnings: tuple[str, ...] = ()
 
     SIGN_CONVENTION = "largest-magnitude mode entry positive, ties to lowest ion index"
 
@@ -101,7 +98,6 @@ class ChainSolution:
             "axial_frequency_hz": self.nu1 / (2.0 * math.pi),
             "mass_kg": self.mass,
             "sign_convention": self.SIGN_CONVENTION,
-            "warnings": list(self.warnings),
         }
 
 
@@ -159,7 +155,7 @@ def _initial_guess(n: int) -> np.ndarray:
 
 
 def solve_equilibrium(n: int) -> np.ndarray:
-    """Equilibrium positions of n ions, dimensionless, ascending, mean zero.
+    """Equilibrium positions of n ions, dimensionless, ascending, antisymmetric.
 
     Damped Newton iteration on the stationarity system; the Jacobian is the
     dynamical matrix, which is strictly diagonally dominant and hence
@@ -167,8 +163,9 @@ def solve_equilibrium(n: int) -> np.ndarray:
     to 40 times until the max-norm residual drops. The iteration stops at
     _NEWTON_TOL or on stagnation, when no backtracked step lowers the
     residual (its float64 floor is ~1e-13 for n >= 41); _MAX_NEWTON_STEPS
-    is only a guard. If the centred result misses _RESIDUAL_TOL,
-    NoConvergenceError names the steps taken and the stop reason.
+    is only a guard. The result is antisymmetrised as 0.5 (u - u[::-1]), so
+    u[::-1] == -u bitwise and an odd chain's centre is +0.0. If it misses
+    _RESIDUAL_TOL, NoConvergenceError names the steps and the stop reason.
     """
     if not 1 <= n <= MAX_IONS:
         raise ValueError(f"ion count must be in [1, {MAX_IONS}], got {n}")
@@ -200,7 +197,7 @@ def solve_equilibrium(n: int) -> np.ndarray:
             break
         steps += 1
 
-    u = u - u.mean()
+    u = 0.5 * (u - u[::-1])
     res_norm = float(np.max(np.abs(stationarity_residual(u))))
     if res_norm > _RESIDUAL_TOL:
         raise NoConvergenceError(steps, reason, res_norm)
@@ -208,56 +205,47 @@ def solve_equilibrium(n: int) -> np.ndarray:
 
 
 def normal_modes(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and sign-fixed mode matrix of a symmetric matrix.
+    """Eigenvalues (ascending) and sign-fixed, parity-exact mode matrix.
 
-    LAPACK symmetric eigensolver (np.linalg.eigh). Returns (lambda^2
-    vector, S) with rows of S the eigenvectors. Each row is signed so that
-    its pivot is positive: the lowest-index entry whose magnitude is
-    within a relative _SIGN_TIE_TOL of the row maximum. Every mode of a
-    chain in a harmonic trap is symmetric or antisymmetric, so every row
-    has such a tie and the pivot must not be left to rounding.
+    A must be symmetric and mirror-symmetric to a relative 1e-12, as a
+    chain's dynamical matrix is. Rows of S are np.linalg.eigh's eigenvectors,
+    each signed so that its pivot, the lowest-index entry within a relative
+    _SIGN_TIE_TOL of its largest magnitude, is positive (mirror pairs, the
+    centre-of-mass row and N = 4 mode 3 are exact ties), then projected onto
+    its parity p = sign(row . row[::-1]) as 0.5 (row + p row[::-1]): |S| is
+    exactly mirrored and odd modes have a +0.0 centre entry.
     """
     a = np.array(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("dynamical matrix must be square")
     if not np.allclose(a, a.T, atol=1e-12, rtol=0.0):
         raise ValueError("dynamical matrix must be symmetric")
+    if not np.allclose(a, a[::-1, ::-1], atol=1e-12, rtol=1e-12):
+        raise ValueError("dynamical matrix must be mirror-symmetric")
     eigenvalues, vectors = np.linalg.eigh(a)
     s = vectors.T.copy()
     magnitude = np.abs(s)
     tied = magnitude >= (1.0 - _SIGN_TIE_TOL) * magnitude.max(axis=1, keepdims=True)
     pivots = s[np.arange(len(s)), np.argmax(tied, axis=1)]
     s[pivots < 0.0] *= -1.0
-    return eigenvalues, s
+    parity = np.sign(np.sum(s * s[:, ::-1], axis=1, keepdims=True))
+    return eigenvalues, 0.5 * (s + parity * s[:, ::-1])
 
 
 def solve_chain(config: TrapConfig) -> ChainSolution:
     """Full chain pipeline: equilibrium, dynamical matrix, normal modes."""
     u = solve_equilibrium(config.ion_count)
-    a = dynamical_matrix(u)
-    eigenvalues, s = normal_modes(a)
-
-    warnings = []
-    gaps = np.diff(eigenvalues)
-    for j, gap in enumerate(gaps):
-        if abs(gap) < _DEGENERACY_TOL:
-            warnings.append(
-                f"modes {j + 1} and {j + 2} nearly degenerate "
-                f"(lambda^2 gap {gap:.3e}); ordering kept from diagonalization"
-            )
-
+    eigenvalues, s = normal_modes(dynamical_matrix(u))
     zeta = length_scale(config)
     nu = config.nu1 * np.sqrt(eigenvalues)
     extents = np.sqrt(CONSTANTS.hbar / (2.0 * config.mass * nu))
     return ChainSolution(
         length_scale=zeta,
         positions=u,
-        dynamical_matrix=a,
         mode_eigenvalues=eigenvalues,
         mode_matrix=s,
         mode_frequencies=nu,
         ground_state_extents=extents,
         mass=config.mass,
         nu1=config.nu1,
-        warnings=tuple(warnings),
     )

@@ -166,8 +166,6 @@ def cmd_chain(args) -> int:
     print("\nmode   frequency (kHz)")
     for j, nu in enumerate(solution.mode_frequencies, start=1):
         print(f"{j:4d}   {nu / (2 * math.pi) / 1e3:12.6f}")
-    for note in solution.warnings:
-        print(f"warning: {note}", file=sys.stderr)
     return EXIT_OK
 
 

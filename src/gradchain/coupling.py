@@ -161,7 +161,10 @@ def effective_lamb_dicke(chain: ChainSolution, eta_bare: np.ndarray, eps: np.nda
 
 
 def exact_phases(chain: ChainSolution, eta_bare: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """Per-(mode, ion) drive phase pi/2 - atan2(eta_n S[n, j], eps[n, j])."""
+    """Per-(mode, ion) drive phase pi/2 - atan2(eta_n S[n, j], eps[n, j]).
+
+    Exactly pi/2 where S = eps = +0.0, and -pi/2 where S = +0.0, eps = -0.0.
+    """
     return 0.5 * math.pi - np.arctan2(eta_bare[:, None] * chain.mode_matrix, eps)
 
 

@@ -86,6 +86,25 @@ def carrier_shift_oracle(config: TrapConfig, chain: ChainSolution, fock_levels: 
     return np.array(centres)
 
 
+def equilibrium_oracle(n: int, digits: int = 50) -> list:
+    """Equilibrium positions of n ions in chain units, as mpf values at `digits` digits.
+
+    mpmath.findroot (multidimensional Newton, finite-difference Jacobian)
+    on the force balance u_m = sum_{p != m} sign(u_m - u_p) / (u_m - u_p)^2,
+    the gradient of the trap + Coulomb energy, started from evenly spaced
+    ions with unit spacing; nothing of gradchain.chain's Newton is used.
+    About 0.2 s at n = 10 and 20 s at n = 50, so the tests keep n <= 10.
+    """
+    with mpmath.workdps(digits):
+        def force_balance(*u):
+            return [u[m] - sum(mpmath.sign(u[m] - u[p]) / (u[m] - u[p]) ** 2 for p in range(n) if p != m)
+                    for m in range(n)]
+
+        start = [mpmath.mpf(2 * m - n + 1) / 2 for m in range(n)]
+        root = mpmath.findroot(force_balance, start) if n > 1 else mpmath.matrix([0])
+        return sorted(root[m] for m in range(n))
+
+
 # dense-matrix verification path -------------------------------------------
 
 _SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)  # sigma_z|1> = +|1>

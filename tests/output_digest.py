@@ -20,9 +20,11 @@ linear sweep of the carrier shift `delta_shift[1]` over
 cnot, ramsey and echo with CLI defaults, with `--seed 5 --shots 3000`
 and with `--shots 0`, and echo with --emit-plot-data; `simulate` on trap_n10 of FRAME_PROGRAM, whose
 logged <sx> and <sy> after detuned, phased pulses depend on the frame the
-simulator evolves in; and two generated 16-ion, 80-op, 20000-shot
-programs (perfbench's `register_program`, seeds 31 and 32). This script
-is not a test module and pytest does not collect it.
+simulator evolves in; two generated 16-ion, 80-op, 20000-shot programs
+(perfbench's `register_program`, seeds 31 and 32); and `chain` and
+`couplings` on a generated 49-ion uniform-gradient config, whose odd
+modes have exact zeros at the centre ion (no shipped config has odd N).
+This script is not a test module and pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ CONFIGS = ("trap.json", "trap_n10.json", "trap_quadratic.json")
 PROGRAMS = ("cnot.pp", "ramsey.pp", "echo.pp")
 REGISTER_SEEDS = (31, 32)
 REGISTER_N = 16
+ODD_N = 49
 FRAME_PROGRAM = """ions 10
 pulse ion=3 rabi=2kHz detune=150Hz phase=0.7rad area=0.5pi
 delay 3ms
@@ -110,6 +113,10 @@ def _commands(work: Path) -> list[tuple[str, list[str]]]:
     (work / "frame.pp").write_text(FRAME_PROGRAM, encoding="utf-8")
     commands.append(("frame_n10", ["simulate", "--config", "trap_n10.json", "--program", "frame.pp",
                                    "--out", "{out}/run.json"]))
+    odd = {"species": "Yb171", "N": ODD_N, "nu1": "100kHz", "field": {"uniform": {"B0": "0T", "b": "20T/m"}}}
+    (work / f"n{ODD_N}.json").write_text(json.dumps(odd), encoding="utf-8")
+    commands += [(f"n{ODD_N}_chain", ["chain", "--config", f"n{ODD_N}.json", "--out", "{out}/chain.json"]),
+                 (f"n{ODD_N}_couplings", ["couplings", "--config", f"n{ODD_N}.json", "--out-dir", "{out}"])]
     return commands + _register_inputs(work)
 
 

@@ -16,6 +16,7 @@ from gradchain.chain import (
     stationarity_residual,
 )
 from gradchain.config import validate_config
+from oracles import equilibrium_oracle
 
 
 def dimensionless_potential(u):
@@ -41,9 +42,17 @@ def sign_fixed(rows):
     return np.array([row if row[pivot_index(row)] > 0 else -row for row in rows])
 
 
-def mpmath_modes(a, digits=50):
+def mpmath_modes(n, digits=50):
+    """Modes of the 50-digit dynamical matrix at the 50-digit equilibrium."""
     with mpmath.workdps(digits):
-        eigenvalues, vectors = mpmath.eigsy(mpmath.matrix(a.tolist()))
+        u = equilibrium_oracle(n, digits)
+        a = mpmath.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    a[i, j] = -2 / abs(u[i] - u[j]) ** 3
+            a[i, i] = 1 - sum(a[i, j] for j in range(n) if j != i)
+        eigenvalues, vectors = mpmath.eigsy(a)
         lam2 = np.array([float(x) for x in eigenvalues])
         rows = np.array(vectors.T.tolist(), dtype=float)
     order = np.argsort(lam2)
@@ -96,12 +105,22 @@ def test_three_ions_analytic():
     assert abs(u[2] - expected) < 1e-10
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 20, 35, 50])
+@pytest.mark.parametrize("n", range(1, 51))
 def test_equilibrium_residual_sorted_centered(n):
     u = solve_equilibrium(n)
     assert np.max(np.abs(stationarity_residual(u))) < 1e-12
     assert np.all(np.diff(u) > 0)
-    assert abs(np.sum(u)) < 1e-10
+    assert np.array_equal(u[::-1], -u)
+    assert np.count_nonzero(u == 0.0) == n % 2
+    assert not np.any(np.signbit(u[u == 0.0]))  # an odd chain's centre is +0.0
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_equilibrium_matches_50_digit_root(n):
+    # Newton stops once the residual is below 0.5e-13, which leaves N = 6
+    # at 3.6e-15 (8 ulp) from the root; the other N <= 10 are within 2.3e-16
+    expected = np.array([float(x) for x in equilibrium_oracle(n)])
+    assert np.max(np.abs(solve_equilibrium(n) - expected)) < 5e-15
 
 
 @pytest.mark.parametrize("n", [41, 43, 45, 47, 49, 50])
@@ -263,8 +282,9 @@ def test_modes_match_dense_diagonalization(n):
     assert np.max(np.abs(s @ a @ s.T - np.diag(lam2))) < 1e-10
     assert np.max(np.abs(s @ s.T - np.eye(n))) < 1e-12
     if n <= 10:
-        # independent oracle: 50-digit Jacobi diagonalization of the same A
-        lam2_mp, s_mp = mpmath_modes(a)
+        # independent oracle: 50-digit Jacobi diagonalization of the A
+        # built at 50 digits from the 50-digit equilibrium
+        lam2_mp, s_mp = mpmath_modes(n)
         assert np.allclose(lam2, lam2_mp, rtol=1e-13, atol=0)
         assert np.max(np.abs(s - s_mp)) < 1e-12
 
@@ -274,9 +294,42 @@ def test_mode_sign_convention():
     # row has |S[j, n]| = |S[j, N+1-n]|: the tie rule decides every sign
     for n in range(2, 51):
         _, s = normal_modes(chain_matrix(n))
-        assert np.allclose(np.abs(s), np.abs(s[:, ::-1]), atol=1e-12), n
+        assert np.array_equal(np.abs(s), np.abs(s[:, ::-1])), n
         for row in s:
             assert row[pivot_index(row)] > 0, n
+
+
+@pytest.mark.parametrize("driver", ["numpy", "evr"])
+def test_modes_exact_parity(driver, monkeypatch):
+    # every row is exactly even or odd, and an odd row's centre entry is +0.0,
+    # whichever LAPACK driver produced the eigenvectors
+    if driver == "evr":
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: scipy.linalg.eigh(a, driver="evr"))
+    for n in range(1, 51):
+        _, s = normal_modes(chain_matrix(n))
+        for row in s:
+            odd = np.array_equal(row[::-1], -row)
+            assert odd or np.array_equal(row[::-1], row), n
+            if odd and n % 2:
+                centre = row[n // 2]
+                assert centre == 0.0 and not np.signbit(centre), n
+
+
+def test_four_ion_third_mode_is_an_exact_tie():
+    # S[2] = (1/2, -1/2, -1/2, 1/2) exactly (50-digit eigsy agrees): all four
+    # magnitudes tie, so only _SIGN_TIE_TOL keeps rounding from picking the sign
+    _, s = normal_modes(chain_matrix(4))
+    assert np.max(np.abs(s[2] - [0.5, -0.5, -0.5, 0.5])) < 1e-15
+    _, s_mp = mpmath_modes(4)
+    assert np.max(np.abs(s_mp[2] - [0.5, -0.5, -0.5, 0.5])) < 1e-15
+
+
+def test_smallest_mode_gap():
+    # chain geometry depends on N alone, so this bound over N = 2..50 is why
+    # no run needs a near-degeneracy check
+    for n in range(2, 51):
+        lam2, _ = normal_modes(chain_matrix(n))
+        assert np.min(np.diff(lam2)) >= 1.99, n
 
 
 def test_mode_signs_survive_symmetric_perturbation():
@@ -304,6 +357,11 @@ def test_normal_modes_rejects_asymmetric():
         normal_modes(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+def test_normal_modes_rejects_mirror_asymmetric():
+    with pytest.raises(ValueError, match="mirror-symmetric"):
+        normal_modes(np.array([[1.0, 0.5], [0.5, 2.0]]))
+
+
 # derived per-mode quantities ----------------------------------------------
 
 def test_mode_frequencies_and_extents(chain2, config2):
@@ -329,3 +387,6 @@ def test_chain_json_dict(chain10):
     assert doc["mode_frequencies_hz"][0] == pytest.approx(1e5, rel=1e-12)
     assert doc["mode_frequencies_hz"][1] == pytest.approx(1e5 * np.sqrt(3), rel=1e-12)
     assert len(doc["mode_matrix"]) == 10
+    assert sorted(doc) == ["axial_frequency_hz", "ground_state_extents_m", "ion_count", "length_scale_m", "mass_kg",
+                           "mode_eigenvalues", "mode_frequencies_hz", "mode_matrix", "positions_dimensionless",
+                           "positions_m", "sign_convention"]

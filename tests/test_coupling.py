@@ -280,6 +280,19 @@ def test_exact_phases_near_pi_half(config2, chain2):
     assert np.all(np.sign(wrapped) == np.sign(eps))
 
 
+
+@pytest.mark.parametrize("n", [5, 49])
+@pytest.mark.parametrize("b, expected", [("20T/m", 0.5 * np.pi), ("-20T/m", -0.5 * np.pi)])
+def test_exact_phases_at_centre_zeros(n, b, expected):
+    # an odd mode's centre entry is +0.0, so S = eps = 0 there and the phase
+    # is pi/2 - atan2(+0, +-0): exactly +pi/2 for b > 0 and -pi/2 for b < 0
+    cfg, chain = make(n=n, b=b)
+    report = build_report(cfg, chain)
+    zeros = chain.mode_matrix == 0.0
+    assert np.count_nonzero(zeros) == n // 2
+    assert np.all(report.epsilon_matrix[zeros] == 0.0)
+    assert np.all(report.phases_exact[zeros] == expected)
+
 # sideband spectrum ----------------------------------------------------------------
 
 def test_spectrum_two_ions(config2, chain2, report2):
