@@ -21,7 +21,7 @@ from .coupling import (
     sideband_spectrum,
     validity_epsilon,
 )
-from .pulse import PulseProgram, RunRecord, interpret, parse, pretty_print
+from .pulse import PulseProgram, RunRecord, interpret, parse
 from .spins import (
     PulseSpec,
     SpinHamiltonian,
@@ -64,7 +64,6 @@ __all__ = [
     "omega_gradients",
     "parse",
     "parse_quantity",
-    "pretty_print",
     "qubit_frequencies",
     "sideband_spectrum",
     "solve_chain",

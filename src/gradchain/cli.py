@@ -27,7 +27,7 @@ import numpy as np
 from . import chain as chain_mod
 from . import coupling as coupling_mod
 from . import pulse as pulse_mod
-from .config import ConfigError, OutOfProfileRangeError, TrapConfig, load_config, read_document, validate_config
+from .config import TrapConfig, load_config, read_document, validate_config
 from .constants import UnknownSpeciesError
 from .units import QuantityError, parse_quantity
 
@@ -36,7 +36,7 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 EXIT_PROGRAM = 4
 
-_INPUT_ERRORS = (ConfigError, UnknownSpeciesError, QuantityError, OutOfProfileRangeError, OSError, ValueError)
+_INPUT_ERRORS = (UnknownSpeciesError, OSError, ValueError)
 
 
 def _fmt(x: float) -> str:
@@ -103,11 +103,6 @@ def _array_pieces(a: np.ndarray, pad: str) -> Iterator[str]:
         yield separator + "".join(parts)
         separator = row_separator
     yield f"\n{pad}  ]\n{pad}]"
-
-
-def _json_text(node) -> str:
-    """json.dumps(node, indent=2, sort_keys=True), ndarrays as their tolist()."""
-    return "".join(_json_pieces(node))
 
 
 def _write_json(path: Path, doc: dict, with_timestamp: bool) -> None:

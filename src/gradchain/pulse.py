@@ -9,9 +9,10 @@ Grammar (one instruction per line, `#` starts a comment):
     log <sx|sy|sz> <i,...|all>
 
 Quantities take the unit suffixes of gradchain.units; bare numbers are SI
-(Hz, s, rad). Pulse areas must carry the `pi` suffix. `detune` is relative
-to the target ion's carrier, so detune=0 drives the carrier resonantly;
-which neighbor states are resonant is then set purely by the J couplings.
+(Hz, s, rad). Pulse areas must carry the `pi` suffix; areas, durations and
+delays must be >= 0. `detune` is relative to the target ion's carrier, so
+detune=0 drives the carrier resonantly; which neighbor states are resonant
+is then set purely by the J couplings.
 Drive phases are synthesizer-referenced: a tone restarted later in the
 sequence stays phase coherent with itself. The interpreter evolves in that
 synthesizer frame (FRAME), so carrier frequencies and shifts never enter.
@@ -46,12 +47,11 @@ FRAME = ("synthesizer frame: each qubit's phase is counted against its own carri
 
 @dataclass(frozen=True)
 class SourceSpan:
-    line: int       # 1-based
-    col_start: int  # 1-based, inclusive
-    col_end: int    # exclusive
+    line: int  # 1-based
+    col: int   # 1-based
 
     def __str__(self):
-        return f"{self.line}:{self.col_start}"
+        return f"{self.line}:{self.col}"
 
 
 class PulseProgramError(ValueError):
@@ -85,7 +85,7 @@ class ConflictingFieldsError(PulseProgramError):
 
 class EmptyProgramError(PulseProgramError):
     def __init__(self):
-        super().__init__("program is empty", SourceSpan(1, 1, 1))
+        super().__init__("program is empty", SourceSpan(1, 1))
 
 
 class ProgramRuntimeError(RuntimeError):
@@ -102,8 +102,7 @@ class Pulse:
     rabi_hz: float
     detune_hz: float
     phase_rad: float
-    area_pi: float | None
-    duration_s: float | None
+    duration_s: float  # an area pulse's is its area over 2 pi rabi
     span: SourceSpan
 
 
@@ -133,7 +132,6 @@ Instruction = Pulse | Delay | MeasureZ | ExpectationLog
 class PulseProgram:
     n_ions: int
     instructions: tuple[Instruction, ...]
-    comment: str = ""
 
 
 _TOKEN_RE = re.compile(r"\S+")
@@ -183,10 +181,9 @@ def _parse_ion_set(
     tokens: list[tuple[str, int]], line_no: int, n_ions: int
 ) -> tuple[int, ...] | None:
     if not tokens:
-        raise MissingFieldError("expected an ion list or 'all'", SourceSpan(line_no, 1, 1))
+        raise MissingFieldError("expected an ion list or 'all'", SourceSpan(line_no, 1))
     joined = "".join(tok for tok, _ in tokens)
-    first_col = tokens[0][1]
-    span = SourceSpan(line_no, first_col, tokens[-1][1] + len(tokens[-1][0]))
+    span = SourceSpan(line_no, tokens[0][1])
     if joined == "all":
         return None
     ions = []
@@ -200,15 +197,14 @@ def _parse_ion_set(
     return tuple(ions)
 
 
-def _parse_pulse(tokens: list[tuple[str, int]], line_no: int, n_ions: int) -> Pulse:
-    kw_col = tokens[0][1]
+def _parse_pulse(tokens: list[tuple[str, int]], span: SourceSpan, n_ions: int) -> Pulse:
     fields: dict[str, tuple[str, SourceSpan]] = {}
     for tok, col in tokens[1:]:
+        key_span = SourceSpan(span.line, col)
         if "=" not in tok:
-            raise ProgramSyntaxError(f"expected key=value, got {tok!r}", SourceSpan(line_no, col, col + len(tok)))
+            raise ProgramSyntaxError(f"expected key=value, got {tok!r}", key_span)
         key, _, value = tok.partition("=")
-        key_span = SourceSpan(line_no, col, col + len(key))
-        value_span = SourceSpan(line_no, col + len(key) + 1, col + len(tok))
+        value_span = SourceSpan(span.line, col + len(key) + 1)
         if key not in _PULSE_KEYS:
             raise UnknownKeywordError(f"unknown pulse field {key!r}", key_span)
         if key in fields:
@@ -217,12 +213,11 @@ def _parse_pulse(tokens: list[tuple[str, int]], line_no: int, n_ions: int) -> Pu
             raise ConflictingFieldsError("pulse takes either area or dur, not both", key_span)
         fields[key] = (value, value_span)
 
-    end_span = SourceSpan(line_no, kw_col, kw_col + len("pulse"))
     for key in _REQUIRED_PULSE_KEYS:
         if key not in fields:
-            raise MissingFieldError(f"pulse is missing required field {key!r}", end_span)
+            raise MissingFieldError(f"pulse is missing required field {key!r}", span)
     if "area" not in fields and "dur" not in fields:
-        raise MissingFieldError("pulse needs either area or dur", end_span)
+        raise MissingFieldError("pulse needs either area or dur", span)
 
     ion_text, ion_span = fields["ion"]
     ion = _parse_int(ion_text, ion_span, "ion index")
@@ -235,41 +230,34 @@ def _parse_pulse(tokens: list[tuple[str, int]], line_no: int, n_ions: int) -> Pu
     detune = _parse_value(fields["detune"][0], FREQUENCY, fields["detune"][1])
     phase = _parse_value(fields["phase"][0], ANGLE, fields["phase"][1])
 
-    area_pi = None
-    duration = None
     if "area" in fields:
         area_text, area_span = fields["area"]
         if not area_text.endswith("pi"):
             raise ProgramSyntaxError("pulse areas take only the 'pi' suffix", area_span)
-        area_pi = _parse_value(area_text, ANGLE, area_span) / math.pi
+        area = _parse_value(area_text, ANGLE, area_span) / math.pi  # in units of pi; the duration rounds from it
+        if area < 0:
+            raise ProgramSyntaxError("area must be non-negative", area_span)
         if rabi == 0.0:
             raise ProgramSyntaxError("area-specified pulse needs rabi > 0", fields["rabi"][1])
+        duration = area * math.pi / (2.0 * math.pi * rabi)
     else:
         duration = _parse_value(fields["dur"][0], TIME, fields["dur"][1])
         if duration < 0:
             raise ProgramSyntaxError("dur must be non-negative", fields["dur"][1])
-
-    last_tok, last_col = tokens[-1]
-    span = SourceSpan(line_no, kw_col, last_col + len(last_tok))
-    return Pulse(ion, rabi, detune, phase, area_pi, duration, span)
+    return Pulse(ion, rabi, detune, phase, duration, span)
 
 
 def parse(source: str) -> PulseProgram:
     """Parse DSL text into a validated PulseProgram."""
     n_ions = None
-    header_span = None
     instructions: list[Instruction] = []
-    comment_lines: list[str] = []
 
     for line_no, line in enumerate(source.splitlines(), start=1):
-        stripped = line.strip()
-        if stripped.startswith("#"):
-            comment_lines.append(stripped.lstrip("#").strip())
         tokens = _tokens(line)
         if not tokens:
             continue
         keyword, kw_col = tokens[0]
-        kw_span = SourceSpan(line_no, kw_col, kw_col + len(keyword))
+        kw_span = SourceSpan(line_no, kw_col)
 
         if keyword == "ions":
             if n_ions is not None:
@@ -279,70 +267,42 @@ def parse(source: str) -> PulseProgram:
             if len(tokens) != 2:
                 raise ProgramSyntaxError("usage: ions <count>", kw_span)
             count_tok, count_col = tokens[1]
-            count_span = SourceSpan(line_no, count_col, count_col + len(count_tok))
+            count_span = SourceSpan(line_no, count_col)
             n_ions = _parse_int(count_tok, count_span, "ion count")
             if n_ions < 1:
                 raise ProgramSyntaxError(f"ion count must be positive, got {n_ions}", count_span)
-            header_span = kw_span
             continue
 
         if n_ions is None:
             raise MissingFieldError("program must start with an 'ions <count>' header", kw_span)
 
         if keyword == "pulse":
-            instructions.append(_parse_pulse(tokens, line_no, n_ions))
+            instructions.append(_parse_pulse(tokens, kw_span, n_ions))
         elif keyword == "delay":
             if len(tokens) != 2:
                 raise ProgramSyntaxError("usage: delay <duration>", kw_span)
             tok, col = tokens[1]
-            value_span = SourceSpan(line_no, col, col + len(tok))
+            value_span = SourceSpan(line_no, col)
             duration = _parse_value(tok, TIME, value_span)
             if duration < 0:
                 raise ProgramSyntaxError("delay must be non-negative", value_span)
-            instructions.append(Delay(duration, SourceSpan(line_no, kw_col, col + len(tok))))
+            instructions.append(Delay(duration, kw_span))
         elif keyword == "measure":
             if len(tokens) < 2 or tokens[1][0] != "z":
                 raise ProgramSyntaxError("only z-basis measurement is supported: measure z <ions|all>", kw_span)
             ions = _parse_ion_set(tokens[2:], line_no, n_ions)
-            last_tok, last_col = tokens[-1]
-            instructions.append(MeasureZ(ions, SourceSpan(line_no, kw_col, last_col + len(last_tok))))
+            instructions.append(MeasureZ(ions, kw_span))
         elif keyword == "log":
             if len(tokens) < 2 or tokens[1][0] not in ("sx", "sy", "sz"):
                 raise ProgramSyntaxError("usage: log <sx|sy|sz> <ions|all>", kw_span)
             ions = _parse_ion_set(tokens[2:], line_no, n_ions)
-            last_tok, last_col = tokens[-1]
-            instructions.append(
-                ExpectationLog(tokens[1][0], ions, SourceSpan(line_no, kw_col, last_col + len(last_tok)))
-            )
+            instructions.append(ExpectationLog(tokens[1][0], ions, kw_span))
         else:
             raise UnknownKeywordError(f"unknown keyword {keyword!r}", kw_span)
 
     if n_ions is None:
         raise EmptyProgramError()
-    return PulseProgram(n_ions, tuple(instructions), comment=" ".join(comment_lines))
-
-
-def _ion_set_text(ions: tuple[int, ...] | None) -> str:
-    return "all" if ions is None else ",".join(str(i) for i in ions)
-
-
-def pretty_print(program: PulseProgram) -> str:
-    """Canonical text form; parse(pretty_print(parse(s))) is a fixed point."""
-    lines = [f"ions {program.n_ions}"]
-    for ins in program.instructions:
-        if isinstance(ins, Pulse):
-            tail = f"area={ins.area_pi!r}pi" if ins.area_pi is not None else f"dur={ins.duration_s!r}s"
-            lines.append(
-                f"pulse ion={ins.ion} rabi={ins.rabi_hz!r}Hz detune={ins.detune_hz!r}Hz "
-                f"phase={ins.phase_rad!r}rad {tail}"
-            )
-        elif isinstance(ins, Delay):
-            lines.append(f"delay {ins.duration_s!r}s")
-        elif isinstance(ins, MeasureZ):
-            lines.append(f"measure z {_ion_set_text(ins.ions)}")
-        else:
-            lines.append(f"log {ins.observable} {_ion_set_text(ins.ions)}")
-    return "\n".join(lines) + "\n"
+    return PulseProgram(n_ions, tuple(instructions))
 
 
 @dataclass
@@ -420,11 +380,10 @@ def interpret(
             if isinstance(ins, Pulse):
                 omega_r = 2.0 * math.pi * ins.rabi_hz
                 tone = 2.0 * math.pi * ins.detune_hz
-                duration = ins.duration_s if ins.duration_s is not None else ins.area_pi * math.pi / omega_r
-                spec = PulseSpec(ins.ion, omega_r, tone, ins.phase_rad - tone * t, duration)
+                spec = PulseSpec(ins.ion, omega_r, tone, ins.phase_rad - tone * t, ins.duration_s)
                 with np.errstate(over="ignore", invalid="ignore"):  # the norm check below reports it
                     apply_pulse(state, hamiltonian, spec)
-                t += duration
+                t += ins.duration_s
             elif isinstance(ins, Delay):
                 with np.errstate(over="ignore", invalid="ignore"):
                     free_evolution(state, hamiltonian, ins.duration_s)

@@ -53,9 +53,6 @@ class SpinState:
         parts = np.ascontiguousarray(self.amplitudes, dtype=complex).view(np.float64)
         return math.sqrt(float(np.einsum("i,i->", parts, parts)))
 
-    def copy(self) -> "SpinState":
-        return SpinState(self.amplitudes.copy())
-
     def to_json_dict(self) -> dict:
         """Amplitudes as a (2^n, 2) float array of [real, imag] rows; the CLI writes it as nested lists."""
         return {

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gradchain.chain import solve_chain
+from gradchain.cli import _json_pieces
 from gradchain.config import validate_config
 from gradchain.coupling import build_report
 
@@ -16,6 +17,11 @@ C_LIGHT = 299792458.0
 TWO_PI = 2.0 * np.pi
 
 YB_MASS = 171.0 * AMU
+
+
+def json_text(node) -> str:
+    """The text the CLI's JSON writer gives `node`, without the trailing newline."""
+    return "".join(_json_pieces(node))
 
 
 def standard_raw(n=2, nu1="100kHz", b="10T/m", b0="0T"):

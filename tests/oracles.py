@@ -216,8 +216,7 @@ def lab_frame_sz_oracle(
                 q = ins.ion - 1
                 rabi = 2 * mpmath.pi * mpmath.mpf(ins.rabi_hz)
                 tone = w[q] + 2 * mpmath.pi * mpmath.mpf(ins.detune_hz)
-                tau = (mpmath.mpf(ins.duration_s) if ins.duration_s is not None
-                       else mpmath.mpf(ins.area_pi) * mpmath.pi / rabi)
+                tau = mpmath.mpf(ins.duration_s)
                 h_r = mpmath.matrix(dim, dim)
                 for b in range(dim):
                     h_r[b, b] = energy[b] - tone * s[b][q] / 2

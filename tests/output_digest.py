@@ -23,7 +23,11 @@ logged <sx> and <sy> after detuned, phased pulses depend on the frame the
 simulator evolves in; two generated 16-ion, 80-op, 20000-shot programs
 (perfbench's `register_program`, seeds 31 and 32); and `chain` and
 `couplings` on a generated 49-ion uniform-gradient config, whose odd
-modes have exact zeros at the centre ion (no shipped config has odd N).
+modes have exact zeros at the centre ion (no shipped config has odd N);
+and failing runs, whose stderr carries the exit-2 input message, the
+exit-3 `line:col` of a non-finite state, or the exit-4 `file:line:col` of
+a parse error in a pulse field, an ion list, a delay value, a missing
+field and a negative pulse area (ERROR_PROGRAMS).
 This script is not a test module and pytest does not collect it.
 """
 
@@ -53,6 +57,16 @@ log sx all
 log sy all
 measure z all
 """
+
+# failing programs on trap.json (2 ions), each run with CLI defaults
+ERROR_PROGRAMS = {
+    "pulse_field": "ions 2\npulse ion=1 rabi=1kHz detune=0 phase=0 dur=-1ms\n",
+    "ion_list": "ions 2\nmeasure z 1, 3\n",
+    "delay_value": "ions 2\ndelay 5lightyears\n",
+    "missing_field": "ions 2\n  pulse ion=1 detune=0 phase=0 area=1pi\n",
+    "negative_area": "ions 2\npulse ion=1 rabi=1kHz detune=0 phase=0 area=-1pi\n",
+    "non_finite_state": "ions 2\npulse ion=1 rabi=1kHz detune=0 phase=0 area=0.5pi\ndelay 1e308s\nlog sx all\n",
+}
 
 
 def _sha(data: bytes) -> str:
@@ -117,6 +131,14 @@ def _commands(work: Path) -> list[tuple[str, list[str]]]:
     (work / f"n{ODD_N}.json").write_text(json.dumps(odd), encoding="utf-8")
     commands += [(f"n{ODD_N}_chain", ["chain", "--config", f"n{ODD_N}.json", "--out", "{out}/chain.json"]),
                  (f"n{ODD_N}_couplings", ["couplings", "--config", f"n{ODD_N}.json", "--out-dir", "{out}"])]
+    for name, source in ERROR_PROGRAMS.items():
+        (work / f"{name}.pp").write_text(source, encoding="utf-8")
+        commands.append((f"error_{name}", ["simulate", "--config", "trap.json", "--program", f"{name}.pp",
+                                           "--out", "{out}/run.json"]))
+    commands += [("error_shots", ["simulate", "--config", "trap.json", "--program", "cnot.pp", "--shots", "-5",
+                                  "--out", "{out}/run.json"]),
+                 ("error_spectrum_ion", ["spectrum", "--config", "trap.json", "--ion", "3",
+                                         "--out", "{out}/spectrum.csv"])]
     return commands + _register_inputs(work)
 
 

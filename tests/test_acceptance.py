@@ -161,7 +161,7 @@ def test_criterion_08_dynamics_oracle():
 
         if case % 3 == 0:
             t = float(rng.uniform(0, 2e-3))
-            fast = state.copy()
+            fast = SpinState(state.amplitudes.copy())
             free_evolution(fast, h, t)
             dense = evolve_oracle(state, h, [], t)
         else:
@@ -172,7 +172,7 @@ def test_criterion_08_dynamics_oracle():
                 float(rng.uniform(0, TWO_PI)),
                 float(rng.uniform(0, 1e-3)),
             )
-            fast = state.copy()
+            fast = SpinState(state.amplitudes.copy())
             apply_pulse(fast, h, pulse)
             dense = evolve_oracle(state, h, [pulse], pulse.duration)
         deficit = 1.0 - abs(np.vdot(fast.amplitudes, dense.amplitudes))

@@ -7,9 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import HBAR, MU_B, TWO_PI, YB_MASS, standard_raw
+from conftest import HBAR, MU_B, TWO_PI, YB_MASS, json_text, standard_raw
 from gradchain.chain import solve_chain
-from gradchain.cli import _fmt, _json_text, _sweep_values, _write_json, main
+from gradchain.cli import _fmt, _sweep_values, _write_json, main
 from gradchain.config import validate_config
 from gradchain.coupling import build_report
 from gradchain.pulse import interpret, parse
@@ -232,6 +232,16 @@ def test_simulate_negative_shots_exit2(trap2, tmp_path, capsys, source):
     assert captured.out == ""
     assert captured.err == "error: --shots must be >= 0, got -5\n"
     assert not out_dir.exists()
+
+
+def test_simulate_negative_area_exit4(trap2, tmp_path, capsys):
+    program = tmp_path / "negative.pp"
+    program.write_text("ions 2\npulse ion=1 rabi=1kHz detune=0 phase=0 area=-1pi\n", encoding="utf-8")
+    out = tmp_path / "run.json"
+    code = main(["simulate", "--config", trap2, "--program", str(program), "--out", str(out), "--no-timestamp"])
+    assert code == 4
+    assert capsys.readouterr().err == f"error: {program}:2:45: area must be non-negative\n"
+    assert not out.exists()
 
 
 def test_non_finite_quantity_exit_codes(tmp_path, capsys):
@@ -643,7 +653,7 @@ def test_write_json_peak_memory_below_file_size(register_doc, tmp_path):
 def test_json_text_array_blocks(rows, cols):
     a = np.random.default_rng(rows).normal(size=(rows, cols))
     doc = {"a": a, "nested": [{"b": a[:3]}]}
-    assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True, default=np.ndarray.tolist)
+    assert json_text(doc) == json.dumps(doc, indent=2, sort_keys=True, default=np.ndarray.tolist)
 
 
 @pytest.mark.parametrize("existing", [False, True])

@@ -17,13 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import json_text
 from gradchain import chain as chain_mod
 from gradchain.chain import solve_chain
-from gradchain.cli import _json_text, main
+from gradchain.cli import main
 from gradchain.config import ConfigError, OutOfProfileRangeError, load_config, validate_config
 from gradchain.constants import UnknownSpeciesError
 from gradchain.coupling import build_report
-from gradchain.pulse import PulseProgramError, interpret, parse, pretty_print
+from gradchain.pulse import PulseProgramError, SourceSpan, interpret, parse
 from gradchain.units import QuantityError
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -121,11 +122,12 @@ valid_instructions = st.one_of(
 
 
 @PROPERTY
-@given(st.lists(valid_instructions, max_size=8))
-def test_pretty_print_is_a_fixed_point(lines):
-    program = parse("\n".join(["ions 3", *lines]))
-    text = pretty_print(program)
-    assert pretty_print(parse(text)) == text
+@given(st.lists(st.tuples(st.integers(0, 6), valid_instructions), max_size=8))
+def test_each_line_gives_one_instruction_spanned_at_its_keyword(lines):
+    program = parse("\n".join(["ions 3", *(" " * pad + line for pad, line in lines)]))
+    assert [ins.span for ins in program.instructions] == [
+        SourceSpan(line_no, pad + 1) for line_no, (pad, _) in enumerate(lines, start=2)
+    ]
 
 
 # the CLI on generated configs ------------------------------------------------------
@@ -201,7 +203,7 @@ measure z all
 def run_json_text(config, chain) -> str:
     """The run.json text (as written under --no-timestamp) of N10_PROGRAM on this chain."""
     record = interpret(N10_PROGRAM, build_report(config, chain).j_matrix, "0101100000", seed=7, shots=500)
-    return _json_text(record.to_json_dict(include_timing=False))
+    return json_text(record.to_json_dict(include_timing=False))
 
 
 @pytest.fixture(scope="module")
@@ -261,4 +263,4 @@ documents = st.recursive(
 @PROPERTY
 @given(documents)
 def test_json_text_matches_json_dumps(doc):
-    assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True, default=np.ndarray.tolist)
+    assert json_text(doc) == json.dumps(doc, indent=2, sort_keys=True, default=np.ndarray.tolist)

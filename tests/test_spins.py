@@ -164,10 +164,10 @@ def test_free_evolution_composes():
     rng = np.random.default_rng(2)
     h = random_hamiltonian(rng, 3)
     state = random_state(rng, 3)
-    split = state.copy()
+    split = SpinState(state.amplitudes.copy())
     free_evolution(split, h, 1.25e-4)
     free_evolution(split, h, 0.75e-4)
-    joint = state.copy()
+    joint = SpinState(state.amplitudes.copy())
     free_evolution(joint, h, 2.0e-4)
     assert np.allclose(split.amplitudes, joint.amplitudes, atol=1e-12)
 
@@ -249,7 +249,7 @@ def test_hard_pulse_matches_strong_finite_pulse():
     rng = np.random.default_rng(7)
     h = random_hamiltonian(rng, 2, omega_scale=10.0, j_scale=1.0)
     state_hard = random_state(rng, 2)
-    state_finite = state_hard.copy()
+    state_finite = SpinState(state_hard.amplitudes.copy())
     apply_hard_pulse(state_hard, 1, np.pi / 2, 0.4)
     # strong fast pulse approaches the hard-pulse limit
     rabi = TWO_PI * 1e9
@@ -370,7 +370,7 @@ def test_oracle_matches_free_evolution():
         h = random_hamiltonian(rng, n)
         state = random_state(rng, n)
         t = rng.uniform(0, 2e-3)
-        fast = state.copy()
+        fast = SpinState(state.amplitudes.copy())
         free_evolution(fast, h, t)
         dense = evolve_oracle(state, h, [], t)
         assert fidelity(fast, dense) > 1 - 1e-10
@@ -388,7 +388,7 @@ def test_oracle_matches_apply_pulse_n3():
             rng.uniform(0, TWO_PI),
             rng.uniform(0, 1e-3),
         )
-        fast = state.copy()
+        fast = SpinState(state.amplitudes.copy())
         apply_pulse(fast, h, pulse)
         dense = evolve_oracle(state, h, [pulse], pulse.duration)
         assert fidelity(fast, dense) > 1 - 1e-10
@@ -430,13 +430,13 @@ def test_spin_echo_refocuses_detuning():
         tau = rng.uniform(1e-4, 5e-3)
         start = random_state(rng, 2)
 
-        echoed = start.copy()
+        echoed = SpinState(start.amplitudes.copy())
         free_evolution(echoed, h, tau)
         apply_hard_pulse(echoed, 1, np.pi, 0.0)
         apply_hard_pulse(echoed, 2, np.pi, 0.0)
         free_evolution(echoed, h, tau)
 
-        reference = start.copy()
+        reference = SpinState(start.amplitudes.copy())
         apply_hard_pulse(reference, 1, np.pi, 0.0)
         apply_hard_pulse(reference, 2, np.pi, 0.0)
         free_evolution(reference, j_only, 2 * tau)
@@ -486,7 +486,7 @@ def test_frame_consistency_global_shift():
     plain, total = run(h, drive)
     shifted, _ = run(shifted_h, drive + kappa)
 
-    corrected = shifted.copy()
+    corrected = SpinState(shifted.amplitudes.copy())
     # total-sz eigenvalue per basis state: (# ones) - (# zeros)
     total_z = np.array([2 * bin(b).count("1") - 2 for b in range(4)], dtype=float)
     corrected.amplitudes *= np.exp(0.5j * kappa * total * total_z)
