@@ -180,14 +180,19 @@ def _parse_int(text: str, span: SourceSpan, what: str) -> int:
 def _parse_ion_set(
     tokens: list[tuple[str, int]], line_no: int, n_ions: int
 ) -> tuple[int, ...] | None:
-    if not tokens:
-        raise MissingFieldError("expected an ion list or 'all'", SourceSpan(line_no, 1))
-    joined = "".join(tok for tok, _ in tokens)
-    span = SourceSpan(line_no, tokens[0][1])
+    """The ion list of a measure or log line, tokens[2:] of it; None for 'all'."""
+    if len(tokens) < 3:
+        last, col = tokens[-1]
+        raise MissingFieldError("expected an ion list or 'all'", SourceSpan(line_no, col + len(last)))
+    chars = [(ch, col + i) for tok, col in tokens[2:] for i, ch in enumerate(tok)]
+    joined = "".join(ch for ch, _ in chars)
     if joined == "all":
         return None
     ions = []
+    start = 0  # index of an entry's first character in `joined`; an empty last entry is past the end
     for part in joined.split(","):
+        span = SourceSpan(line_no, chars[start][1] if start < len(chars) else chars[-1][1] + 1)
+        start += len(part) + 1
         ion = _parse_int(part, span, "ion index")
         if not 1 <= ion <= n_ions:
             raise ProgramSyntaxError(f"ion index {ion} out of range [1, {n_ions}]", span)
@@ -290,12 +295,12 @@ def parse(source: str) -> PulseProgram:
         elif keyword == "measure":
             if len(tokens) < 2 or tokens[1][0] != "z":
                 raise ProgramSyntaxError("only z-basis measurement is supported: measure z <ions|all>", kw_span)
-            ions = _parse_ion_set(tokens[2:], line_no, n_ions)
+            ions = _parse_ion_set(tokens, line_no, n_ions)
             instructions.append(MeasureZ(ions, kw_span))
         elif keyword == "log":
             if len(tokens) < 2 or tokens[1][0] not in ("sx", "sy", "sz"):
                 raise ProgramSyntaxError("usage: log <sx|sy|sz> <ions|all>", kw_span)
-            ions = _parse_ion_set(tokens[2:], line_no, n_ions)
+            ions = _parse_ion_set(tokens, line_no, n_ions)
             instructions.append(ExpectationLog(tokens[1][0], ions, kw_span))
         else:
             raise UnknownKeywordError(f"unknown keyword {keyword!r}", kw_span)

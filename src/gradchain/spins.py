@@ -15,6 +15,11 @@ and rotates at the generalized Rabi frequency sqrt(Omega^2 + delta^2).
 This blockwise treatment is exact under the rotating wave approximation,
 with no time stepping. Simultaneous multi-tone drives are rejected rather
 than approximated: the exactness guarantee needs one tone at a time.
+
+Flipping every spin, b -> ~b = 2^n - 1 - b, negates every s_n and leaves
+the pair term as it is, so that term is summed over the lower half of the
+basis (qubit n in |0>) and mirrored. With omega_eff = 0, as in pulse.interpret's
+frame, E(b) = E(~b) bitwise, and free evolution exponentiates only that half.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-MAX_QUBITS = 16        # 2 MiB of complex128 amplitudes
+MAX_QUBITS = 16        # 1 MiB of complex128 amplitudes
 BASIS_CONVENTION = "qubit n is bit (n-1) of the basis index; labels list qubit 1 first; sigma_z|1> = +|1>"
 
 
@@ -90,6 +95,11 @@ class SpinHamiltonian:
         rates.flags.writeable = False
         return rates
 
+    @cached_property
+    def flip_symmetric(self) -> bool:
+        """rates[b] and rates[~b] have the same bytes for every b (signed zeros count)."""
+        return self.rates.tobytes() == self.rates[::-1].tobytes()
+
 
 @dataclass(frozen=True)
 class PulseSpec:
@@ -119,8 +129,9 @@ def diagonal_rates(h: SpinHamiltonian) -> np.ndarray:
     """E(b)/hbar for every basis state, rad/s."""
     s = _sign_table(h.n_qubits)
     linear = 0.5 * s @ h.omega_eff
-    pair = 0.25 * np.einsum("bn,nl,bl->b", s, h.coupling, s)  # half of n<l double count
-    return linear - pair
+    lower = s[: s.shape[0] // 2]  # row ~b is minus row b
+    pair = 0.25 * np.einsum("bn,nl,bl->b", lower, h.coupling, lower)  # half of n<l double count
+    return linear - np.concatenate((pair, pair[::-1]))
 
 
 def initialize(n: int, basis_label: str) -> SpinState:
@@ -151,20 +162,26 @@ def outcome_indices(basis: np.ndarray, ions: tuple[int, ...] | list[int]) -> np.
     return out
 
 
-def _pair_indices(n: int, ion: int) -> tuple[np.ndarray, np.ndarray]:
-    """Basis indices with qubit `ion` in |0> (b0) and their partners with it in |1> (b1)."""
+def _pairs(a: np.ndarray, ion: int) -> np.ndarray:
+    """View of basis vector `a` as (blocks, 2, 2^(ion-1)): [:, 0] has qubit `ion` in |0>, [:, 1] in |1>."""
+    n = a.size.bit_length() - 1
     if not 1 <= ion <= n:
         raise ValueError(f"ion index {ion} out of range [1, {n}]")
-    mask = 1 << (ion - 1)
-    b0 = np.flatnonzero((np.arange(1 << n) & mask) == 0)
-    return b0, b0 | mask
+    return a.reshape(-1, 2, 1 << (ion - 1))
 
 
 def free_evolution(state: SpinState, h: SpinHamiltonian, t: float) -> SpinState:
-    """Diagonal evolution: amplitude b picks up exp(-i E(b) t / hbar)."""
+    """Diagonal evolution: amplitude b picks up exp(-i E(b) t / hbar).
+
+    The full-table branch serves only a nonzero omega_eff; it goes when ROADMAP item 5 deletes omega_eff.
+    """
     if t < 0.0:
         raise ValueError("evolution time must be non-negative")
-    state.amplitudes *= np.exp(-1j * h.rates * t)
+    if h.flip_symmetric:
+        phases = np.exp(-1j * h.rates[: h.rates.size // 2] * t)
+        state.amplitudes *= np.concatenate((phases, phases[::-1]))
+    else:
+        state.amplitudes *= np.exp(-1j * h.rates * t)
     return state
 
 
@@ -192,24 +209,24 @@ def apply_pulse(state: SpinState, h: SpinHamiltonian, pulse: PulseSpec) -> SpinS
     drive phase is taken at the pulse's local t = 0 (pulse.interpret, in the
     synthesizer frame where the tone is the detune, shifts it by -tone * t_start).
     """
-    n = h.n_qubits
-    if state.amplitudes.size != 1 << n:
+    if state.amplitudes.size != 1 << h.n_qubits:
         raise ValueError("state size does not match Hamiltonian")
 
-    rates = h.rates
-    b0, b1 = _pair_indices(n, pulse.target_ion)
+    # contiguous 1-D copies in basis order for the arithmetic, written back through the views
+    rates = _pairs(h.rates, pulse.target_ion)
+    r0, r1 = rates[:, 0].ravel(), rates[:, 1].ravel()
+    amps = _pairs(state.amplitudes, pulse.target_ion)
+    a0, a1 = amps[:, 0].ravel(), amps[:, 1].ravel()
 
-    delta = rates[b1] - rates[b0] - pulse.drive_frequency
+    delta = r1 - r0 - pulse.drive_frequency
     u00, u01, u10, u11 = _block_unitary(delta, pulse.rabi_frequency, pulse.phase, pulse.duration)
 
-    a0 = state.amplitudes[b0]
-    a1 = state.amplitudes[b1]
     new0 = u00 * a0 + u01 * a1
     new1 = u10 * a0 + u11 * a1
     # back out of the per-block rotating frame into the frame of h
-    lab0 = np.exp(-1j * rates[b0] * pulse.duration)
-    state.amplitudes[b0] = lab0 * new0
-    state.amplitudes[b1] = lab0 * np.exp(-1j * pulse.drive_frequency * pulse.duration) * new1
+    lab0 = np.exp(-1j * r0 * pulse.duration)
+    amps[:, 0] = (lab0 * new0).reshape(-1, amps.shape[2])
+    amps[:, 1] = (lab0 * np.exp(-1j * pulse.drive_frequency * pulse.duration) * new1).reshape(-1, amps.shape[2])
     return state
 
 
@@ -220,12 +237,12 @@ def expectation(state: SpinState, observable: str, ion: int) -> float:
     """<sigma_alpha> of one qubit, alpha in {sx, sy, sz}."""
     if observable not in _OBSERVABLES:
         raise ValueError(f"observable must be one of {_OBSERVABLES}, got {observable!r}")
-    b0, b1 = _pair_indices(state.n_qubits, ion)
+    amps = _pairs(state.amplitudes, ion)
     if observable == "sz":
         signs = np.full(state.amplitudes.size, -1.0)
-        signs[b1] = 1.0
+        _pairs(signs, ion)[:, 1] = 1.0
         return float(np.sum(signs * np.abs(state.amplitudes) ** 2))
-    cross = np.sum(np.conj(state.amplitudes[b0]) * state.amplitudes[b1])
+    cross = np.sum(np.conj(amps[:, 0].ravel()) * amps[:, 1].ravel())
     if observable == "sx":
         return float(2.0 * cross.real)
     return float(-2.0 * cross.imag)  # sy = i|0><1| - i|1><0| in this sign convention

@@ -11,6 +11,11 @@ idealized hard pulse and the exact outcome distribution are references
 for the echo, frame and conditional-flip tests; they find a qubit's bit
 in a basis index one index at a time, without gradchain.spins' bit-index
 helpers.
+
+The index-array kernels at the end build the whole energy table and one
+phase per basis state, with no use of the spin-flip symmetry, and address
+qubit pairs by index arrays instead of reshaped views. They are bitwise
+references for gradchain.spins and share only its 2x2 block propagator.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from gradchain.chain import ChainSolution
 from gradchain.config import TrapConfig
 from gradchain.constants import CONSTANTS
 from gradchain.pulse import Delay, ExpectationLog, Pulse, PulseProgram
-from gradchain.spins import PulseSpec, SpinHamiltonian, SpinState
+from gradchain.spins import PulseSpec, SpinHamiltonian, SpinState, _block_unitary
 
 MAX_ORACLE_QUBITS = 6
 
@@ -273,3 +278,58 @@ def measurement_probabilities(state: SpinState, ions: list[int] | None = None) -
     for b in range(1 << state.n_qubits):
         totals["".join(str((b >> (ion - 1)) & 1) for ion in ions)] += abs(state.amplitudes[b]) ** 2
     return totals
+
+
+# index-array kernels, bitwise references for gradchain.spins -----------------
+
+def diagonal_rates_oracle(h: SpinHamiltonian) -> np.ndarray:
+    """E(b)/hbar for every basis state from the full sign table, rad/s."""
+    b = np.arange(1 << h.n_qubits, dtype=np.int64)
+    s = 2.0 * ((b[:, None] >> np.arange(h.n_qubits)[None, :]) & 1) - 1.0
+    linear = 0.5 * s @ h.omega_eff
+    pair = 0.25 * np.einsum("bn,nl,bl->b", s, h.coupling, s)
+    return linear - pair
+
+
+def _pair_indices(n: int, ion: int) -> tuple[np.ndarray, np.ndarray]:
+    """Basis indices with qubit `ion` in |0> (b0) and their partners with it in |1> (b1)."""
+    if not 1 <= ion <= n:
+        raise ValueError(f"ion index {ion} out of range [1, {n}]")
+    mask = 1 << (ion - 1)
+    b0 = np.flatnonzero((np.arange(1 << n) & mask) == 0)
+    return b0, b0 | mask
+
+
+def free_evolution_oracle(state: SpinState, h: SpinHamiltonian, t: float) -> SpinState:
+    """Diagonal evolution with one exponential per basis state."""
+    state.amplitudes *= np.exp(-1j * diagonal_rates_oracle(h) * t)
+    return state
+
+
+def apply_pulse_oracle(state: SpinState, h: SpinHamiltonian, pulse: PulseSpec) -> SpinState:
+    """One single-tone pulse with its 2x2 blocks gathered and scattered by index arrays."""
+    rates = diagonal_rates_oracle(h)
+    b0, b1 = _pair_indices(h.n_qubits, pulse.target_ion)
+    delta = rates[b1] - rates[b0] - pulse.drive_frequency
+    u00, u01, u10, u11 = _block_unitary(delta, pulse.rabi_frequency, pulse.phase, pulse.duration)
+    a0 = state.amplitudes[b0]
+    a1 = state.amplitudes[b1]
+    new0 = u00 * a0 + u01 * a1
+    new1 = u10 * a0 + u11 * a1
+    lab0 = np.exp(-1j * rates[b0] * pulse.duration)
+    state.amplitudes[b0] = lab0 * new0
+    state.amplitudes[b1] = lab0 * np.exp(-1j * pulse.drive_frequency * pulse.duration) * new1
+    return state
+
+
+def expectation_oracle(state: SpinState, observable: str, ion: int) -> float:
+    """<sigma_alpha> of one qubit from index-array gathers."""
+    b0, b1 = _pair_indices(state.n_qubits, ion)
+    if observable == "sz":
+        signs = np.full(state.amplitudes.size, -1.0)
+        signs[b1] = 1.0
+        return float(np.sum(signs * np.abs(state.amplitudes) ** 2))
+    cross = np.sum(np.conj(state.amplitudes[b0]) * state.amplitudes[b1])
+    if observable == "sx":
+        return float(2.0 * cross.real)
+    return float(-2.0 * cross.imag)

@@ -18,7 +18,9 @@ over `field.uniform.b` on trap.json with --emit-plot-data; a 5-point
 linear sweep of the carrier shift `delta_shift[1]` over
 `field.quadratic.b` on trap_quadratic.json; `simulate` of
 cnot, ramsey and echo with CLI defaults, with `--seed 5 --shots 3000`
-and with `--shots 0`, and echo with --emit-plot-data; `simulate` on trap_n10 of FRAME_PROGRAM, whose
+and with `--shots 0`, and echo with --emit-plot-data; echo on trap.json with its gradient set to
+0 T/m, where J = 0, every energy is a signed zero and those zeros decide whether the
+flip-symmetric half tables apply; `simulate` on trap_n10 of FRAME_PROGRAM, whose
 logged <sx> and <sy> after detuned, phased pulses depend on the frame the
 simulator evolves in; two generated 16-ion, 80-op, 20000-shot programs
 (perfbench's `register_program`, seeds 31 and 32); and `chain` and
@@ -26,8 +28,9 @@ simulator evolves in; two generated 16-ion, 80-op, 20000-shot programs
 modes have exact zeros at the centre ion (no shipped config has odd N);
 and failing runs, whose stderr carries the exit-2 input message, the
 exit-3 `line:col` of a non-finite state, or the exit-4 `file:line:col` of
-a parse error in a pulse field, an ion list, a delay value, a missing
-field and a negative pulse area (ERROR_PROGRAMS).
+a parse error in a pulse field, an ion list (an entry out of range, a
+repeated entry, none at all), a delay value, a missing field and a
+negative pulse area (ERROR_PROGRAMS).
 This script is not a test module and pytest does not collect it.
 """
 
@@ -62,6 +65,8 @@ measure z all
 ERROR_PROGRAMS = {
     "pulse_field": "ions 2\npulse ion=1 rabi=1kHz detune=0 phase=0 dur=-1ms\n",
     "ion_list": "ions 2\nmeasure z 1, 3\n",
+    "repeated_ion": "ions 2\nmeasure z 1,1\n",
+    "missing_ion_list": "ions 2\n    measure z\n",
     "delay_value": "ions 2\ndelay 5lightyears\n",
     "missing_field": "ions 2\n  pulse ion=1 detune=0 phase=0 area=1pi\n",
     "negative_area": "ions 2\npulse ion=1 rabi=1kHz detune=0 phase=0 area=-1pi\n",
@@ -124,6 +129,11 @@ def _commands(work: Path) -> list[tuple[str, list[str]]]:
         ]
     commands.append(("echo_plot", ["simulate", "--config", "trap.json", "--program", "echo.pp",
                                    "--out", "{out}/run.json", "--emit-plot-data"]))
+    zero_j = json.loads((work / "trap.json").read_text(encoding="utf-8"))
+    zero_j["field"]["uniform"]["b"] = "0T/m"
+    (work / "trap_b0.json").write_text(json.dumps(zero_j), encoding="utf-8")
+    commands.append(("echo_zero_j", ["simulate", "--config", "trap_b0.json", "--program", "echo.pp",
+                                     "--out", "{out}/run.json"]))
     (work / "frame.pp").write_text(FRAME_PROGRAM, encoding="utf-8")
     commands.append(("frame_n10", ["simulate", "--config", "trap_n10.json", "--program", "frame.pp",
                                    "--out", "{out}/run.json"]))

@@ -172,6 +172,28 @@ def test_non_finite_quantity_is_syntax_error():
     assert (err.value.span.line, err.value.span.col) == (2, 7)
 
 
+@pytest.mark.parametrize("line, col", [("    measure z", 14), ("   log sx", 10), ("measure z  # no ions", 10)])
+def test_missing_ion_list_is_reported_past_the_last_token(line, col):
+    with pytest.raises(MissingFieldError, match="expected an ion list") as err:
+        parse(f"ions 2\n{line}\n")
+    assert (err.value.span.line, err.value.span.col) == (2, col)
+
+
+@pytest.mark.parametrize("line, error, col", [
+    ("measure z 3", ProgramSyntaxError, 11),
+    ("measure z 1,1", DuplicateFieldError, 13),
+    ("measure z 1, 3", ProgramSyntaxError, 14),
+    ("measure z 1 , 2,1", DuplicateFieldError, 17),
+    ("log sx 2 ,x", ProgramSyntaxError, 11),
+    ("log sy 1,", ProgramSyntaxError, 10),
+    ("log sz 1,,2", ProgramSyntaxError, 10),
+])
+def test_bad_ion_list_entry_is_reported_at_the_entry(line, error, col):
+    with pytest.raises(error) as err:
+        parse(f"ions 2\n{line}\n")
+    assert (err.value.span.line, err.value.span.col) == (2, col)
+
+
 # interpreter -----------------------------------------------------------------
 
 def test_delays_preserve_populations(report2):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradchain.pulse import marginal_counts
 from gradchain.spins import (
@@ -16,7 +18,16 @@ from gradchain.spins import (
     initialize,
     outcome_labels,
 )
-from oracles import OracleTooLargeError, apply_hard_pulse, evolve_oracle, measurement_probabilities
+from oracles import (
+    OracleTooLargeError,
+    apply_hard_pulse,
+    apply_pulse_oracle,
+    diagonal_rates_oracle,
+    evolve_oracle,
+    expectation_oracle,
+    free_evolution_oracle,
+    measurement_probabilities,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -116,6 +127,71 @@ def test_diagonal_rates_formula():
         assert rates[b] == pytest.approx(expected, rel=1e-14, abs=1e-9)
     # dense diagonal agrees
     assert np.allclose(np.diag(dense_hamiltonian(h)).real, rates, rtol=1e-12, atol=1e-8)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_flip_symmetric_iff_omega_eff_is_zero(n):
+    rng = np.random.default_rng(n)
+    coupling = random_hamiltonian(rng, n).coupling
+    assert SpinHamiltonian(np.zeros(n), np.zeros((n, n))).flip_symmetric
+    assert SpinHamiltonian(np.zeros(n), coupling).flip_symmetric
+    assert not SpinHamiltonian(rng.uniform(1e4, 1e5, n), coupling).flip_symmetric
+
+
+def test_flip_symmetric_compares_bytes():
+    h = SpinHamiltonian(np.zeros(1), np.zeros((1, 1)))
+    h.__dict__["rates"] = np.array([0.0, -0.0])  # equal values, mirrored bytes differ
+    assert not h.flip_symmetric
+
+
+# bitwise against the index-array kernels of tests/oracles.py -------------------
+
+def signed_zero_state(rng, n):
+    """Unnormalized amplitudes with about a quarter of the real and imaginary parts exactly +0.0 or -0.0."""
+    parts = rng.normal(size=(1 << n, 2))
+    zeros = rng.random(parts.shape) < 0.25
+    parts[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, 0.0, -0.0)
+    return SpinState(parts.view(complex).ravel())
+
+
+def bits(x) -> bytes:
+    return np.asarray(x).tobytes()
+
+
+def check_kernels_bitwise(rng, n, omega_nonzero, j_nonzero):
+    omega = rng.uniform(-1e5, 1e5, n) * TWO_PI if omega_nonzero else np.zeros(n)
+    coupling = random_hamiltonian(rng, n).coupling if j_nonzero else np.zeros((n, n))
+    h = SpinHamiltonian(omega, coupling)
+    assert bits(diagonal_rates(h)) == bits(diagonal_rates_oracle(h))
+    assert h.flip_symmetric is not omega_nonzero
+
+    state = signed_zero_state(rng, n)
+    t = rng.uniform(0, 2e-3)
+    fast = free_evolution(SpinState(state.amplitudes.copy()), h, t)
+    assert bits(fast.amplitudes) == bits(free_evolution_oracle(SpinState(state.amplitudes.copy()), h, t).amplitudes)
+    for ion in range(1, n + 1):
+        pulse = PulseSpec(ion, rng.uniform(0, TWO_PI * 1e4), rng.uniform(-TWO_PI * 1e5, TWO_PI * 1e5),
+                          rng.uniform(0, TWO_PI), rng.uniform(0, 1e-3))
+        fast = apply_pulse(SpinState(state.amplitudes.copy()), h, pulse)
+        slow = apply_pulse_oracle(SpinState(state.amplitudes.copy()), h, pulse)
+        assert bits(fast.amplitudes) == bits(slow.amplitudes)
+        for observable in ("sx", "sy", "sz"):
+            assert bits(expectation(state, observable, ion)) == bits(expectation_oracle(state, observable, ion))
+
+
+@pytest.mark.parametrize("omega_nonzero", [False, True])
+@pytest.mark.parametrize("j_nonzero", [False, True])
+@settings(derandomize=True, database=None, deadline=None, max_examples=10)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_kernels_match_index_array_oracles_bitwise(omega_nonzero, j_nonzero, seed):
+    rng = np.random.default_rng(seed)
+    for n in range(1, 11):
+        check_kernels_bitwise(rng, n, omega_nonzero, j_nonzero)
+
+
+@pytest.mark.parametrize("omega_nonzero", [False, True])
+def test_kernels_match_index_array_oracles_bitwise_16_qubits(omega_nonzero):
+    check_kernels_bitwise(np.random.default_rng(16), 16, omega_nonzero, True)
 
 
 # free evolution ----------------------------------------------------------------
