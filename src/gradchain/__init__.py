@@ -5,7 +5,16 @@ positions and normal modes), whose output feeds the coupling report
 (gradient-induced J matrix, carrier shifts, effective Lamb-Dicke
 parameters); the report parameterizes exact spin dynamics driven either
 directly or through the pulse-program DSL.
+
+The spin layer, `spins` and `pulse`, loads on first use: `import gradchain`
+(and every command but `simulate`) binds both modules without running
+them. Each is in `sys.modules` and on the package from the start, and its
+code runs at the first attribute read, through the module or through one of
+the names re-exported here.
 """
+
+import importlib.util
+import sys
 
 from .chain import ChainSolution, dynamical_matrix, length_scale, normal_modes, solve_chain, solve_equilibrium
 from .config import TrapConfig, load_config, validate_config
@@ -21,17 +30,39 @@ from .coupling import (
     sideband_spectrum,
     validity_epsilon,
 )
-from .pulse import PulseProgram, RunRecord, interpret, parse
-from .spins import (
-    PulseSpec,
-    SpinHamiltonian,
-    SpinState,
-    apply_pulse,
-    expectation,
-    free_evolution,
-    initialize,
-)
 from .units import parse_quantity
+
+
+def _lazy_submodule(name: str):
+    """Bind gradchain.<name> in sys.modules and on the package; its code runs at the first attribute read.
+
+    LazyLoader is not safe when two threads make that first read at once
+    (fixed in Python 3.12); gradchain starts no threads.
+    """
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+spins = _lazy_submodule("spins")
+pulse = _lazy_submodule("pulse")
+
+# re-exported spin-layer name -> the submodule that defines it
+_LAZY_NAMES = {
+    **dict.fromkeys(("PulseProgram", "RunRecord", "interpret", "parse"), "pulse"),
+    **dict.fromkeys(("PulseSpec", "SpinHamiltonian", "SpinState", "apply_pulse", "expectation",
+                     "free_evolution", "initialize"), "spins"),
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(globals()[_LAZY_NAMES[name]], name)
+
 
 __version__ = "0.1.0"
 

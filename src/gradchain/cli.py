@@ -26,7 +26,7 @@ import numpy as np
 
 from . import chain as chain_mod
 from . import coupling as coupling_mod
-from . import pulse as pulse_mod
+from . import pulse as pulse_mod  # a lazy module (gradchain/__init__.py): only cmd_simulate runs it
 from .config import TrapConfig, load_config, read_document, validate_config
 from .constants import UnknownSpeciesError
 from .units import QuantityError, parse_quantity
@@ -219,7 +219,11 @@ def cmd_simulate(args) -> int:
     solution = chain_mod.solve_chain(config)
     report = coupling_mod.build_report(config, solution)
     initial = args.initial if args.initial is not None else "0" * config.ion_count
-    record = pulse_mod.interpret(program, report.j_matrix, initial, seed=args.seed, shots=args.shots)
+    try:
+        record = pulse_mod.interpret(program, report.j_matrix, initial, seed=args.seed, shots=args.shots)
+    except pulse_mod.ProgramRuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
     out = Path(args.out)
     _write_json(out, record.to_json_dict(include_timing=not args.no_timestamp), not args.no_timestamp)
@@ -393,12 +397,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (chain_mod.SolverError, coupling_mod.NonFiniteReportError, pulse_mod.ProgramRuntimeError) as exc:
+    except (chain_mod.SolverError, coupling_mod.NonFiniteReportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except pulse_mod.PulseProgramError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PROGRAM
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -180,10 +180,17 @@ def _parse_int(text: str, span: SourceSpan, what: str) -> int:
 def _parse_ion_set(
     tokens: list[tuple[str, int]], line_no: int, n_ions: int
 ) -> tuple[int, ...] | None:
-    """The ion list of a measure or log line, tokens[2:] of it; None for 'all'."""
+    """The ion list of a measure or log line, tokens[2:] of it; None for 'all'.
+
+    Whitespace may stand next to a comma, never in its place: two tokens
+    with no comma between them are an error at the second.
+    """
     if len(tokens) < 3:
         last, col = tokens[-1]
         raise MissingFieldError("expected an ion list or 'all'", SourceSpan(line_no, col + len(last)))
+    for (before, _), (tok, col) in zip(tokens[2:], tokens[3:]):
+        if not (before.endswith(",") or tok.startswith(",")):
+            raise ProgramSyntaxError(f"expected ',' between ion list entries, got {tok!r}", SourceSpan(line_no, col))
     chars = [(ch, col + i) for tok, col in tokens[2:] for i, ch in enumerate(tok)]
     joined = "".join(ch for ch, _ in chars)
     if joined == "all":

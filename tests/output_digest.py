@@ -29,8 +29,9 @@ modes have exact zeros at the centre ion (no shipped config has odd N);
 and failing runs, whose stderr carries the exit-2 input message, the
 exit-3 `line:col` of a non-finite state, or the exit-4 `file:line:col` of
 a parse error in a pulse field, an ion list (an entry out of range, a
-repeated entry, none at all), a delay value, a missing field and a
-negative pulse area (ERROR_PROGRAMS).
+repeated entry, none at all, two entries with no comma between them in
+`measure z 1 2`, `all` split into `a ll`), a delay value, a missing field
+and a negative pulse area (ERROR_PROGRAMS).
 This script is not a test module and pytest does not collect it.
 """
 
@@ -66,6 +67,8 @@ ERROR_PROGRAMS = {
     "pulse_field": "ions 2\npulse ion=1 rabi=1kHz detune=0 phase=0 dur=-1ms\n",
     "ion_list": "ions 2\nmeasure z 1, 3\n",
     "repeated_ion": "ions 2\nmeasure z 1,1\n",
+    "ion_list_no_comma": "ions 2\nmeasure z 1 2\n",
+    "split_all": "ions 2\nlog sx a ll\n",
     "missing_ion_list": "ions 2\n    measure z\n",
     "delay_value": "ions 2\ndelay 5lightyears\n",
     "missing_field": "ions 2\n  pulse ion=1 detune=0 phase=0 area=1pi\n",

@@ -187,11 +187,26 @@ def test_missing_ion_list_is_reported_past_the_last_token(line, col):
     ("log sx 2 ,x", ProgramSyntaxError, 11),
     ("log sy 1,", ProgramSyntaxError, 10),
     ("log sz 1,,2", ProgramSyntaxError, 10),
+    ("measure z 1 2", ProgramSyntaxError, 13),  # two tokens with no comma between: an error at the second
+    ("log sx a ll", ProgramSyntaxError, 10),
+    ("measure z 1,2 3", ProgramSyntaxError, 15),
+    ("log sz all 1", ProgramSyntaxError, 12),
 ])
 def test_bad_ion_list_entry_is_reported_at_the_entry(line, error, col):
     with pytest.raises(error) as err:
         parse(f"ions 2\n{line}\n")
     assert (err.value.span.line, err.value.span.col) == (2, col)
+
+
+@pytest.mark.parametrize("line, ions", [
+    ("measure z 1, 3", (1, 3)),
+    ("measure z 1 ,3", (1, 3)),
+    ("measure z 1 , 3", (1, 3)),
+    ("log sx all", None),
+])
+def test_ion_list_takes_whitespace_beside_a_comma(line, ions):
+    (instruction,) = parse(f"ions 3\n{line}\n").instructions
+    assert instruction.ions == ions
 
 
 # interpreter -----------------------------------------------------------------
