@@ -43,11 +43,6 @@ class NoConvergenceError(SolverError):
         self.residual = residual
 
 
-class DegeneratePositionsError(SolverError):
-    def __init__(self, i: int, j: int, separation: float):
-        super().__init__(f"ions {i + 1} and {j + 1} nearly coincide (|du| = {separation:.3e})")
-
-
 @dataclass(frozen=True)
 class ChainSolution:
     """Equilibrium and normal-mode data for one chain.
@@ -142,7 +137,7 @@ def dynamical_matrix(u: np.ndarray) -> np.ndarray:
     if n > 1:
         i, j = np.unravel_index(np.argmin(d), d.shape)
         if d[i, j] < 1e-9:
-            raise DegeneratePositionsError(min(i, j), max(i, j), float(d[i, j]))
+            raise SolverError(f"ions {min(i, j) + 1} and {max(i, j) + 1} nearly coincide (|du| = {d[i, j]:.3e})")
     inv3 = d**-3
     a = -2.0 * inv3
     a[np.diag_indices(n)] = 1.0 + 2.0 * np.sum(inv3, axis=1)

@@ -6,8 +6,11 @@ field (and simulate a wall-time field) that --no-timestamp suppresses.
 Frequencies in all outputs are ordinary Hz; CSV numbers use 12
 significant digits.
 
-Exit codes: 0 success, 2 input error, 3 numeric failure, 4 program parse
-error.
+Exit codes: 0 success; 2 input error, from ValueError (ConfigError and
+QuantityError included) or OSError; 3 numeric failure, from
+chain.SolverError, coupling.NonFiniteReportError or
+pulse.ProgramRuntimeError; 4 program parse error, from
+pulse.PulseProgramError (a ValueError that cmd_simulate catches first).
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from . import chain as chain_mod
 from . import coupling as coupling_mod
 from . import pulse as pulse_mod  # a lazy module (gradchain/__init__.py): only cmd_simulate runs it
 from .config import TrapConfig, load_config, read_document, validate_config
-from .constants import UnknownSpeciesError
 from .units import QuantityError, parse_quantity
 
 EXIT_OK = 0
@@ -36,7 +38,7 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 EXIT_PROGRAM = 4
 
-_INPUT_ERRORS = (UnknownSpeciesError, OSError, ValueError)
+_INPUT_ERRORS = (OSError, ValueError)
 
 
 def _fmt(x: float) -> str:
@@ -322,7 +324,7 @@ def _parse_sweep_bound(text: str, raw: dict, parameter: str) -> float:
         _set_path(probe, parameter, text)
         validate_config(probe)  # the field's own check rejects a unit of another dimension
     if not math.isfinite(value):
-        raise QuantityError(f"sweep bound {text!r} is not a finite number", text)
+        raise QuantityError(f"sweep bound {text!r} is not a finite number")
     return value
 
 

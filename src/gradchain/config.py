@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .constants import CONSTANTS, Species, get_species
+from .constants import CONSTANTS, SPECIES_REGISTRY, Species
 from .units import FREQUENCY, QuantityError, parse_quantity
 
 MAX_IONS = 50
@@ -25,29 +25,16 @@ class ConfigError(ValueError):
 class MissingFieldError(ConfigError):
     def __init__(self, path: str):
         super().__init__(f"missing required field: {path}")
-        self.path = path
 
 
 class OutOfRangeError(ConfigError):
     def __init__(self, path: str, detail: str):
         super().__init__(f"field {path}: {detail}")
-        self.path = path
 
 
 class UnknownKeyError(ConfigError):
     def __init__(self, path: str, allowed):
         super().__init__(f"unknown key: {path} (allowed: {', '.join(sorted(allowed))})")
-        self.path = path
-
-
-class OutOfProfileRangeError(ValueError):
-    """Position falls outside a sampled field profile's support."""
-
-    def __init__(self, z: float, lo: float, hi: float):
-        super().__init__(
-            f"position z={z:.6g} m outside sampled profile range [{lo:.6g}, {hi:.6g}] m"
-        )
-        self.z = z
 
 
 @dataclass(frozen=True)
@@ -99,7 +86,7 @@ class SampledField:
     def _segment(self, z: float) -> int:
         zs = [p[0] for p in self.points]
         if z < zs[0] or z > zs[-1]:
-            raise OutOfProfileRangeError(z, zs[0], zs[-1])
+            raise ConfigError(f"position z={z:.6g} m outside sampled profile range [{zs[0]:.6g}, {zs[-1]:.6g}] m")
         # right-hand segment on ties; the last point belongs to the final segment
         for i in range(len(zs) - 1):
             if zs[i] <= z < zs[i + 1]:
@@ -238,9 +225,12 @@ def validate_config(raw: dict) -> TrapConfig:
         if key not in raw:
             raise MissingFieldError(key)
 
-    species = get_species(raw["species"]) if isinstance(raw["species"], str) else None
-    if species is None:
+    name = raw["species"]
+    if not isinstance(name, str):
         raise OutOfRangeError("species", "expected a species name string")
+    if name not in SPECIES_REGISTRY:
+        raise ConfigError(f"unknown species {name!r} (known: {', '.join(sorted(SPECIES_REGISTRY))})")
+    species = SPECIES_REGISTRY[name]
 
     n = raw["N"]
     if isinstance(n, bool) or not isinstance(n, int):

@@ -69,19 +69,5 @@ SPECIES_REGISTRY: dict[str, Species] = {
 
 
 def get_species(name: str) -> Species:
-    try:
-        return SPECIES_REGISTRY[name]
-    except KeyError:
-        raise UnknownSpeciesError(name) from None
-
-
-class UnknownSpeciesError(KeyError):
-    """Species name not present in the registry."""
-
-    def __init__(self, name: str):
-        super().__init__(name)
-        self.name = name
-
-    def __str__(self):
-        known = ", ".join(sorted(SPECIES_REGISTRY))
-        return f"unknown species {self.name!r} (known: {known})"
+    """The registered species called `name`; KeyError if there is none."""
+    return SPECIES_REGISTRY[name]

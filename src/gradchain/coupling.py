@@ -92,7 +92,7 @@ def omega_gradients(config: TrapConfig, chain: ChainSolution, moment: float | No
 
     moment is in Bohr magnetons; the default, the differential moment
     mu1 - mu0, gives the qubit's own gradient d(omega_n)/dz.
-    Raises OutOfProfileRangeError if an ion sits outside a sampled profile.
+    Raises ConfigError if an ion sits outside a sampled profile.
     """
     moment = config.species.differential_moment if moment is None else moment
     grads = [config.field.gradient_at(z) for z in chain.positions_m]
@@ -211,8 +211,10 @@ def sideband_spectrum(chain: ChainSolution, report: CouplingReport, ion: int) ->
 
     Offsets are from the ion's qubit frequency omega_j(z0_j): the carrier
     of unit amplitude sits at Delta_j, and one red and one blue sideband
-    per mode at Delta_j -/+ nu_n with amplitude eta'[n, j] (motional ground
-    state, first order). Sorted by offset. Ion indices are 1-based.
+    per mode at Delta_j -/+ nu_n. A sideband's amplitude is its line's
+    first-order Lamb-Dicke coupling eta'[n, j], the same for red and blue
+    (Wineland et al. 1998); from the motional ground state n = 0 no red
+    transition exists. Sorted by offset. Ion indices are 1-based.
     """
     if not 1 <= ion <= chain.ion_count:
         raise ValueError(f"ion index must be in [1, {chain.ion_count}], got {ion}")

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .units import ANGLE, FREQUENCY, TIME, QuantityError, parse_quantity
+from .units import ANGLE, FREQUENCY, NUMBER_RE, TIME, QuantityError, parse_quantity
 from .spins import (
     SpinHamiltonian,
     SpinState,
@@ -55,37 +55,11 @@ class SourceSpan:
 
 
 class PulseProgramError(ValueError):
-    """Base parse/validation error; renders as line:col: message."""
+    """A parse or validation error in a program; renders as line:col: message."""
 
     def __init__(self, message: str, span: SourceSpan):
         super().__init__(f"{span}: {message}")
         self.span = span
-        self.message = message
-
-
-class ProgramSyntaxError(PulseProgramError):
-    pass
-
-
-class UnknownKeywordError(PulseProgramError):
-    pass
-
-
-class DuplicateFieldError(PulseProgramError):
-    pass
-
-
-class MissingFieldError(PulseProgramError):
-    pass
-
-
-class ConflictingFieldsError(PulseProgramError):
-    pass
-
-
-class EmptyProgramError(PulseProgramError):
-    def __init__(self):
-        super().__init__("program is empty", SourceSpan(1, 1))
 
 
 class ProgramRuntimeError(RuntimeError):
@@ -135,6 +109,7 @@ class PulseProgram:
 
 
 _TOKEN_RE = re.compile(r"\S+")
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 _PULSE_KEYS = ("ion", "rabi", "detune", "phase", "area", "dur")
 _REQUIRED_PULSE_KEYS = ("ion", "rabi", "detune", "phase")
 
@@ -151,30 +126,26 @@ def _tokens(line: str) -> list[tuple[str, int]]:
 
 def _parse_value(text: str, dimension: str, span: SourceSpan) -> float:
     """A quantity string, or a bare number meaning SI units of `dimension`."""
-    try:
+    if NUMBER_RE.fullmatch(text):
         value = float(text)
-    except ValueError:
-        pass
-    else:
         if not math.isfinite(value):
-            raise ProgramSyntaxError(f"value must be finite, got {text!r}", span)
+            raise PulseProgramError(f"value must be finite, got {text!r}", span)
         return value
     try:
         value, dim = parse_quantity(text)
     except QuantityError as exc:
-        raise ProgramSyntaxError(str(exc), span) from exc
+        raise PulseProgramError(str(exc), span) from exc
     if dim != dimension:
-        raise ProgramSyntaxError(
+        raise PulseProgramError(
             f"expected a {_BARE_SI_UNIT[dimension]}-compatible quantity, got {dim} ({text!r})", span
         )
     return value
 
 
 def _parse_int(text: str, span: SourceSpan, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ProgramSyntaxError(f"expected an integer {what}, got {text!r}", span) from None
+    if not _INTEGER_RE.fullmatch(text):
+        raise PulseProgramError(f"expected an integer {what}, got {text!r}", span)
+    return int(text)
 
 
 def _parse_ion_set(
@@ -187,10 +158,10 @@ def _parse_ion_set(
     """
     if len(tokens) < 3:
         last, col = tokens[-1]
-        raise MissingFieldError("expected an ion list or 'all'", SourceSpan(line_no, col + len(last)))
+        raise PulseProgramError("expected an ion list or 'all'", SourceSpan(line_no, col + len(last)))
     for (before, _), (tok, col) in zip(tokens[2:], tokens[3:]):
         if not (before.endswith(",") or tok.startswith(",")):
-            raise ProgramSyntaxError(f"expected ',' between ion list entries, got {tok!r}", SourceSpan(line_no, col))
+            raise PulseProgramError(f"expected ',' between ion list entries, got {tok!r}", SourceSpan(line_no, col))
     chars = [(ch, col + i) for tok, col in tokens[2:] for i, ch in enumerate(tok)]
     joined = "".join(ch for ch, _ in chars)
     if joined == "all":
@@ -202,9 +173,9 @@ def _parse_ion_set(
         start += len(part) + 1
         ion = _parse_int(part, span, "ion index")
         if not 1 <= ion <= n_ions:
-            raise ProgramSyntaxError(f"ion index {ion} out of range [1, {n_ions}]", span)
+            raise PulseProgramError(f"ion index {ion} out of range [1, {n_ions}]", span)
         if ion in ions:
-            raise DuplicateFieldError(f"ion {ion} listed twice", span)
+            raise PulseProgramError(f"ion {ion} listed twice", span)
         ions.append(ion)
     return tuple(ions)
 
@@ -214,48 +185,48 @@ def _parse_pulse(tokens: list[tuple[str, int]], span: SourceSpan, n_ions: int) -
     for tok, col in tokens[1:]:
         key_span = SourceSpan(span.line, col)
         if "=" not in tok:
-            raise ProgramSyntaxError(f"expected key=value, got {tok!r}", key_span)
+            raise PulseProgramError(f"expected key=value, got {tok!r}", key_span)
         key, _, value = tok.partition("=")
         value_span = SourceSpan(span.line, col + len(key) + 1)
         if key not in _PULSE_KEYS:
-            raise UnknownKeywordError(f"unknown pulse field {key!r}", key_span)
+            raise PulseProgramError(f"unknown pulse field {key!r}", key_span)
         if key in fields:
-            raise DuplicateFieldError(f"duplicate pulse field {key!r}", key_span)
+            raise PulseProgramError(f"duplicate pulse field {key!r}", key_span)
         if key in ("area", "dur") and ("area" in fields or "dur" in fields):
-            raise ConflictingFieldsError("pulse takes either area or dur, not both", key_span)
+            raise PulseProgramError("pulse takes either area or dur, not both", key_span)
         fields[key] = (value, value_span)
 
     for key in _REQUIRED_PULSE_KEYS:
         if key not in fields:
-            raise MissingFieldError(f"pulse is missing required field {key!r}", span)
+            raise PulseProgramError(f"pulse is missing required field {key!r}", span)
     if "area" not in fields and "dur" not in fields:
-        raise MissingFieldError("pulse needs either area or dur", span)
+        raise PulseProgramError("pulse needs either area or dur", span)
 
     ion_text, ion_span = fields["ion"]
     ion = _parse_int(ion_text, ion_span, "ion index")
     if not 1 <= ion <= n_ions:
-        raise ProgramSyntaxError(f"ion index {ion} out of range [1, {n_ions}]", ion_span)
+        raise PulseProgramError(f"ion index {ion} out of range [1, {n_ions}]", ion_span)
 
     rabi = _parse_value(fields["rabi"][0], FREQUENCY, fields["rabi"][1])
     if rabi < 0:
-        raise ProgramSyntaxError("rabi must be non-negative", fields["rabi"][1])
+        raise PulseProgramError("rabi must be non-negative", fields["rabi"][1])
     detune = _parse_value(fields["detune"][0], FREQUENCY, fields["detune"][1])
     phase = _parse_value(fields["phase"][0], ANGLE, fields["phase"][1])
 
     if "area" in fields:
         area_text, area_span = fields["area"]
         if not area_text.endswith("pi"):
-            raise ProgramSyntaxError("pulse areas take only the 'pi' suffix", area_span)
+            raise PulseProgramError("pulse areas take only the 'pi' suffix", area_span)
         area = _parse_value(area_text, ANGLE, area_span) / math.pi  # in units of pi; the duration rounds from it
         if area < 0:
-            raise ProgramSyntaxError("area must be non-negative", area_span)
+            raise PulseProgramError("area must be non-negative", area_span)
         if rabi == 0.0:
-            raise ProgramSyntaxError("area-specified pulse needs rabi > 0", fields["rabi"][1])
+            raise PulseProgramError("area-specified pulse needs rabi > 0", fields["rabi"][1])
         duration = area * math.pi / (2.0 * math.pi * rabi)
     else:
         duration = _parse_value(fields["dur"][0], TIME, fields["dur"][1])
         if duration < 0:
-            raise ProgramSyntaxError("dur must be non-negative", fields["dur"][1])
+            raise PulseProgramError("dur must be non-negative", fields["dur"][1])
     return Pulse(ion, rabi, detune, phase, duration, span)
 
 
@@ -273,47 +244,47 @@ def parse(source: str) -> PulseProgram:
 
         if keyword == "ions":
             if n_ions is not None:
-                raise DuplicateFieldError("duplicate 'ions' header", kw_span)
+                raise PulseProgramError("duplicate 'ions' header", kw_span)
             if instructions:
-                raise ProgramSyntaxError("'ions' header must precede all instructions", kw_span)
+                raise PulseProgramError("'ions' header must precede all instructions", kw_span)
             if len(tokens) != 2:
-                raise ProgramSyntaxError("usage: ions <count>", kw_span)
+                raise PulseProgramError("usage: ions <count>", kw_span)
             count_tok, count_col = tokens[1]
             count_span = SourceSpan(line_no, count_col)
             n_ions = _parse_int(count_tok, count_span, "ion count")
             if n_ions < 1:
-                raise ProgramSyntaxError(f"ion count must be positive, got {n_ions}", count_span)
+                raise PulseProgramError(f"ion count must be positive, got {n_ions}", count_span)
             continue
 
         if n_ions is None:
-            raise MissingFieldError("program must start with an 'ions <count>' header", kw_span)
+            raise PulseProgramError("program must start with an 'ions <count>' header", kw_span)
 
         if keyword == "pulse":
             instructions.append(_parse_pulse(tokens, kw_span, n_ions))
         elif keyword == "delay":
             if len(tokens) != 2:
-                raise ProgramSyntaxError("usage: delay <duration>", kw_span)
+                raise PulseProgramError("usage: delay <duration>", kw_span)
             tok, col = tokens[1]
             value_span = SourceSpan(line_no, col)
             duration = _parse_value(tok, TIME, value_span)
             if duration < 0:
-                raise ProgramSyntaxError("delay must be non-negative", value_span)
+                raise PulseProgramError("delay must be non-negative", value_span)
             instructions.append(Delay(duration, kw_span))
         elif keyword == "measure":
             if len(tokens) < 2 or tokens[1][0] != "z":
-                raise ProgramSyntaxError("only z-basis measurement is supported: measure z <ions|all>", kw_span)
+                raise PulseProgramError("only z-basis measurement is supported: measure z <ions|all>", kw_span)
             ions = _parse_ion_set(tokens, line_no, n_ions)
             instructions.append(MeasureZ(ions, kw_span))
         elif keyword == "log":
             if len(tokens) < 2 or tokens[1][0] not in ("sx", "sy", "sz"):
-                raise ProgramSyntaxError("usage: log <sx|sy|sz> <ions|all>", kw_span)
+                raise PulseProgramError("usage: log <sx|sy|sz> <ions|all>", kw_span)
             ions = _parse_ion_set(tokens, line_no, n_ions)
             instructions.append(ExpectationLog(tokens[1][0], ions, kw_span))
         else:
-            raise UnknownKeywordError(f"unknown keyword {keyword!r}", kw_span)
+            raise PulseProgramError(f"unknown keyword {keyword!r}", kw_span)
 
     if n_ions is None:
-        raise EmptyProgramError()
+        raise PulseProgramError("program is empty", SourceSpan(1, 1))
     return PulseProgram(n_ions, tuple(instructions))
 
 

@@ -34,15 +34,6 @@ MAX_QUBITS = 16        # 1 MiB of complex128 amplitudes
 BASIS_CONVENTION = "qubit n is bit (n-1) of the basis index; labels list qubit 1 first; sigma_z|1> = +|1>"
 
 
-class BadLabelError(ValueError):
-    pass
-
-
-class StateTooLargeError(ValueError):
-    def __init__(self, n: int, limit: int):
-        super().__init__(f"register of {n} qubits exceeds the supported maximum of {limit}")
-
-
 @dataclass
 class SpinState:
     """Owned, mutable amplitude vector over the computational basis."""
@@ -137,11 +128,11 @@ def diagonal_rates(h: SpinHamiltonian) -> np.ndarray:
 def initialize(n: int, basis_label: str) -> SpinState:
     """Register of n qubits in the labeled computational basis state."""
     if n < 1:
-        raise BadLabelError(f"need at least one qubit, got {n}")
+        raise ValueError(f"need at least one qubit, got {n}")
     if n > MAX_QUBITS:
-        raise StateTooLargeError(n, MAX_QUBITS)
+        raise ValueError(f"register of {n} qubits exceeds the supported maximum of {MAX_QUBITS}")
     if len(basis_label) != n or any(c not in "01" for c in basis_label):
-        raise BadLabelError(f"label {basis_label!r} is not a {n}-bit string of 0s and 1s")
+        raise ValueError(f"label {basis_label!r} is not a {n}-bit string of 0s and 1s")
     index = sum(1 << q for q, c in enumerate(basis_label) if c == "1")
     amplitudes = np.zeros(1 << n, dtype=complex)
     amplitudes[index] = 1.0

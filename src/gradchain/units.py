@@ -37,26 +37,12 @@ _UNITS: dict[str, tuple[float, str]] = {
     "pi": (math.pi, ANGLE),
 }
 
-_NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+# the `number` rule of docs/pulse_program.ebnf: ASCII digits only, no `_` separators
+NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?", re.ASCII)
 
 
 class QuantityError(ValueError):
-    """Base for quantity parse failures; carries the offending substring."""
-
-    def __init__(self, message: str, offending: str):
-        super().__init__(message)
-        self.offending = offending
-
-
-class MalformedNumberError(QuantityError):
-    def __init__(self, offending: str):
-        super().__init__(f"malformed number in quantity: {offending!r}", offending)
-
-
-class UnknownUnitError(QuantityError):
-    def __init__(self, offending: str):
-        known = ", ".join(sorted(_UNITS))
-        super().__init__(f"unknown unit {offending!r} (known: {known})", offending)
+    """A quantity string that is malformed, has an unknown unit or is not finite."""
 
 
 def parse_quantity(text: str) -> tuple[float, str]:
@@ -68,14 +54,14 @@ def parse_quantity(text: str) -> tuple[float, str]:
     'angle-rad'
     """
     stripped = text.strip()
-    m = _NUMBER_RE.match(stripped)
+    m = NUMBER_RE.match(stripped)
     if m is None:
-        raise MalformedNumberError(stripped)
+        raise QuantityError(f"malformed number in quantity: {stripped!r}")
     unit = stripped[m.end():].strip()
     if unit not in _UNITS:
-        raise UnknownUnitError(unit)
+        raise QuantityError(f"unknown unit {unit!r} (known: {', '.join(sorted(_UNITS))})")
     scale, dim = _UNITS[unit]
     value = float(m.group(0)) * scale
     if not math.isfinite(value):
-        raise QuantityError(f"quantity {stripped!r} is not a finite number", stripped)
+        raise QuantityError(f"quantity {stripped!r} is not a finite number")
     return value, dim

@@ -30,8 +30,12 @@ and failing runs, whose stderr carries the exit-2 input message, the
 exit-3 `line:col` of a non-finite state, or the exit-4 `file:line:col` of
 a parse error in a pulse field, an ion list (an entry out of range, a
 repeated entry, none at all, two entries with no comma between them in
-`measure z 1 2`, `all` split into `a ll`), a delay value, a missing field
-and a negative pulse area (ERROR_PROGRAMS).
+`measure z 1 2`, `all` split into `a ll`), a delay value, a missing field,
+a negative pulse area, an empty program, an unknown keyword, a second
+`ions` header and `area=` with `dur=` (ERROR_PROGRAMS); and the exit-2
+input errors of an unknown species (`chain`), ions outside a sampled
+field profile (`couplings`), `--initial 1x` and a 17-ion register
+(`simulate`).
 This script is not a test module and pytest does not collect it.
 """
 
@@ -74,6 +78,21 @@ ERROR_PROGRAMS = {
     "missing_field": "ions 2\n  pulse ion=1 detune=0 phase=0 area=1pi\n",
     "negative_area": "ions 2\npulse ion=1 rabi=1kHz detune=0 phase=0 area=-1pi\n",
     "non_finite_state": "ions 2\npulse ion=1 rabi=1kHz detune=0 phase=0 area=0.5pi\ndelay 1e308s\nlog sx all\n",
+    "empty": "",
+    "unknown_keyword": "ions 2\nwiggle 5\n",
+    "duplicate_header": "ions 2\nions 2\n",
+    "area_and_dur": "ions 2\npulse ion=1 rabi=1kHz detune=0 phase=0 area=1pi dur=1ms\n",
+}
+# failing runs on a config of their own: the config and the command each runs
+ERROR_CONFIGS = {
+    "species": ({"species": "Xx999", "N": 2, "nu1": "100kHz", "field": {"uniform": {"b": "10T/m"}}},
+                ["chain", "--out", "{out}/chain.json"]),
+    "profile": ({"species": "Yb171", "N": 2, "nu1": "100kHz",
+                 "field": {"sampled": {"points": [["-1um", "0T"], ["1um", "1e-6T"]]}}},
+                ["couplings", "--out-dir", "{out}/coup"]),
+    "register_too_large": ({"species": "Yb171", "N": REGISTER_N + 1, "nu1": "100kHz",
+                            "field": {"uniform": {"b": "10T/m"}}},
+                           ["simulate", "--program", "n17.pp", "--out", "{out}/run.json"]),
 }
 
 
@@ -148,8 +167,14 @@ def _commands(work: Path) -> list[tuple[str, list[str]]]:
         (work / f"{name}.pp").write_text(source, encoding="utf-8")
         commands.append((f"error_{name}", ["simulate", "--config", "trap.json", "--program", f"{name}.pp",
                                            "--out", "{out}/run.json"]))
+    (work / "n17.pp").write_text(f"ions {REGISTER_N + 1}\nmeasure z all\n", encoding="utf-8")
+    for name, (config, args) in ERROR_CONFIGS.items():
+        (work / f"error_{name}.json").write_text(json.dumps(config), encoding="utf-8")
+        commands.append((f"error_{name}", [args[0], "--config", f"error_{name}.json", *args[1:]]))
     commands += [("error_shots", ["simulate", "--config", "trap.json", "--program", "cnot.pp", "--shots", "-5",
                                   "--out", "{out}/run.json"]),
+                 ("error_initial", ["simulate", "--config", "trap.json", "--program", "cnot.pp", "--initial", "1x",
+                                    "--out", "{out}/run.json"]),
                  ("error_spectrum_ion", ["spectrum", "--config", "trap.json", "--ion", "3",
                                          "--out", "{out}/spectrum.csv"])]
     return commands + _register_inputs(work)

@@ -6,8 +6,8 @@ import scipy.linalg
 from conftest import E_CHARGE, EPS0, HBAR, TWO_PI, YB_MASS, standard_raw
 from gradchain import chain as chain_mod
 from gradchain.chain import (
-    DegeneratePositionsError,
     NoConvergenceError,
+    SolverError,
     dynamical_matrix,
     length_scale,
     normal_modes,
@@ -239,7 +239,7 @@ def test_dynamical_matrix_is_potential_hessian(n):
 
 
 def test_degenerate_positions_rejected():
-    with pytest.raises(DegeneratePositionsError):
+    with pytest.raises(SolverError, match=r"^ions 1 and 2 nearly coincide \(\|du\| = 1\.000e-10\)$"):
         dynamical_matrix(np.array([0.0, 1e-10]))
 
 

@@ -257,6 +257,40 @@ def test_non_finite_quantity_exit_codes(tmp_path, capsys):
     assert "2:7" in capsys.readouterr().err
 
 
+# case -> (config fields over standard_raw(n=2), command, program, exit code, stderr line); the
+# raise sites whose exception class changed without a change of message or exit code
+FAILING_RUNS = {
+    "unknown_species": ({"species": "Xx999"}, ["chain", "--out", "out/chain.json"], CNOT_PROGRAM, 2,
+                        "unknown species 'Xx999' (known: Yb171)"),
+    "outside_sampled_profile": ({"field": {"sampled": {"points": [["-1um", "0T"], ["1um", "1e-6T"]]}}},
+                                ["couplings", "--out-dir", "out"], CNOT_PROGRAM, 2,
+                                "position z=-8.01307e-06 m outside sampled profile range [-1e-06, 1e-06] m"),
+    "bad_initial_label": ({}, ["simulate", "--initial", "1x"], CNOT_PROGRAM, 2,
+                          "label '1x' is not a 2-bit string of 0s and 1s"),
+    "register_too_large": ({"N": 17}, ["simulate"], "ions 17\nmeasure z all\n", 2,
+                           "register of 17 qubits exceeds the supported maximum of 16"),
+    "empty_program": ({}, ["simulate"], "", 4, "p.pp:1:1: program is empty"),
+    "unknown_keyword": ({}, ["simulate"], "ions 2\nwiggle 5\n", 4, "p.pp:2:1: unknown keyword 'wiggle'"),
+    "duplicate_header": ({}, ["simulate"], "ions 2\nions 2\n", 4, "p.pp:2:1: duplicate 'ions' header"),
+    "area_and_dur": ({}, ["simulate"], "ions 2\npulse ion=1 rabi=1kHz detune=0 phase=0 area=1pi dur=1ms\n", 4,
+                     "p.pp:2:49: pulse takes either area or dur, not both"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", FAILING_RUNS)
+def test_failing_run_exit_code_and_message(tmp_path, capsys, monkeypatch, case):
+    fields, command, program, code, message = FAILING_RUNS[case]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "trap.json").write_text(json.dumps({**standard_raw(n=2), **fields}), encoding="utf-8")
+    (tmp_path / "p.pp").write_text(program, encoding="utf-8")
+    if command[0] == "simulate":
+        command = [*command, "--program", "p.pp", "--out", "out/run.json"]
+    assert main([*command, "--config", "trap.json", "--no-timestamp"]) == code
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.pp", "trap.json"]
+
+
 @pytest.mark.filterwarnings("error")
 def test_non_finite_couplings_exit3(trap2, tmp_path, capsys):
     steep = tmp_path / "steep.json"

@@ -4,8 +4,8 @@ import pytest
 
 from conftest import AMU, standard_raw
 from gradchain.config import (
+    ConfigError,
     MissingFieldError,
-    OutOfProfileRangeError,
     OutOfRangeError,
     QuadraticField,
     SampledField,
@@ -14,7 +14,7 @@ from gradchain.config import (
     load_config,
     validate_config,
 )
-from gradchain.constants import SPECIES_REGISTRY, UnknownSpeciesError
+from gradchain.constants import SPECIES_REGISTRY
 
 
 def test_standard_config():
@@ -64,7 +64,7 @@ def test_out_of_range_ion_count():
 def test_unknown_species():
     raw = standard_raw()
     raw["species"] = "Xx999"
-    with pytest.raises(UnknownSpeciesError):
+    with pytest.raises(ConfigError, match=r"^unknown species 'Xx999' \(known: Yb171\)$"):
         validate_config(raw)
 
 
@@ -137,7 +137,7 @@ def test_sampled_field_interpolation():
 
 def test_sampled_field_out_of_range():
     field = SampledField(points=((-1e-4, 0.0), (1e-4, 1e-3)))
-    with pytest.raises(OutOfProfileRangeError):
+    with pytest.raises(ConfigError, match=r"^position z=0\.0002 m outside sampled profile range \[-0\.0001, 0\.0001\] m$"):
         field.field_at(2e-4)
 
 

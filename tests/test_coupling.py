@@ -6,7 +6,7 @@ import pytest
 
 from conftest import C_LIGHT, HBAR, MU_B, TWO_PI, YB_MASS, standard_raw
 from gradchain.chain import solve_chain
-from gradchain.config import OutOfProfileRangeError, load_config, validate_config
+from gradchain.config import ConfigError, load_config, validate_config
 from gradchain.coupling import (
     build_report,
     effective_lamb_dicke,
@@ -59,7 +59,7 @@ def test_gradients_sampled_profile_and_range():
     assert np.allclose(omega_gradients(cfg_wide, chain_wide), GRAD_10TM, rtol=1e-12)
     narrow = {"sampled": {"points": [[-0.1 * extent, 0.0], [0.1 * extent, 1e-6]]}}
     cfg_narrow, chain_narrow = make(n=2, field=narrow)
-    with pytest.raises(OutOfProfileRangeError):
+    with pytest.raises(ConfigError, match="outside sampled profile range"):
         omega_gradients(cfg_narrow, chain_narrow)
 
 

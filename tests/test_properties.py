@@ -21,8 +21,7 @@ from conftest import json_text
 from gradchain import chain as chain_mod
 from gradchain.chain import solve_chain
 from gradchain.cli import main
-from gradchain.config import ConfigError, OutOfProfileRangeError, load_config, validate_config
-from gradchain.constants import UnknownSpeciesError
+from gradchain.config import ConfigError, load_config, validate_config
 from gradchain.coupling import build_report
 from gradchain.pulse import PulseProgramError, SourceSpan, interpret, parse
 from gradchain.units import QuantityError
@@ -65,7 +64,7 @@ configs = st.fixed_dictionaries(
               "comment": st.text(max_size=8)},
 )
 
-CONFIG_ERRORS = (ConfigError, QuantityError, UnknownSpeciesError, OutOfProfileRangeError)
+CONFIG_ERRORS = (ConfigError, QuantityError)
 
 
 @PROPERTY

@@ -1,13 +1,9 @@
 import math
+import re
 
 import pytest
 
-from gradchain.units import (
-    MalformedNumberError,
-    QuantityError,
-    UnknownUnitError,
-    parse_quantity,
-)
+from gradchain.units import QuantityError, parse_quantity
 
 
 @pytest.mark.parametrize(
@@ -48,34 +44,32 @@ def test_internal_whitespace_tolerated():
 
 
 def test_unknown_unit_carries_offender():
-    with pytest.raises(UnknownUnitError) as err:
+    with pytest.raises(QuantityError, match=r"unknown unit 'furlong' \(known: GHz, Hz, MHz, T, T/m, deg, kHz"):
         parse_quantity("10furlong")
-    assert err.value.offending == "furlong"
 
 
 def test_missing_unit_is_unknown_unit():
-    with pytest.raises(UnknownUnitError):
+    with pytest.raises(QuantityError, match="unknown unit '' "):
         parse_quantity("100")
 
 
 def test_malformed_number_carries_offender():
-    with pytest.raises(MalformedNumberError) as err:
+    with pytest.raises(QuantityError, match="malformed number in quantity: 'abcHz'"):
         parse_quantity("abcHz")
-    assert "abcHz" in err.value.offending
 
 
-@pytest.mark.parametrize("text", ["", "   ", "--5Hz", "e5Hz"])
+# the last two: float() takes full-width and Arabic-Indic digits, the grammar only 0-9
+@pytest.mark.parametrize("text", ["", "   ", "--5Hz", "e5Hz", "\uff11\uff10\uff10kHz", "\u0662Hz"])
 def test_malformed_numbers(text):
-    with pytest.raises(MalformedNumberError):
+    with pytest.raises(QuantityError, match=re.escape(f"malformed number in quantity: {text.strip()!r}")):
         parse_quantity(text)
 
 
 @pytest.mark.parametrize("text", ["1e400Hz", "1e308kHz", "-1e400T", "1e306GHz"])
 def test_non_finite_result_rejected(text):
     # 1e400 overflows as written; 1e308kHz and 1e306GHz overflow when scaled to SI
-    with pytest.raises(QuantityError) as err:
+    with pytest.raises(QuantityError, match=f"^quantity '{text}' is not a finite number$"):
         parse_quantity(text)
-    assert err.value.offending == text
 
 
 # a script that writes a config puts a value's repr before its unit; parsing gives the value back exactly
