@@ -31,7 +31,7 @@ from . import chain as chain_mod
 from . import coupling as coupling_mod
 from . import pulse as pulse_mod  # a lazy module (gradchain/__init__.py): only cmd_simulate runs it
 from .config import TrapConfig, load_config, read_document, validate_config
-from .units import QuantityError, parse_quantity
+from .units import QuantityError, read_integer, read_value
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -281,7 +281,7 @@ def _sweep_ion(quantity: str, ion_count: int) -> int:
     try:
         if not (quantity.startswith("delta_shift[") and quantity.endswith("]")):
             raise ValueError
-        ion = int(quantity[len("delta_shift["):-1])
+        ion = read_integer(quantity[len("delta_shift["):-1])
     except ValueError:
         raise ValueError(f"unknown sweep quantity {quantity!r} "
                          f"(supported: {', '.join(_SWEEP_QUANTITIES)}, delta_shift[j])") from None
@@ -315,16 +315,14 @@ def _set_path(raw: dict, dotted: str, value: float) -> None:
 
 
 def _parse_sweep_bound(text: str, raw: dict, parameter: str) -> float:
-    """A sweep bound in SI: a bare number as it is, a quantity only if the swept field accepts its text."""
+    """A sweep bound in SI: a number or quantity of units.read_value, if the swept field takes its text too."""
     try:
-        value = float(text)
-    except ValueError:
-        value, _ = parse_quantity(text)
-        probe = json.loads(json.dumps(raw))
-        _set_path(probe, parameter, text)
-        validate_config(probe)  # the field's own check rejects a unit of another dimension
-    if not math.isfinite(value):
-        raise QuantityError(f"sweep bound {text!r} is not a finite number")
+        value = read_value(text)
+    except QuantityError as exc:
+        raise QuantityError(f"sweep bound: {exc}") from None
+    probe = json.loads(json.dumps(raw))
+    _set_path(probe, parameter, text)
+    validate_config(probe)  # the field's own check rejects a unit of another dimension
     return value
 
 
@@ -344,6 +342,14 @@ def cmd_sweep(args) -> int:
                  out.with_suffix(out.suffix + ".dat") if args.emit_plot_data else None)
     print(f"swept {args.param} over {args.steps} points -> {args.quantity}")
     return EXIT_OK
+
+
+def _integer(text: str) -> int:
+    """argparse type of the integer flags: units.read_integer, whose error argparse reports as `argument --ion: ...`."""
+    try:
+        return read_integer(text)
+    except QuantityError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -370,15 +376,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_couplings)
 
     p = sub.add_parser("spectrum", parents=[common, plot_data], help="microwave sideband stick spectrum of one ion")
-    p.add_argument("--ion", type=int, required=True)
+    p.add_argument("--ion", type=_integer, required=True)
     p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("simulate", parents=[common, plot_data], help="run a pulse program")
     p.add_argument("--program", required=True, help=".pp pulse program file")
     p.add_argument("--initial", default=None, help="initial basis label, default all zeros")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--shots", type=int, default=100)
+    p.add_argument("--seed", type=_integer, default=0)
+    p.add_argument("--shots", type=_integer, default=100)
     p.add_argument("--out", required=True, help="RunRecord JSON path")
     p.set_defaults(func=cmd_simulate)
 
@@ -386,7 +392,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", required=True, help="config path, e.g. field.uniform.b or nu1")
     p.add_argument("--from", required=True, help="start value (quantity or SI number)")
     p.add_argument("--to", required=True, help="end value")
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=_integer, required=True)
     p.add_argument("--scale", choices=("linear", "log"), default="linear")
     p.add_argument("--quantity", required=True,
                    help="max_J | epsilon | min_spacing | delta_shift[j]")

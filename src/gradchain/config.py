@@ -1,9 +1,9 @@
 """Validated trap configuration: species, chain size, trap frequency, field profile.
 
-Configs are JSON documents. Quantity-valued entries accept either a string
-with units ("100kHz") or a bare number interpreted as SI. Unknown keys are
-rejected outright: a silently ignored typo in a physics config produces
-plausible-looking wrong numbers.
+Configs are JSON documents. Quantity-valued entries are JSON numbers (SI)
+or strings of units.read_value: "100kHz", or "1e5" meaning SI; `c` and an
+explicit wavevector take numbers only. Unknown keys are rejected outright:
+a silently ignored typo in a physics config produces plausible-looking wrong numbers.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .constants import CONSTANTS, SPECIES_REGISTRY, Species
-from .units import FREQUENCY, QuantityError, parse_quantity
+from .units import FREQUENCY, QuantityError, read_value
 
 MAX_IONS = 50
 
@@ -141,7 +141,7 @@ class TrapConfig:
 
 
 def _quantity(raw, path: str, dimension: str) -> float:
-    """Accept a number (SI) or a unit string of the required dimension."""
+    """Accept a number (SI) or a string that units.read_value takes as `dimension`."""
     if isinstance(raw, bool):
         raise OutOfRangeError(path, f"expected a quantity, got {raw!r}")
     if isinstance(raw, (int, float)):
@@ -150,12 +150,9 @@ def _quantity(raw, path: str, dimension: str) -> float:
         return float(raw)
     if isinstance(raw, str):
         try:
-            value, dim = parse_quantity(raw)
+            return read_value(raw, dimension)
         except QuantityError as exc:
             raise OutOfRangeError(path, str(exc)) from exc
-        if dim != dimension:
-            raise OutOfRangeError(path, f"expected {dimension}, got {dim} ({raw!r})")
-        return value
     raise OutOfRangeError(path, f"expected a quantity, got {type(raw).__name__}")
 
 
@@ -184,13 +181,10 @@ def _parse_field(raw, path: str = "field") -> FieldProfile:
         for key in ("b", "c"):
             if key not in body:
                 raise MissingFieldError(f"{path}.quadratic.{key}")
-        c = body["c"]
-        if not isinstance(c, (int, float)) or isinstance(c, bool) or not math.isfinite(c):
-            raise OutOfRangeError(f"{path}.quadratic.c", "curvature must be a finite bare SI number (T/m^2)")
         return QuadraticField(
             b0=_quantity(body.get("B0", 0.0), f"{path}.quadratic.B0", "field"),
             b=_quantity(body["b"], f"{path}.quadratic.b", "gradient"),
-            c=float(c),
+            c=_quantity(body["c"], f"{path}.quadratic.c", "curvature in T/m^2"),  # no unit carries it
         )
     if variant == "sampled":
         _check_keys(body, {"points"}, f"{path}.sampled.")
@@ -250,11 +244,9 @@ def validate_config(raw: dict) -> TrapConfig:
         _check_keys(dw, {"explicit"}, "drive_wavevector.")
         if "explicit" not in dw:
             raise MissingFieldError("drive_wavevector.explicit")
-        kval = dw["explicit"]
-        if not isinstance(kval, (int, float)) or isinstance(kval, bool) or not 0 < kval < math.inf:
-            raise OutOfRangeError("drive_wavevector.explicit",
-                                  "wavevector must be a positive finite number (rad/m)")
-        k = float(kval)
+        k = _quantity(dw["explicit"], "drive_wavevector.explicit", "wavevector in rad/m")
+        if k <= 0:
+            raise OutOfRangeError("drive_wavevector.explicit", f"wavevector must be positive, got {k}")
     elif dw != FROM_TRANSITION:
         raise OutOfRangeError("drive_wavevector", f"expected {FROM_TRANSITION!r} or {{'explicit': k}}, got {dw!r}")
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .units import ANGLE, FREQUENCY, NUMBER_RE, TIME, QuantityError, parse_quantity
+from .units import ANGLE, FREQUENCY, TIME, QuantityError, read_integer, read_value
 from .spins import (
     SpinHamiltonian,
     SpinState,
@@ -109,11 +109,8 @@ class PulseProgram:
 
 
 _TOKEN_RE = re.compile(r"\S+")
-_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 _PULSE_KEYS = ("ion", "rabi", "detune", "phase", "area", "dur")
 _REQUIRED_PULSE_KEYS = ("ion", "rabi", "detune", "phase")
-
-_BARE_SI_UNIT = {FREQUENCY: "Hz", TIME: "s", ANGLE: "rad"}
 
 
 def _tokens(line: str) -> list[tuple[str, int]]:
@@ -124,28 +121,12 @@ def _tokens(line: str) -> list[tuple[str, int]]:
     return [(m.group(0), m.start() + 1) for m in _TOKEN_RE.finditer(line)]
 
 
-def _parse_value(text: str, dimension: str, span: SourceSpan) -> float:
-    """A quantity string, or a bare number meaning SI units of `dimension`."""
-    if NUMBER_RE.fullmatch(text):
-        value = float(text)
-        if not math.isfinite(value):
-            raise PulseProgramError(f"value must be finite, got {text!r}", span)
-        return value
+def _read(reader, text: str, arg: str, span: SourceSpan):
+    """reader(text, arg), a gradchain.units reader; its QuantityError becomes a PulseProgramError at `span`."""
     try:
-        value, dim = parse_quantity(text)
+        return reader(text, arg)
     except QuantityError as exc:
         raise PulseProgramError(str(exc), span) from exc
-    if dim != dimension:
-        raise PulseProgramError(
-            f"expected a {_BARE_SI_UNIT[dimension]}-compatible quantity, got {dim} ({text!r})", span
-        )
-    return value
-
-
-def _parse_int(text: str, span: SourceSpan, what: str) -> int:
-    if not _INTEGER_RE.fullmatch(text):
-        raise PulseProgramError(f"expected an integer {what}, got {text!r}", span)
-    return int(text)
 
 
 def _parse_ion_set(
@@ -171,7 +152,7 @@ def _parse_ion_set(
     for part in joined.split(","):
         span = SourceSpan(line_no, chars[start][1] if start < len(chars) else chars[-1][1] + 1)
         start += len(part) + 1
-        ion = _parse_int(part, span, "ion index")
+        ion = _read(read_integer, part, "integer ion index", span)
         if not 1 <= ion <= n_ions:
             raise PulseProgramError(f"ion index {ion} out of range [1, {n_ions}]", span)
         if ion in ions:
@@ -203,28 +184,28 @@ def _parse_pulse(tokens: list[tuple[str, int]], span: SourceSpan, n_ions: int) -
         raise PulseProgramError("pulse needs either area or dur", span)
 
     ion_text, ion_span = fields["ion"]
-    ion = _parse_int(ion_text, ion_span, "ion index")
+    ion = _read(read_integer, ion_text, "integer ion index", ion_span)
     if not 1 <= ion <= n_ions:
         raise PulseProgramError(f"ion index {ion} out of range [1, {n_ions}]", ion_span)
 
-    rabi = _parse_value(fields["rabi"][0], FREQUENCY, fields["rabi"][1])
+    rabi = _read(read_value, fields["rabi"][0], FREQUENCY, fields["rabi"][1])
     if rabi < 0:
         raise PulseProgramError("rabi must be non-negative", fields["rabi"][1])
-    detune = _parse_value(fields["detune"][0], FREQUENCY, fields["detune"][1])
-    phase = _parse_value(fields["phase"][0], ANGLE, fields["phase"][1])
+    detune = _read(read_value, fields["detune"][0], FREQUENCY, fields["detune"][1])
+    phase = _read(read_value, fields["phase"][0], ANGLE, fields["phase"][1])
 
     if "area" in fields:
         area_text, area_span = fields["area"]
         if not area_text.endswith("pi"):
             raise PulseProgramError("pulse areas take only the 'pi' suffix", area_span)
-        area = _parse_value(area_text, ANGLE, area_span) / math.pi  # in units of pi; the duration rounds from it
+        area = _read(read_value, area_text, ANGLE, area_span) / math.pi  # in units of pi; the duration rounds from it
         if area < 0:
             raise PulseProgramError("area must be non-negative", area_span)
         if rabi == 0.0:
             raise PulseProgramError("area-specified pulse needs rabi > 0", fields["rabi"][1])
         duration = area * math.pi / (2.0 * math.pi * rabi)
     else:
-        duration = _parse_value(fields["dur"][0], TIME, fields["dur"][1])
+        duration = _read(read_value, fields["dur"][0], TIME, fields["dur"][1])
         if duration < 0:
             raise PulseProgramError("dur must be non-negative", fields["dur"][1])
     return Pulse(ion, rabi, detune, phase, duration, span)
@@ -251,7 +232,7 @@ def parse(source: str) -> PulseProgram:
                 raise PulseProgramError("usage: ions <count>", kw_span)
             count_tok, count_col = tokens[1]
             count_span = SourceSpan(line_no, count_col)
-            n_ions = _parse_int(count_tok, count_span, "ion count")
+            n_ions = _read(read_integer, count_tok, "integer ion count", count_span)
             if n_ions < 1:
                 raise PulseProgramError(f"ion count must be positive, got {n_ions}", count_span)
             continue
@@ -266,7 +247,7 @@ def parse(source: str) -> PulseProgram:
                 raise PulseProgramError("usage: delay <duration>", kw_span)
             tok, col = tokens[1]
             value_span = SourceSpan(line_no, col)
-            duration = _parse_value(tok, TIME, value_span)
+            duration = _read(read_value, tok, TIME, value_span)
             if duration < 0:
                 raise PulseProgramError("delay must be non-negative", value_span)
             instructions.append(Delay(duration, kw_span))

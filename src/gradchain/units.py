@@ -1,9 +1,12 @@
-"""Parsing of dimensioned quantities like "100kHz" or "0.5pi".
+"""The one reader of typed numbers: quantities like "100kHz" or "0.5pi", bare SI numbers, integers.
 
-The unit set is deliberately closed: frequencies (ordinary, not angular),
-times, magnetic fields, field gradients, lengths and angles. Frequencies
-parse to ordinary Hz; conversion to angular frequency happens in the
-operations whose contract requires it, never here.
+Config strings, program tokens, sweep bounds and integer flags all go
+through read_value or read_integer (the `quantity`, `number` and `integer`
+rules of docs/pulse_program.ebnf); callers add only their context to the
+QuantityError. The unit set is deliberately closed: frequencies (ordinary,
+not angular), times, magnetic fields, field gradients, lengths and angles.
+Frequencies parse to ordinary Hz; conversion to angular frequency happens
+in the operations whose contract requires it, never here.
 """
 
 from __future__ import annotations
@@ -39,10 +42,11 @@ _UNITS: dict[str, tuple[float, str]] = {
 
 # the `number` rule of docs/pulse_program.ebnf: ASCII digits only, no `_` separators
 NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?", re.ASCII)
+INTEGER_RE = re.compile(r"[+-]?[0-9]+")  # the `integer` rule
 
 
 class QuantityError(ValueError):
-    """A quantity string that is malformed, has an unknown unit or is not finite."""
+    """A number or quantity text that is malformed, has an unknown unit or the wrong dimension, or is not finite."""
 
 
 def parse_quantity(text: str) -> tuple[float, str]:
@@ -65,3 +69,20 @@ def parse_quantity(text: str) -> tuple[float, str]:
     if not math.isfinite(value):
         raise QuantityError(f"quantity {stripped!r} is not a finite number")
     return value, dim
+
+
+def read_value(text: str, dimension: str | None = None) -> float:
+    """The finite SI value of a bare number (SI in `dimension`) or of a quantity of `dimension`; None takes any."""
+    value, dim = (float(text), dimension) if NUMBER_RE.fullmatch(text.strip()) else parse_quantity(text)
+    if dimension is not None and dim != dimension:
+        raise QuantityError(f"expected {dimension}, got {dim} ({text!r})")
+    if not math.isfinite(value):
+        raise QuantityError(f"quantity {text.strip()!r} is not a finite number")
+    return value
+
+
+def read_integer(text: str, what: str = "integer") -> int:
+    """`text` as an int if it is all of the `integer` rule; `what` names the value in the error."""
+    if not INTEGER_RE.fullmatch(text):
+        raise QuantityError(f"expected an {what}, got {text!r}")
+    return int(text)

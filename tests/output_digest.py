@@ -26,16 +26,21 @@ simulator evolves in; two generated 16-ion, 80-op, 20000-shot programs
 (perfbench's `register_program`, seeds 31 and 32); and `chain` and
 `couplings` on a generated 49-ion uniform-gradient config, whose odd
 modes have exact zeros at the centre ion (no shipped config has odd N);
-and failing runs, whose stderr carries the exit-2 input message, the
-exit-3 `line:col` of a non-finite state, or the exit-4 `file:line:col` of
-a parse error in a pulse field, an ion list (an entry out of range, a
-repeated entry, none at all, two entries with no comma between them in
-`measure z 1 2`, `all` split into `a ll`), a delay value, a missing field,
-a negative pulse area, an empty program, an unknown keyword, a second
-`ions` header and `area=` with `dur=` (ERROR_PROGRAMS); and the exit-2
-input errors of an unknown species (`chain`), ions outside a sampled
-field profile (`couplings`), `--initial 1x` and a 17-ion register
-(`simulate`).
+`couplings` on one quadratic-field config with an explicit wavevector,
+written once with JSON numbers and once with numeric strings (NUMERIC),
+whose files must agree; and failing runs, whose stderr carries the exit-2
+input message, the exit-3 `line:col` of a non-finite state, or the exit-4
+`file:line:col` of a parse error in a pulse field, an ion list (an entry
+out of range, a repeated entry, none at all, two entries with no comma
+between them in `measure z 1 2`, `all` split into `a ll`), a delay value
+(an unknown unit, `5kHz`, `1e400`), a missing field, a negative pulse
+area, an empty program, an unknown keyword, a second `ions` header and
+`area=` with `dur=` (ERROR_PROGRAMS); and the exit-2 input errors of an
+unknown species (`chain`), ions outside a sampled field profile
+(`couplings`), `--initial 1x` and a 17-ion register (`simulate`), a unit
+on the curvature `c` (`chain`), `--ion x` (`spectrum`), and the sweep
+bounds `1_00_000` and `nan`, `--steps ３` and `delta_shift[1_0]` on
+trap_n10 (`sweep`).
 This script is not a test module and pytest does not collect it.
 """
 
@@ -82,6 +87,8 @@ ERROR_PROGRAMS = {
     "unknown_keyword": "ions 2\nwiggle 5\n",
     "duplicate_header": "ions 2\nions 2\n",
     "area_and_dur": "ions 2\npulse ion=1 rabi=1kHz detune=0 phase=0 area=1pi dur=1ms\n",
+    "delay_unit": "ions 2\ndelay 5kHz\n",
+    "delay_non_finite": "ions 2\ndelay 1e400\n",
 }
 # failing runs on a config of their own: the config and the command each runs
 ERROR_CONFIGS = {
@@ -93,6 +100,16 @@ ERROR_CONFIGS = {
     "register_too_large": ({"species": "Yb171", "N": REGISTER_N + 1, "nu1": "100kHz",
                             "field": {"uniform": {"b": "10T/m"}}},
                            ["simulate", "--program", "n17.pp", "--out", "{out}/run.json"]),
+    "curvature_unit": ({"species": "Yb171", "N": 2, "nu1": "100kHz",
+                        "field": {"quadratic": {"b": "10T/m", "c": "1T/m"}}},
+                       ["chain", "--out", "{out}/chain.json"]),
+}
+# one config twice, its numbers as JSON numbers and as strings; the two runs write the same files
+NUMERIC = {
+    "numbers": {"species": "Yb171", "N": 3, "nu1": 100000, "field": {"quadratic": {"b": 10, "c": 2e5}},
+                "drive_wavevector": {"explicit": 1e7}},
+    "strings": {"species": "Yb171", "N": 3, "nu1": "100000", "field": {"quadratic": {"b": "10", "c": "2e5"}},
+                "drive_wavevector": {"explicit": "1e7"}},
 }
 
 
@@ -176,7 +193,20 @@ def _commands(work: Path) -> list[tuple[str, list[str]]]:
                  ("error_initial", ["simulate", "--config", "trap.json", "--program", "cnot.pp", "--initial", "1x",
                                     "--out", "{out}/run.json"]),
                  ("error_spectrum_ion", ["spectrum", "--config", "trap.json", "--ion", "3",
-                                         "--out", "{out}/spectrum.csv"])]
+                                         "--out", "{out}/spectrum.csv"]),
+                 ("error_ion_flag", ["spectrum", "--config", "trap.json", "--ion", "x",
+                                     "--out", "{out}/spectrum.csv"])]
+    sweep = ["sweep", "--config", "trap.json", "--param", "nu1", "--from", "50kHz", "--quantity", "max_J",
+             "--out", "{out}/sweep.csv"]
+    commands += [("error_sweep_underscore", sweep + ["--to", "1_00_000", "--steps", "3"]),
+                 ("error_sweep_nan", sweep + ["--to", "nan", "--steps", "3"]),
+                 ("error_sweep_steps", sweep + ["--to", "100kHz", "--steps", "\uff13"]),
+                 ("error_sweep_ion_index", ["sweep", "--config", "trap_n10.json", "--param", "nu1", "--from", "50kHz",
+                                            "--to", "100kHz", "--steps", "3", "--quantity", "delta_shift[1_0]",
+                                            "--out", "{out}/sweep.csv"])]
+    for name, config in NUMERIC.items():
+        (work / f"{name}.json").write_text(json.dumps(config), encoding="utf-8")
+        commands.append((f"{name}_couplings", ["couplings", "--config", f"{name}.json", "--out-dir", "{out}"]))
     return commands + _register_inputs(work)
 
 

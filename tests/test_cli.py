@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -257,8 +258,7 @@ def test_non_finite_quantity_exit_codes(tmp_path, capsys):
     assert "2:7" in capsys.readouterr().err
 
 
-# case -> (config fields over standard_raw(n=2), command, program, exit code, stderr line); the
-# raise sites whose exception class changed without a change of message or exit code
+# case -> (config fields over standard_raw(n=2), command, program, exit code, stderr line)
 FAILING_RUNS = {
     "unknown_species": ({"species": "Xx999"}, ["chain", "--out", "out/chain.json"], CNOT_PROGRAM, 2,
                         "unknown species 'Xx999' (known: Yb171)"),
@@ -274,6 +274,15 @@ FAILING_RUNS = {
     "duplicate_header": ({}, ["simulate"], "ions 2\nions 2\n", 4, "p.pp:2:1: duplicate 'ions' header"),
     "area_and_dur": ({}, ["simulate"], "ions 2\npulse ion=1 rabi=1kHz detune=0 phase=0 area=1pi dur=1ms\n", 4,
                      "p.pp:2:49: pulse takes either area or dur, not both"),
+    # `c` and an explicit wavevector have no unit, so their strings take none either
+    "curvature_unit": ({"field": {"quadratic": {"b": "10T/m", "c": "1T/m"}}}, ["chain"], CNOT_PROGRAM, 2,
+                       "field field.quadratic.c: expected curvature in T/m^2, got gradient ('1T/m')"),
+    "wavevector_unit": ({"drive_wavevector": {"explicit": "1e7rad"}}, ["chain"], CNOT_PROGRAM, 2,
+                        "field drive_wavevector.explicit: expected wavevector in rad/m, got angle-rad ('1e7rad')"),
+    "wavevector_negative": ({"drive_wavevector": {"explicit": "-1e7"}}, ["chain"], CNOT_PROGRAM, 2,
+                            "field drive_wavevector.explicit: wavevector must be positive, got -10000000.0"),
+    "nu1_non_finite": ({"nu1": "1e400"}, ["chain"], CNOT_PROGRAM, 2,
+                       "field nu1: quantity '1e400' is not a finite number"),
 }
 
 
@@ -382,6 +391,15 @@ def test_sweep_validates_endpoints(trap2, tmp_path):
     assert code == 2
 
 
+# bound -> the units reader's message; the `number` rule has no spelling of nan or inf
+NON_FINITE_BOUND_ERRORS = {
+    "1e400": "quantity '1e400' is not a finite number",
+    "nan": "malformed number in quantity: 'nan'",
+    "inf": "malformed number in quantity: 'inf'",
+    "-inf": "malformed number in quantity: '-inf'",
+}
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bound", ["1e400", "nan", "inf", "-inf"])
 def test_sweep_rejects_non_finite_bound(trap2, tmp_path, capsys, bound):
@@ -389,7 +407,7 @@ def test_sweep_rejects_non_finite_bound(trap2, tmp_path, capsys, bound):
     code = main(["sweep", "--config", trap2, "--param", "nu1", "--from", "50kHz", f"--to={bound}",
                  "--steps", "3", "--quantity", "max_J", "--out", str(out)])
     assert code == 2
-    assert capsys.readouterr().err == f"error: sweep bound {bound!r} is not a finite number\n"
+    assert capsys.readouterr().err == f"error: sweep bound: {NON_FINITE_BOUND_ERRORS[bound]}\n"
     assert not out.exists()
 
 
@@ -496,6 +514,10 @@ def test_sweep_spec_validation():
     ("bogus", "unknown sweep quantity 'bogus'"),
     ("delta_shift[x]", "unknown sweep quantity 'delta_shift[x]'"),
     ("delta_shift[99]", "sweep quantity 'delta_shift[99]': ion index 99 out of range [1, 2]"),
+    # the index follows the `integer` rule: no `_`, no whitespace, ASCII digits only
+    ("delta_shift[1_0]", "unknown sweep quantity 'delta_shift[1_0]'"),
+    ("delta_shift[ 1]", "unknown sweep quantity 'delta_shift[ 1]'"),
+    ("delta_shift[\u0662]", "unknown sweep quantity 'delta_shift[\u0662]'"),
 ])
 def test_sweep_rejects_quantity_before_any_point(trap2, tmp_path, capsys, monkeypatch, quantity, message):
     def no_solve(config):
@@ -522,6 +544,38 @@ def test_sweep_plot_data_is_the_csv_columns(trap2, tmp_path):
     dat = tmp_path / "sweep.csv.dat"
     assert dat.read_text(encoding="utf-8") == "".join(f"{x} {y}\n" for x, y in rows)
     assert sorted(p.name for p in tmp_path.iterdir() if p.suffix != ".json") == ["sweep.csv", "sweep.csv.dat"]
+
+
+# the integer flags read their text as units.read_integer does
+@pytest.mark.parametrize("command, flag, text", [
+    (["spectrum", "--out", "s.csv"], "--ion", "\uff12"),
+    (["spectrum", "--out", "s.csv"], "--ion", "x"),
+    (["simulate", "--program", "p.pp", "--out", "run.json"], "--seed", "1_0"),
+    (["simulate", "--program", "p.pp", "--out", "run.json"], "--shots", " 2"),
+    (["sweep", "--param", "nu1", "--from", "50kHz", "--to", "100kHz", "--quantity", "max_J", "--out", "s.csv"],
+     "--steps", "\uff13"),
+])
+def test_integer_flags_take_the_integer_rule(trap2, tmp_path, monkeypatch, capsys, command, flag, text):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.pp").write_text(CNOT_PROGRAM, encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--config", trap2, flag, text])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: argument {flag}: expected an integer, got {text!r}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.pp", "trap2.json"]
+
+
+def test_numeric_strings_in_a_config_are_si(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    outputs = []
+    for nu1, c, k in ((100000, 2e5, 1e7), ("100000", "2e5", "1e7")):
+        raw = standard_raw(n=3, nu1=nu1) | {"field": {"quadratic": {"b": "10T/m", "c": c}},
+                                             "drive_wavevector": {"explicit": k}}
+        Path("trap.json").write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["chain", "--config", "trap.json", "--out", "chain.json", "--no-timestamp"]) == 0
+        assert main(["couplings", "--config", "trap.json", "--out-dir", "coup", "--no-timestamp"]) == 0
+        outputs.append([Path(name).read_bytes() for name in ("chain.json", "coup/report.json", "coup/j_matrix.csv")])
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("command", ["sweep", "chain"])

@@ -14,17 +14,17 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import json_text
+from conftest import json_text, standard_raw
 from gradchain import chain as chain_mod
 from gradchain.chain import solve_chain
-from gradchain.cli import main
+from gradchain.cli import _parse_sweep_bound, main
 from gradchain.config import ConfigError, load_config, validate_config
 from gradchain.coupling import build_report
 from gradchain.pulse import PulseProgramError, SourceSpan, interpret, parse
-from gradchain.units import QuantityError
+from gradchain.units import FREQUENCY, QuantityError, read_value
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -74,6 +74,45 @@ def test_validate_config_fails_only_with_config_errors(raw):
         validate_config(raw)
     except CONFIG_ERRORS:
         pass
+
+
+# one number grammar ------------------------------------------------------------------
+
+# mostly ASCII digits; now and then the digits float() also takes (full-width, Arabic-Indic) and `_` separators
+ascii_runs = st.text(st.sampled_from("0123456789"), min_size=1, max_size=5)
+digit_runs = ascii_runs | ascii_runs | st.text(
+    st.sampled_from("0123456789_\uff10\uff11\uff15\u0660\u0661\u0665"), min_size=1, max_size=5)
+number_texts = st.builds(
+    lambda sign, whole, frac, exp: sign + whole + (f".{frac}" if frac is not None else "") + (exp or ""),
+    st.sampled_from(["", "", "+", "-"]), digit_runs, st.none() | digit_runs,
+    st.none() | st.builds("".join, st.tuples(st.sampled_from("eE"), st.sampled_from(["", "-"]), digit_runs)),
+) | st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "1e400", "-1e400", "1e308"])
+# units of every dimension, a frequency or none half the time
+value_texts = st.builds(str.__add__, number_texts,
+                        st.sampled_from(["", "Hz", "kHz", "MHz", "GHz"]) | st.sampled_from(UNITS))
+
+
+def _value_or_none(read):
+    try:
+        return read()
+    except ValueError:  # QuantityError, ConfigError and PulseProgramError all are
+        return None
+
+
+@settings(PROPERTY, max_examples=500)
+@example("1_00_000")
+@example("\uff11\uff10\uff10000")
+@example("1e400")
+@example("5e4")
+@given(value_texts)
+def test_number_readers_agree(text):
+    """A program's detune reads a text as units.read_value does; so do nu1 and a sweep bound on nu1 where it is > 0."""
+    value = _value_or_none(lambda: read_value(text, FREQUENCY))
+    program = f"ions 1\npulse ion=1 rabi=1kHz detune={text} phase=0 dur=1ms\n"
+    assert _value_or_none(lambda: parse(program).instructions[0].detune_hz) == value
+    positive = value if value is not None and value > 0 else None
+    assert _value_or_none(lambda: validate_config(standard_raw(nu1=text)).axial_frequency_hz) == positive
+    assert _value_or_none(lambda: _parse_sweep_bound(text, standard_raw(), "nu1")) == positive
 
 
 # pulse programs -------------------------------------------------------------------

@@ -218,6 +218,22 @@ def test_numbers_take_only_ascii_digits(source):
     assert (err.value.span.line, err.value.span.col) == (line, col)
 
 
+# line -> (column, message) of its error: units.read_value's wording, the same as in a config or a sweep bound
+VALUE_ERRORS = {
+    "delay 5kHz": (7, "expected time, got frequency ('5kHz')"),
+    "delay 1e400": (7, "quantity '1e400' is not a finite number"),
+    "pulse ion=1 rabi=1kHz detune=1ms phase=0 dur=1ms": (30, "expected frequency, got time ('1ms')"),
+}
+
+
+@pytest.mark.parametrize("line", VALUE_ERRORS)
+def test_value_errors_take_the_readers_wording(line):
+    col, message = VALUE_ERRORS[line]
+    with pytest.raises(PulseProgramError) as err:
+        parse(f"ions 2\n{line}\n")
+    assert str(err.value) == f"2:{col}: {message}"
+
+
 @pytest.mark.parametrize("line, ions", [
     ("measure z 1, 3", (1, 3)),
     ("measure z 1 ,3", (1, 3)),

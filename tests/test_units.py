@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from gradchain.units import QuantityError, parse_quantity
+from gradchain.units import QuantityError, parse_quantity, read_integer, read_value
 
 
 @pytest.mark.parametrize(
@@ -101,3 +101,17 @@ def test_format_round_trip_grid():
             for mantissa in (1.0, 2.718281828459045, -7.77):
                 value = mantissa * 10.0**exponent
                 assert parse_quantity(f"{value!r}{BASE_UNIT[dim]}") == (value, dim)
+
+
+
+def test_read_value_takes_a_bare_number_as_si_in_the_asked_dimension():
+    assert read_value("5e4", "frequency") == read_value("50kHz", "frequency") == 5e4
+    assert read_value(" 2e-3 ", "time") == read_value("2ms", "time")
+    assert read_value("1T/m") == read_value("1") == 1.0  # no dimension asked: any
+
+
+def test_read_integer_takes_only_the_integer_rule():
+    assert read_integer("-07") == -7
+    for text in ["1_0", " 2", "2 ", "\uff12", "\u0662", "2.0", "", "+"]:
+        with pytest.raises(QuantityError, match=re.escape(f"expected an integer, got {text!r}")):
+            read_integer(text)
