@@ -30,7 +30,7 @@ import numpy as np
 from . import chain as chain_mod
 from . import coupling as coupling_mod
 from . import pulse as pulse_mod  # a lazy module (gradchain/__init__.py): only cmd_simulate runs it
-from .config import TrapConfig, load_config, read_document, validate_config
+from .config import ConfigError, TrapConfig, load_config, read_document, validate_config
 from .units import QuantityError, read_integer, read_value
 
 EXIT_OK = 0
@@ -321,6 +321,13 @@ def _parse_sweep_bound(text: str, raw: dict, parameter: str) -> float:
     except QuantityError as exc:
         raise QuantityError(f"sweep bound: {exc}") from None
     probe = json.loads(json.dumps(raw))
+    _set_path(probe, parameter, None)
+    try:
+        validate_config(probe)  # a field read as a quantity refuses null
+    except ConfigError:
+        pass
+    else:
+        raise ConfigError(f"sweep parameter {parameter!r} is not a quantity")
     _set_path(probe, parameter, text)
     validate_config(probe)  # the field's own check rejects a unit of another dimension
     return value

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 from .constants import CONSTANTS, SPECIES_REGISTRY, Species
@@ -144,6 +145,8 @@ def _quantity(raw, path: str, dimension: str) -> float:
     """Accept a number (SI) or a string that units.read_value takes as `dimension`."""
     if isinstance(raw, bool):
         raise OutOfRangeError(path, f"expected a quantity, got {raw!r}")
+    if isinstance(raw, int) and abs(raw) > sys.float_info.max:
+        raise OutOfRangeError(path, "integer is beyond the range of a double")
     if isinstance(raw, (int, float)):
         if not math.isfinite(raw):
             raise OutOfRangeError(path, f"value must be finite, got {raw!r}")

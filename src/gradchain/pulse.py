@@ -332,7 +332,7 @@ def interpret(
         raise ValueError(f"program declares {program.n_ions} ions but the coupling matrix has {n}")
     if shots < 0:
         raise ValueError(f"shots must be >= 0, got {shots}")
-    hamiltonian = SpinHamiltonian(np.zeros(n), coupling)
+    hamiltonian = SpinHamiltonian(coupling)
     state = initialize(n, initial)
     rng = np.random.default_rng(seed)
     record = RunRecord(n_qubits=n, initial_label=initial, seed=seed, shots=shots)

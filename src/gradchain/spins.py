@@ -4,22 +4,22 @@ Basis convention: basis index b has qubit n in state |1> iff bit (n-1) of
 b is set, and sigma_z eigenvalues are s_n = +1 for |1>, -1 for |0>. Labels
 list qubit 1 first, so initialize(2, "10") puts qubit 1 in |1> (index 1).
 
-The Hamiltonian is diagonal between pulses,
+The register evolves in each qubit's own carrier frame, where the
+Hamiltonian between pulses is diagonal and holds only the J couplings,
 
-    E(b)/hbar = (1/2) sum_n w_n s_n(b) - (1/2) sum_{n<l} J_nl s_n(b) s_l(b),
+    E(b)/hbar = -(1/2) sum_{n<l} J_nl s_n(b) s_l(b),
 
 so free evolution is exact phase accumulation. A single-tone drive on one
-qubit splits the register into independent 2x2 blocks, one per spectator
-configuration; each block sees detuning delta = w_j - w - sum_l J_jl s_l
-and rotates at the generalized Rabi frequency sqrt(Omega^2 + delta^2).
-This blockwise treatment is exact under the rotating wave approximation,
-with no time stepping. Simultaneous multi-tone drives are rejected rather
-than approximated: the exactness guarantee needs one tone at a time.
+qubit, w from its carrier, splits the register into independent 2x2 blocks,
+one per spectator configuration; each sees detuning delta = -w - sum_l J_jl s_l
+and rotates at sqrt(Omega^2 + delta^2). This blockwise treatment is exact
+under the rotating wave approximation, with no time stepping. Simultaneous
+multi-tone drives are rejected, as exactness needs one tone at a time.
 
-Flipping every spin, b -> ~b = 2^n - 1 - b, negates every s_n and leaves
-the pair term as it is, so that term is summed over the lower half of the
-basis (qubit n in |0>) and mirrored. With omega_eff = 0, as in pulse.interpret's
-frame, E(b) = E(~b) bitwise, and free evolution exponentiates only that half.
+Flipping every spin, b -> ~b = 2^n - 1 - b, negates every s_n and keeps
+every product s_n s_l, so every table is even under the flip: E(b) = E(~b)
+bitwise. The energies are summed over the lower half of the basis (qubit n
+in |0>) and mirrored, and free evolution exponentiates only that half.
 """
 
 from __future__ import annotations
@@ -59,25 +59,26 @@ class SpinState:
 
 @dataclass(frozen=True)
 class SpinHamiltonian:
-    """Qubit frequencies in the evolution's frame (zero in pulse.interpret's) and J couplings."""
+    """J couplings of the register, in rad/s, in each qubit's carrier frame."""
 
-    omega_eff: np.ndarray  # rad/s per qubit
     coupling: np.ndarray   # J, rad/s, symmetric, zero diagonal
 
     def __post_init__(self):
-        omega = np.asarray(self.omega_eff, dtype=float)
         j = np.asarray(self.coupling, dtype=float)
-        object.__setattr__(self, "omega_eff", omega)
         object.__setattr__(self, "coupling", j)
-        n = omega.size
-        if j.shape != (n, n):
-            raise ValueError(f"coupling matrix shape {j.shape} does not match {n} qubits")
+        if j.ndim != 2 or j.shape[0] != j.shape[1]:
+            raise ValueError(f"coupling matrix shape {j.shape} is not square")
         if not np.allclose(j, j.T, rtol=1e-12, atol=0.0):
             raise ValueError("coupling matrix must be symmetric")
 
     @property
     def n_qubits(self) -> int:
-        return int(self.omega_eff.size)
+        return len(self.coupling)
+
+    @property
+    def omega_eff(self) -> np.ndarray:
+        """Zeros for perfbench/tracer.py's Hamiltonian key, its only reader; it goes when that key drops it."""
+        return np.zeros(self.n_qubits)
 
     @cached_property
     def rates(self) -> np.ndarray:
@@ -85,11 +86,6 @@ class SpinHamiltonian:
         rates = diagonal_rates(self)
         rates.flags.writeable = False
         return rates
-
-    @cached_property
-    def flip_symmetric(self) -> bool:
-        """rates[b] and rates[~b] have the same bytes for every b (signed zeros count)."""
-        return self.rates.tobytes() == self.rates[::-1].tobytes()
 
 
 @dataclass(frozen=True)
@@ -119,10 +115,9 @@ def _sign_table(n: int) -> np.ndarray:
 def diagonal_rates(h: SpinHamiltonian) -> np.ndarray:
     """E(b)/hbar for every basis state, rad/s."""
     s = _sign_table(h.n_qubits)
-    linear = 0.5 * s @ h.omega_eff
     lower = s[: s.shape[0] // 2]  # row ~b is minus row b
     pair = 0.25 * np.einsum("bn,nl,bl->b", lower, h.coupling, lower)  # half of n<l double count
-    return linear - np.concatenate((pair, pair[::-1]))
+    return 0.0 - np.concatenate((pair, pair[::-1]))  # +0.0 where pair is +0.0; plain negation gives -0.0
 
 
 def initialize(n: int, basis_label: str) -> SpinState:
@@ -162,17 +157,11 @@ def _pairs(a: np.ndarray, ion: int) -> np.ndarray:
 
 
 def free_evolution(state: SpinState, h: SpinHamiltonian, t: float) -> SpinState:
-    """Diagonal evolution: amplitude b picks up exp(-i E(b) t / hbar).
-
-    The full-table branch serves only a nonzero omega_eff; it goes when ROADMAP item 5 deletes omega_eff.
-    """
+    """Diagonal evolution: amplitude b picks up exp(-i E(b) t / hbar), one exponential per flip pair b, ~b."""
     if t < 0.0:
         raise ValueError("evolution time must be non-negative")
-    if h.flip_symmetric:
-        phases = np.exp(-1j * h.rates[: h.rates.size // 2] * t)
-        state.amplitudes *= np.concatenate((phases, phases[::-1]))
-    else:
-        state.amplitudes *= np.exp(-1j * h.rates * t)
+    phases = np.exp(-1j * h.rates[: h.rates.size // 2] * t)
+    state.amplitudes *= np.concatenate((phases, phases[::-1]))
     return state
 
 

@@ -8,7 +8,7 @@ None shares code with the fast paths in gradchain.spins and
 gradchain.coupling. The 50-digit lab-frame evolution keeps the GHz
 carriers that the interpreter's synthesizer frame leaves out. The
 idealized hard pulse and the exact outcome distribution are references
-for the echo, frame and conditional-flip tests; they find a qubit's bit
+for the echo and conditional-flip tests; they find a qubit's bit
 in a basis index one index at a time, without gradchain.spins' bit-index
 helpers.
 
@@ -162,8 +162,6 @@ def evolve_oracle(
     dim = 1 << n
     ham = np.zeros((dim, dim), dtype=complex)
     z_ops = [_operator_on(_SIGMA_Z, ion, n) for ion in range(1, n + 1)]
-    for ion in range(n):
-        ham += 0.5 * h.omega_eff[ion] * z_ops[ion]
     for a in range(n):
         for b in range(a + 1, n):
             ham -= 0.5 * h.coupling[a, b] * (z_ops[a] @ z_ops[b])
@@ -286,9 +284,7 @@ def diagonal_rates_oracle(h: SpinHamiltonian) -> np.ndarray:
     """E(b)/hbar for every basis state from the full sign table, rad/s."""
     b = np.arange(1 << h.n_qubits, dtype=np.int64)
     s = 2.0 * ((b[:, None] >> np.arange(h.n_qubits)[None, :]) & 1) - 1.0
-    linear = 0.5 * s @ h.omega_eff
-    pair = 0.25 * np.einsum("bn,nl,bl->b", s, h.coupling, s)
-    return linear - pair
+    return 0.0 - 0.25 * np.einsum("bn,nl,bl->b", s, h.coupling, s)
 
 
 def _pair_indices(n: int, ion: int) -> tuple[np.ndarray, np.ndarray]:

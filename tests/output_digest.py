@@ -19,8 +19,9 @@ linear sweep of the carrier shift `delta_shift[1]` over
 `field.quadratic.b` on trap_quadratic.json; `simulate` of
 cnot, ramsey and echo with CLI defaults, with `--seed 5 --shots 3000`
 and with `--shots 0`, and echo with --emit-plot-data; echo on trap.json with its gradient set to
-0 T/m, where J = 0, every energy is a signed zero and those zeros decide whether the
-flip-symmetric half tables apply; `simulate` on trap_n10 of FRAME_PROGRAM, whose
+0 T/m, where J = 0 and every energy is a signed zero (`spins.diagonal_rates` writes +0.0
+there by its `0.0 -`; plain negation, -0.0, gives the same outputs, so the bitwise kernel
+tests of test_spins.py pin that rule, not this run); `simulate` on trap_n10 of FRAME_PROGRAM, whose
 logged <sx> and <sy> after detuned, phased pulses depend on the frame the
 simulator evolves in; two generated 16-ion, 80-op, 20000-shot programs
 (perfbench's `register_program`, seeds 31 and 32); and `chain` and
@@ -38,9 +39,10 @@ area, an empty program, an unknown keyword, a second `ions` header and
 `area=` with `dur=` (ERROR_PROGRAMS); and the exit-2 input errors of an
 unknown species (`chain`), ions outside a sampled field profile
 (`couplings`), `--initial 1x` and a 17-ion register (`simulate`), a unit
-on the curvature `c` (`chain`), `--ion x` (`spectrum`), and the sweep
-bounds `1_00_000` and `nan`, `--steps ３` and `delta_shift[1_0]` on
-trap_n10 (`sweep`).
+on the curvature `c` (`chain`), a `nu1` that is the JSON integer 10^400
+(`couplings`), `--ion x` (`spectrum`), and the sweep
+bounds `1_00_000` and `nan`, `--steps ３`, `delta_shift[1_0]` on
+trap_n10 and `--param comment` (`sweep`).
 This script is not a test module and pytest does not collect it.
 """
 
@@ -103,6 +105,8 @@ ERROR_CONFIGS = {
     "curvature_unit": ({"species": "Yb171", "N": 2, "nu1": "100kHz",
                         "field": {"quadratic": {"b": "10T/m", "c": "1T/m"}}},
                        ["chain", "--out", "{out}/chain.json"]),
+    "huge_integer": ({"species": "Yb171", "N": 2, "nu1": 10**400, "field": {"uniform": {"b": "10T/m"}}},
+                     ["couplings", "--out-dir", "{out}/coup"]),
 }
 # one config twice, its numbers as JSON numbers and as strings; the two runs write the same files
 NUMERIC = {
@@ -203,7 +207,10 @@ def _commands(work: Path) -> list[tuple[str, list[str]]]:
                  ("error_sweep_steps", sweep + ["--to", "100kHz", "--steps", "\uff13"]),
                  ("error_sweep_ion_index", ["sweep", "--config", "trap_n10.json", "--param", "nu1", "--from", "50kHz",
                                             "--to", "100kHz", "--steps", "3", "--quantity", "delta_shift[1_0]",
-                                            "--out", "{out}/sweep.csv"])]
+                                            "--out", "{out}/sweep.csv"]),
+                 ("error_sweep_comment", ["sweep", "--config", "trap.json", "--param", "comment", "--from", "1",
+                                          "--to", "2", "--steps", "2", "--quantity", "max_J",
+                                          "--out", "{out}/sweep.csv"])]
     for name, config in NUMERIC.items():
         (work / f"{name}.json").write_text(json.dumps(config), encoding="utf-8")
         commands.append((f"{name}_couplings", ["couplings", "--config", f"{name}.json", "--out-dir", "{out}"]))

@@ -151,11 +151,10 @@ def test_criterion_08_dynamics_oracle():
     worst = 0.0
     for case in range(50):
         n = int(rng.integers(1, 7))
-        omega = rng.uniform(-1e5, 1e5, n) * TWO_PI
         j = rng.uniform(-1e3, 1e3, (n, n)) * TWO_PI
         j = 0.5 * (j + j.T)
         np.fill_diagonal(j, 0.0)
-        h = SpinHamiltonian(omega, j)
+        h = SpinHamiltonian(j)
         amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         state = SpinState(amps / np.linalg.norm(amps))
 

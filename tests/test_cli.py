@@ -283,6 +283,20 @@ FAILING_RUNS = {
                             "field drive_wavevector.explicit: wavevector must be positive, got -10000000.0"),
     "nu1_non_finite": ({"nu1": "1e400"}, ["chain"], CNOT_PROGRAM, 2,
                        "field nu1: quantity '1e400' is not a finite number"),
+    # JSON integers that no double holds, at every quantity field
+    "nu1_huge_integer": ({"nu1": 10**400}, ["chain"], CNOT_PROGRAM, 2,
+                         "field nu1: integer is beyond the range of a double"),
+    "B0_huge_integer": ({"field": {"uniform": {"B0": -10**400, "b": 10}}}, ["chain"], CNOT_PROGRAM, 2,
+                        "field field.uniform.B0: integer is beyond the range of a double"),
+    "b_huge_integer": ({"field": {"uniform": {"b": 10**400}}}, ["chain"], CNOT_PROGRAM, 2,
+                       "field field.uniform.b: integer is beyond the range of a double"),
+    "c_huge_integer": ({"field": {"quadratic": {"b": 10, "c": 10**400}}}, ["chain"], CNOT_PROGRAM, 2,
+                       "field field.quadratic.c: integer is beyond the range of a double"),
+    "explicit_huge_integer": ({"drive_wavevector": {"explicit": 10**400}}, ["couplings", "--out-dir", "out"],
+                              CNOT_PROGRAM, 2,
+                              "field drive_wavevector.explicit: integer is beyond the range of a double"),
+    "sampled_huge_integer": ({"field": {"sampled": {"points": [[-1, 0], [1, -10**400]]}}}, ["chain"], CNOT_PROGRAM, 2,
+                             "field field.sampled.points[1].B: integer is beyond the range of a double"),
 }
 
 
@@ -453,11 +467,22 @@ def test_sweep_min_spacing_needs_two_ions(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_sweep_bad_param_path(trap2, tmp_path):
-    code = main(["sweep", "--config", trap2, "--param", "field.zigzag.b",
-                 "--from", "1", "--to", "2", "--steps", "2",
-                 "--quantity", "max_J", "--out", str(tmp_path / "s.csv")])
-    assert code == 2
+@pytest.mark.filterwarnings("error")
+def test_sweep_bad_param_path(trap2, tmp_path, capsys, monkeypatch):
+    def no_solve(config):
+        raise AssertionError("a chain was solved for an invalid sweep parameter")
+
+    monkeypatch.setattr("gradchain.chain.solve_chain", no_solve)
+    raw = json.loads(Path(trap2).read_text(encoding="utf-8"))
+    Path(trap2).write_text(json.dumps({**raw, "comment": "any text"}), encoding="utf-8")
+    out = tmp_path / "s.csv"
+    for param, message in [("field.zigzag.b", "sweep parameter path 'field.zigzag.b' not present in config"),
+                           ("comment", "sweep parameter 'comment' is not a quantity")]:
+        code = main(["sweep", "--config", trap2, "--param", param, "--from", "1", "--to", "2", "--steps", "2",
+                     "--quantity", "max_J", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 def test_sweep_rows_in_parameter_order(trap2, tmp_path):

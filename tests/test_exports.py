@@ -88,3 +88,18 @@ def test_only_simulate_runs_the_spin_layer(tmp_path):
     assert run_probe(SPIN_LAYER_PROBE, others, tmp_path) == [[0, 0, 0, 0, 2], [False, False]]
     simulate = ["simulate", "--config", trap, "--program", str(CONFIGS / "cnot.pp"), "--out", "run.json"]
     assert run_probe(SPIN_LAYER_PROBE, [simulate], tmp_path) == [[0], [True, True]]
+
+
+def test_traced_simulate_notes_the_hamiltonian(tmp_path):
+    """perfbench/tracer.py, run as the benchmark runs it: spans on the spin layer, its Hamiltonian key noted."""
+    tracer = SRC.parent / "perfbench" / "tracer.py"
+    simulate = ["simulate", "--config", str(CONFIGS / "trap.json"), "--program", str(CONFIGS / "cnot.pp"),
+                "--out", "run.json", "--no-timestamp"]
+    done = subprocess.run([sys.executable, str(tracer), "spans.json", "job", "--", *simulate], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, check=False)
+    assert done.returncode == 0, done.stderr
+    doc = json.loads((tmp_path / "spans.json").read_text(encoding="utf-8"))
+    name, note = doc["fields"].index("name"), doc["fields"].index("note")
+    notes = [span[note] for span in doc["spans"] if span[name] == "spins.diagonal_rates"]
+    assert notes and None not in notes
+    assert any(span[name].startswith("pulse.") for span in doc["spans"])

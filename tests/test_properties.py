@@ -8,6 +8,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -195,31 +196,69 @@ trap_configs = st.fixed_dictionaries(
             ),
         ),
     },
-    optional={"drive_wavevector": st.fixed_dictionaries({"explicit": typical_or_any(1.0, 1e8) | numbers})},
+    optional={"drive_wavevector": st.fixed_dictionaries({"explicit": typical_or_any(1.0, 1e8) | numbers}),
+              "comment": st.text(max_size=8)},
 )
+# any JSON value for one leaf, integers beyond double range included
+leaf_values = (st.none() | st.booleans() | st.integers() | st.sampled_from([10**400, -10**400]) | st.floats()
+               | st.text(max_size=8) | st.sampled_from([[], {}]))
+QUANTITY_FIELDS = ("nu1", "B0", "b", "c", "explicit")  # the config keys whose values are quantities
+NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+
+def leaf_paths(node, path=()):
+    """The path (keys and list indices) of every value in a JSON document that is not a non-empty container."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    paths = [p for key, child in children for p in leaf_paths(child, (*path, key))]
+    return paths or [path]
 
 
 @pytest.mark.filterwarnings("error")  # a numpy warning reaching stderr fails too
 @PROPERTY
-@given(trap_configs)
-def test_cli_exit_codes_on_generated_configs(raw):
+@given(trap_configs, st.data())
+def test_cli_exit_codes_on_generated_configs(raw, data):
+    program_text = (f"ions {raw['N']}\npulse ion=1 rabi=1kHz detune=0 phase=0 area=0.5pi\n"
+                    "delay 1ms\nlog sx all\nmeasure z all\n")
+    sweep_param = ".".join(data.draw(st.sampled_from(
+        [p for p in leaf_paths(raw) if all(isinstance(key, str) for key in p)])))
+    if data.draw(st.booleans()):
+        *parents, last = data.draw(st.sampled_from(leaf_paths(raw)))
+        node = raw
+        for key in parents:
+            node = node[key]
+        node[last] = data.draw(leaf_values)
+    bounds = data.draw(st.lists(finite.map(repr) | st.sampled_from(["1", "50kHz", "10T/m"]), min_size=2, max_size=2,
+                                unique=True))
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp)
         config = base / "trap.json"
         config.write_text(json.dumps(raw), encoding="utf-8")
         program = base / "p.pp"
-        program.write_text(f"ions {raw['N']}\npulse ion=1 rabi=1kHz detune=0 phase=0 area=0.5pi\n"
-                           "delay 1ms\nlog sx all\nmeasure z all\n", encoding="utf-8")
-        commands = [
-            ["chain", "--out", str(base / "chain.json")],
-            ["couplings", "--out-dir", str(base / "coup")],
-            ["spectrum", "--ion", "1", "--out", str(base / "spec.csv")],
-            ["simulate", "--program", str(program), "--shots", "10", "--out", str(base / "run.json")],
+        program.write_text(program_text, encoding="utf-8")
+        commands = [  # each command writes only below base / its name
+            ["chain", "--out", str(base / "chain" / "chain.json")],
+            ["couplings", "--out-dir", str(base / "couplings")],
+            ["spectrum", "--ion", "1", "--out", str(base / "spectrum" / "spec.csv")],
+            ["simulate", "--program", str(program), "--shots", "10", "--out", str(base / "simulate" / "run.json")],
+            ["sweep", "--param", sweep_param, f"--from={bounds[0]}", f"--to={bounds[1]}", "--steps", "2",
+             "--quantity", "max_J", "--out", str(base / "sweep" / "sweep.csv")],
         ]
-        for command in commands:
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                code = main([*command, "--config", str(config), "--no-timestamp"])
-            assert code in (0, 2, 3, 4), command
+        for argv in commands:
+            command = argv[0]
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                code = main([*argv, "--config", str(config), "--no-timestamp"])  # an exception fails the test
+            assert code in ((0, 2, 3, 4) if command == "simulate" else (0, 2, 3)), argv
+            assert "Traceback" not in stderr.getvalue()
+            written = [p for p in (base / command).rglob("*") if p.is_file()]
+            if code != 0:
+                assert written == [], argv
+                continue
+            assert written, argv
+            for path in written:
+                assert not NON_FINITE.search(path.read_text(encoding="utf-8")), (argv, path.name)
+            if command == "sweep":
+                assert sweep_param.rsplit(".", 1)[-1] in QUANTITY_FIELDS, argv
 
 
 # mode-sign convention ---------------------------------------------------------------
