@@ -53,8 +53,8 @@ pulse = _lazy_submodule("pulse")
 # re-exported spin-layer name -> the submodule that defines it
 _LAZY_NAMES = {
     **dict.fromkeys(("PulseProgram", "RunRecord", "interpret", "parse"), "pulse"),
-    **dict.fromkeys(("PulseSpec", "SpinHamiltonian", "SpinState", "apply_pulse", "expectation",
-                     "free_evolution", "initialize"), "spins"),
+    **dict.fromkeys(("PulseSpec", "SpinHamiltonian", "apply_pulse", "expectation", "free_evolution",
+                     "initialize"), "spins"),
 }
 
 
@@ -77,7 +77,6 @@ __all__ = [
     "SPECIES_REGISTRY",
     "Species",
     "SpinHamiltonian",
-    "SpinState",
     "TrapConfig",
     "apply_pulse",
     "build_report",

@@ -238,7 +238,7 @@ def cmd_simulate(args) -> int:
             record.final_state, tuple(range(1, record.n_qubits + 1)), rng, args.shots
         )
     _write_table(out.with_name(out.stem + "_hist.csv"), ["outcome", "count"],
-                 [[outcome, str(counts[outcome])] for outcome in sorted(counts)])
+                 [[outcome, str(count)] for outcome, count in counts.items()])
 
     if record.expectation_log:
         log_path = out.with_name(out.stem + "_log.csv")
@@ -253,12 +253,15 @@ def cmd_simulate(args) -> int:
 
 
 _SWEEP_QUANTITIES = ("max_J", "epsilon", "min_spacing")
+MAX_SWEEP_STEPS = 10**5  # every point's CSV row (~210 B) is held until the table is written: ~21 MB at the bound
 
 
 def _sweep_values(start: float, stop: float, steps: int, scale: str) -> np.ndarray:
     """`steps` values from start to stop, evenly spaced (linear) or evenly spaced in log |value| (log)."""
     if steps < 2:
         raise ValueError(f"sweep needs steps >= 2, got {steps}")
+    if steps > MAX_SWEEP_STEPS:
+        raise ValueError(f"sweep needs steps <= {MAX_SWEEP_STEPS}, got {steps}")
     if start == stop:
         raise ValueError("sweep endpoints must differ")
     if scale not in ("linear", "log"):

@@ -30,7 +30,6 @@ import numpy as np
 from .units import ANGLE, FREQUENCY, TIME, QuantityError, read_integer, read_value
 from .spins import (
     SpinHamiltonian,
-    SpinState,
     PulseSpec,
     apply_pulse,
     expectation,
@@ -41,6 +40,8 @@ from .spins import (
 )
 
 NORM_TOLERANCE = 1e-9  # largest |1 - ||psi||| accepted after each instruction
+MAX_SHOTS = 10**7      # sampling peaks near 28 B a shot (int64 draws and outcome indices): ~280 MB at the bound
+BASIS_CONVENTION = "qubit n is bit (n-1) of the basis index; labels list qubit 1 first; sigma_z|1> = +|1>"
 FRAME = ("synthesizer frame: each qubit's phase is counted against its own carrier; "
          "amplitude phases and <sx>, <sy> are in this frame, populations and <sz> do not depend on it")
 
@@ -279,11 +280,13 @@ class RunRecord:
     shots: int
     expectation_log: list[dict] = field(default_factory=list)
     measurements: list[dict] = field(default_factory=list)
-    final_state: SpinState | None = None
+    final_state: np.ndarray | None = None  # complex amplitudes, basis order of gradchain.spins
     total_time_s: float = 0.0      # simulated sequence time
     wall_time_s: float | None = None
 
     def to_json_dict(self, include_timing: bool = True) -> dict:
+        """run.json's document; the final state is a (2^n, 2) float array of [real, imag] rows."""
+        state = self.final_state
         doc = {
             "n_qubits": self.n_qubits,
             "initial": self.initial_label,
@@ -292,7 +295,10 @@ class RunRecord:
             "sequence_duration_s": self.total_time_s,
             "expectation_log": self.expectation_log,
             "measurements": self.measurements,
-            "final_state": self.final_state.to_json_dict() if self.final_state else None,
+            "final_state": None if state is None else {
+                "basis_convention": BASIS_CONVENTION,
+                "amplitudes": np.column_stack((state.real, state.imag)),
+            },
             "frame": FRAME,
         }
         if include_timing and self.wall_time_s is not None:
@@ -301,9 +307,10 @@ class RunRecord:
 
 
 def marginal_counts(
-    state: SpinState, ions: tuple[int, ...], rng: np.random.Generator, shots: int
+    state: np.ndarray, ions: tuple[int, ...], rng: np.random.Generator, shots: int
 ) -> dict[str, int]:
-    probs = np.abs(state.amplitudes) ** 2
+    """Counts of `shots` z measurements of `ions`, by outcome label, in label order; unseen outcomes left out."""
+    probs = np.abs(state) ** 2
     probs = probs / probs.sum()
     draws = rng.choice(probs.size, size=shots, p=probs)
     tally = np.bincount(outcome_indices(draws, ions))
@@ -332,6 +339,8 @@ def interpret(
         raise ValueError(f"program declares {program.n_ions} ions but the coupling matrix has {n}")
     if shots < 0:
         raise ValueError(f"shots must be >= 0, got {shots}")
+    if shots > MAX_SHOTS:
+        raise ValueError(f"shots must be <= {MAX_SHOTS}, got {shots}")
     hamiltonian = SpinHamiltonian(coupling)
     state = initialize(n, initial)
     rng = np.random.default_rng(seed)
@@ -366,7 +375,9 @@ def interpret(
                         )
         except (ValueError, RuntimeError) as exc:
             raise ProgramRuntimeError(str(exc), ins.span) from exc
-        norm = state.norm()
+        # einsum, not np.linalg.norm or a dot: their BLAS call leaves OpenBLAS threads spinning afterwards
+        parts = state.view(np.float64)
+        norm = math.sqrt(float(np.einsum("i,i->", parts, parts)))
         if not abs(1.0 - norm) <= NORM_TOLERANCE:  # NaN compares false: a non-finite state fails too
             raise ProgramRuntimeError(f"state norm {norm!r} is not within {NORM_TOLERANCE:g} of 1", ins.span)
 

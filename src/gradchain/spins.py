@@ -1,8 +1,12 @@
 """Exact state-vector dynamics of the qubit register under Ising coupling and RWA drives.
 
-Basis convention: basis index b has qubit n in state |1> iff bit (n-1) of
-b is set, and sigma_z eigenvalues are s_n = +1 for |1>, -1 for |0>. Labels
-list qubit 1 first, so initialize(2, "10") puts qubit 1 in |1> (index 1).
+The register is a plain complex ndarray of 2^n amplitudes, which the
+kernels below update in place and return. Basis convention: basis index b
+has qubit n in state |1> iff bit (n-1) of b is set, and sigma_z eigenvalues
+are s_n = +1 for |1>, -1 for |0>. Labels list qubit 1 first, so
+initialize(2, "10") puts qubit 1 in |1> (index 1). An outcome index over a
+list of ions holds the first ion in its most significant bit, so outcome
+indices count up in label order.
 
 The register evolves in each qubit's own carrier frame, where the
 Hamiltonian between pulses is diagonal and holds only the J couplings,
@@ -24,37 +28,12 @@ in |0>) and mirrored, and free evolution exponentiates only that half.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 MAX_QUBITS = 16        # 1 MiB of complex128 amplitudes
-BASIS_CONVENTION = "qubit n is bit (n-1) of the basis index; labels list qubit 1 first; sigma_z|1> = +|1>"
-
-
-@dataclass
-class SpinState:
-    """Owned, mutable amplitude vector over the computational basis."""
-
-    amplitudes: np.ndarray
-
-    @property
-    def n_qubits(self) -> int:
-        return int(self.amplitudes.size).bit_length() - 1
-
-    def norm(self) -> float:
-        # einsum, not np.linalg.norm or a dot: their BLAS call leaves OpenBLAS threads spinning afterwards
-        parts = np.ascontiguousarray(self.amplitudes, dtype=complex).view(np.float64)
-        return math.sqrt(float(np.einsum("i,i->", parts, parts)))
-
-    def to_json_dict(self) -> dict:
-        """Amplitudes as a (2^n, 2) float array of [real, imag] rows; the CLI writes it as nested lists."""
-        return {
-            "basis_convention": BASIS_CONVENTION,
-            "amplitudes": np.column_stack((self.amplitudes.real, self.amplitudes.imag)),
-        }
 
 
 @dataclass(frozen=True)
@@ -120,7 +99,7 @@ def diagonal_rates(h: SpinHamiltonian) -> np.ndarray:
     return 0.0 - np.concatenate((pair, pair[::-1]))  # +0.0 where pair is +0.0; plain negation gives -0.0
 
 
-def initialize(n: int, basis_label: str) -> SpinState:
+def initialize(n: int, basis_label: str) -> np.ndarray:
     """Register of n qubits in the labeled computational basis state."""
     if n < 1:
         raise ValueError(f"need at least one qubit, got {n}")
@@ -129,22 +108,23 @@ def initialize(n: int, basis_label: str) -> SpinState:
     if len(basis_label) != n or any(c not in "01" for c in basis_label):
         raise ValueError(f"label {basis_label!r} is not a {n}-bit string of 0s and 1s")
     index = sum(1 << q for q, c in enumerate(basis_label) if c == "1")
-    amplitudes = np.zeros(1 << n, dtype=complex)
-    amplitudes[index] = 1.0
-    return SpinState(amplitudes)
+    state = np.zeros(1 << n, dtype=complex)
+    state[index] = 1.0
+    return state
 
 
 def outcome_labels(indices: np.ndarray, n: int) -> list[str]:
-    """n-character label of each outcome index, bit k first (basis labels when n = n_qubits)."""
-    bits = (np.asarray(indices, dtype=np.int64)[:, None] >> np.arange(n)) & 1
+    """n-character label of each outcome index, its most significant bit first."""
+    bits = (np.asarray(indices, dtype=np.int64)[:, None] >> np.arange(n - 1, -1, -1)) & 1
     return (bits.astype(np.uint8) + ord("0")).view(f"S{n}").ravel().astype(str).tolist()
 
 
 def outcome_indices(basis: np.ndarray, ions: tuple[int, ...] | list[int]) -> np.ndarray:
-    """Marginal outcome index over `ions` of each basis index: bit k is qubit ions[k]."""
+    """Marginal outcome index over `ions` of each basis index: qubit ions[0] is its most significant bit."""
     out = np.zeros_like(basis)
-    for k, ion in enumerate(ions):
-        out |= ((basis >> (ion - 1)) & 1) << k
+    for ion in ions:
+        out <<= 1
+        out |= (basis >> (ion - 1)) & 1
     return out
 
 
@@ -156,12 +136,12 @@ def _pairs(a: np.ndarray, ion: int) -> np.ndarray:
     return a.reshape(-1, 2, 1 << (ion - 1))
 
 
-def free_evolution(state: SpinState, h: SpinHamiltonian, t: float) -> SpinState:
+def free_evolution(state: np.ndarray, h: SpinHamiltonian, t: float) -> np.ndarray:
     """Diagonal evolution: amplitude b picks up exp(-i E(b) t / hbar), one exponential per flip pair b, ~b."""
     if t < 0.0:
         raise ValueError("evolution time must be non-negative")
     phases = np.exp(-1j * h.rates[: h.rates.size // 2] * t)
-    state.amplitudes *= np.concatenate((phases, phases[::-1]))
+    state *= np.concatenate((phases, phases[::-1]))
     return state
 
 
@@ -181,7 +161,7 @@ def _block_unitary(delta: np.ndarray, omega_r: float, phase: float, tau: float):
     return u00, u01, u10, u11
 
 
-def apply_pulse(state: SpinState, h: SpinHamiltonian, pulse: PulseSpec) -> SpinState:
+def apply_pulse(state: np.ndarray, h: SpinHamiltonian, pulse: PulseSpec) -> np.ndarray:
     """Exact RWA evolution for one single-tone pulse on one target qubit.
 
     Every spectator configuration c defines an independent 2x2 block with
@@ -189,13 +169,13 @@ def apply_pulse(state: SpinState, h: SpinHamiltonian, pulse: PulseSpec) -> SpinS
     drive phase is taken at the pulse's local t = 0 (pulse.interpret, in the
     synthesizer frame where the tone is the detune, shifts it by -tone * t_start).
     """
-    if state.amplitudes.size != 1 << h.n_qubits:
+    if state.size != 1 << h.n_qubits:
         raise ValueError("state size does not match Hamiltonian")
 
     # contiguous 1-D copies in basis order for the arithmetic, written back through the views
     rates = _pairs(h.rates, pulse.target_ion)
     r0, r1 = rates[:, 0].ravel(), rates[:, 1].ravel()
-    amps = _pairs(state.amplitudes, pulse.target_ion)
+    amps = _pairs(state, pulse.target_ion)
     a0, a1 = amps[:, 0].ravel(), amps[:, 1].ravel()
 
     delta = r1 - r0 - pulse.drive_frequency
@@ -213,15 +193,15 @@ def apply_pulse(state: SpinState, h: SpinHamiltonian, pulse: PulseSpec) -> SpinS
 _OBSERVABLES = ("sx", "sy", "sz")
 
 
-def expectation(state: SpinState, observable: str, ion: int) -> float:
+def expectation(state: np.ndarray, observable: str, ion: int) -> float:
     """<sigma_alpha> of one qubit, alpha in {sx, sy, sz}."""
     if observable not in _OBSERVABLES:
         raise ValueError(f"observable must be one of {_OBSERVABLES}, got {observable!r}")
-    amps = _pairs(state.amplitudes, ion)
+    amps = _pairs(state, ion)
     if observable == "sz":
-        signs = np.full(state.amplitudes.size, -1.0)
+        signs = np.full(state.size, -1.0)
         _pairs(signs, ion)[:, 1] = 1.0
-        return float(np.sum(signs * np.abs(state.amplitudes) ** 2))
+        return float(np.sum(signs * np.abs(state) ** 2))
     cross = np.sum(np.conj(amps[:, 0].ravel()) * amps[:, 1].ravel())
     if observable == "sx":
         return float(2.0 * cross.real)

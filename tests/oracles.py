@@ -8,9 +8,10 @@ None shares code with the fast paths in gradchain.spins and
 gradchain.coupling. The 50-digit lab-frame evolution keeps the GHz
 carriers that the interpreter's synthesizer frame leaves out. The
 idealized hard pulse and the exact outcome distribution are references
-for the echo and conditional-flip tests; they find a qubit's bit
-in a basis index one index at a time, without gradchain.spins' bit-index
-helpers.
+for the echo and conditional-flip tests, and the label tally is one for
+the shot counts; they find a qubit's bit in a basis index one index at a
+time, without gradchain.spins' bit-index helpers. States are plain complex
+arrays of 2^n amplitudes, as in gradchain.spins.
 
 The index-array kernels at the end build the whole energy table and one
 phase per basis state, with no use of the spin-flip symmetry, and address
@@ -27,7 +28,7 @@ from gradchain.chain import ChainSolution
 from gradchain.config import TrapConfig
 from gradchain.constants import CONSTANTS
 from gradchain.pulse import Delay, ExpectationLog, Pulse, PulseProgram
-from gradchain.spins import PulseSpec, SpinHamiltonian, SpinState, _block_unitary
+from gradchain.spins import PulseSpec, SpinHamiltonian, _block_unitary
 
 MAX_ORACLE_QUBITS = 6
 
@@ -145,8 +146,8 @@ def _expm_scaled_series(a: np.ndarray) -> np.ndarray:
 
 
 def evolve_oracle(
-    state: SpinState, h: SpinHamiltonian, drives: list[PulseSpec], t: float
-) -> SpinState:
+    state: np.ndarray, h: SpinHamiltonian, drives: list[PulseSpec], t: float
+) -> np.ndarray:
     """Dense-matrix evolution used only to validate the fast paths.
 
     Builds the full RWA Hamiltonian from explicit Pauli operators (in the
@@ -177,12 +178,12 @@ def evolve_oracle(
         )
 
     propagator = _expm_scaled_series(-1j * ham * t)
-    amplitudes = propagator @ state.amplitudes
+    amplitudes = propagator @ state
     if rotating_ion is not None:
         # undo the rotating-frame transformation at the final time
         back = _expm_scaled_series(-1j * drives[0].drive_frequency * t * 0.5 * z_ops[rotating_ion - 1])
         amplitudes = back @ amplitudes
-    return SpinState(amplitudes)
+    return amplitudes
 
 
 def lab_frame_sz_oracle(
@@ -245,37 +246,52 @@ def lab_frame_sz_oracle(
 
 # idealized references ------------------------------------------------------
 
-def apply_hard_pulse(state: SpinState, ion: int, area: float, phase: float) -> SpinState:
-    """Idealized zero-duration rotation of one qubit by the given area (rad)."""
-    n = state.n_qubits
+def _qubits(state: np.ndarray) -> int:
+    return state.size.bit_length() - 1
+
+
+def apply_hard_pulse(state: np.ndarray, ion: int, area: float, phase: float) -> np.ndarray:
+    """Idealized zero-duration rotation of one qubit by the given area (rad), in place."""
+    n = _qubits(state)
     if not 1 <= ion <= n:
         raise ValueError(f"ion index {ion} out of range [1, {n}]")
     cos = np.cos(0.5 * area)
     sin = np.sin(0.5 * area)
-    amps = state.amplitudes
     for b0 in range(1 << n):
         if (b0 >> (ion - 1)) & 1:
             continue  # every pair is visited from its |0> member
         b1 = b0 + (1 << (ion - 1))
-        a0, a1 = amps[b0], amps[b1]
-        amps[b0] = cos * a0 - 1j * sin * np.exp(-1j * phase) * a1
-        amps[b1] = cos * a1 - 1j * sin * np.exp(1j * phase) * a0
+        a0, a1 = state[b0], state[b1]
+        state[b0] = cos * a0 - 1j * sin * np.exp(-1j * phase) * a1
+        state[b1] = cos * a1 - 1j * sin * np.exp(1j * phase) * a0
     return state
 
 
-def measurement_probabilities(state: SpinState, ions: list[int] | None = None) -> dict[str, float]:
+def _label(b: int, ions) -> str:
+    """Outcome label of basis index b: character k is the bit of qubit ions[k]."""
+    return "".join(str((b >> (ion - 1)) & 1) for ion in ions)
+
+
+def measurement_probabilities(state: np.ndarray, ions: list[int] | None = None) -> dict[str, float]:
     """Marginal z-basis outcome distribution over the listed ions (default all).
 
-    Character k of an outcome label is the bit of qubit ions[k]; every label
-    of len(ions) characters is present, in order of its binary value read
-    from the last character to the first.
+    Every label of len(ions) characters is present, in sorted order.
     """
     if ions is None:
-        ions = list(range(1, state.n_qubits + 1))
-    totals = {format(outcome, f"0{len(ions)}b")[::-1]: 0.0 for outcome in range(1 << len(ions))}
-    for b in range(1 << state.n_qubits):
-        totals["".join(str((b >> (ion - 1)) & 1) for ion in ions)] += abs(state.amplitudes[b]) ** 2
+        ions = list(range(1, _qubits(state) + 1))
+    totals = {format(outcome, f"0{len(ions)}b"): 0.0 for outcome in range(1 << len(ions))}
+    for b in range(state.size):
+        totals[_label(b, ions)] += abs(state[b]) ** 2
     return totals
+
+
+def label_tally(draws, ions) -> dict[str, int]:
+    """Shot counts by outcome label of a sequence of drawn basis indices, keys in order of first draw."""
+    counts: dict[str, int] = {}
+    for b in draws:
+        label = _label(int(b), ions)
+        counts[label] = counts.get(label, 0) + 1
+    return counts
 
 
 # index-array kernels, bitwise references for gradchain.spins -----------------
@@ -296,36 +312,36 @@ def _pair_indices(n: int, ion: int) -> tuple[np.ndarray, np.ndarray]:
     return b0, b0 | mask
 
 
-def free_evolution_oracle(state: SpinState, h: SpinHamiltonian, t: float) -> SpinState:
-    """Diagonal evolution with one exponential per basis state."""
-    state.amplitudes *= np.exp(-1j * diagonal_rates_oracle(h) * t)
+def free_evolution_oracle(state: np.ndarray, h: SpinHamiltonian, t: float) -> np.ndarray:
+    """Diagonal evolution with one exponential per basis state, in place."""
+    state *= np.exp(-1j * diagonal_rates_oracle(h) * t)
     return state
 
 
-def apply_pulse_oracle(state: SpinState, h: SpinHamiltonian, pulse: PulseSpec) -> SpinState:
-    """One single-tone pulse with its 2x2 blocks gathered and scattered by index arrays."""
+def apply_pulse_oracle(state: np.ndarray, h: SpinHamiltonian, pulse: PulseSpec) -> np.ndarray:
+    """One single-tone pulse with its 2x2 blocks gathered and scattered by index arrays, in place."""
     rates = diagonal_rates_oracle(h)
     b0, b1 = _pair_indices(h.n_qubits, pulse.target_ion)
     delta = rates[b1] - rates[b0] - pulse.drive_frequency
     u00, u01, u10, u11 = _block_unitary(delta, pulse.rabi_frequency, pulse.phase, pulse.duration)
-    a0 = state.amplitudes[b0]
-    a1 = state.amplitudes[b1]
+    a0 = state[b0]
+    a1 = state[b1]
     new0 = u00 * a0 + u01 * a1
     new1 = u10 * a0 + u11 * a1
     lab0 = np.exp(-1j * rates[b0] * pulse.duration)
-    state.amplitudes[b0] = lab0 * new0
-    state.amplitudes[b1] = lab0 * np.exp(-1j * pulse.drive_frequency * pulse.duration) * new1
+    state[b0] = lab0 * new0
+    state[b1] = lab0 * np.exp(-1j * pulse.drive_frequency * pulse.duration) * new1
     return state
 
 
-def expectation_oracle(state: SpinState, observable: str, ion: int) -> float:
+def expectation_oracle(state: np.ndarray, observable: str, ion: int) -> float:
     """<sigma_alpha> of one qubit from index-array gathers."""
-    b0, b1 = _pair_indices(state.n_qubits, ion)
+    b0, b1 = _pair_indices(_qubits(state), ion)
     if observable == "sz":
-        signs = np.full(state.amplitudes.size, -1.0)
+        signs = np.full(state.size, -1.0)
         signs[b1] = 1.0
-        return float(np.sum(signs * np.abs(state.amplitudes) ** 2))
-    cross = np.sum(np.conj(state.amplitudes[b0]) * state.amplitudes[b1])
+        return float(np.sum(signs * np.abs(state) ** 2))
+    cross = np.sum(np.conj(state[b0]) * state[b1])
     if observable == "sx":
         return float(2.0 * cross.real)
     return float(-2.0 * cross.imag)

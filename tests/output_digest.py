@@ -23,7 +23,9 @@ and with `--shots 0`, and echo with --emit-plot-data; echo on trap.json with its
 there by its `0.0 -`; plain negation, -0.0, gives the same outputs, so the bitwise kernel
 tests of test_spins.py pin that rule, not this run); `simulate` on trap_n10 of FRAME_PROGRAM, whose
 logged <sx> and <sy> after detuned, phased pulses depend on the frame the
-simulator evolves in; two generated 16-ion, 80-op, 20000-shot programs
+simulator evolves in; `simulate` on trap_n10 of SUBSET_PROGRAM, whose
+measurements of permuted ion subsets (`measure z 7, 3 ,1` last, so in the
+histogram) pin the order of outcome labels; two generated 16-ion, 80-op, 20000-shot programs
 (perfbench's `register_program`, seeds 31 and 32); and `chain` and
 `couplings` on a generated 49-ion uniform-gradient config, whose odd
 modes have exact zeros at the centre ion (no shipped config has odd N);
@@ -40,8 +42,8 @@ area, an empty program, an unknown keyword, a second `ions` header and
 unknown species (`chain`), ions outside a sampled field profile
 (`couplings`), `--initial 1x` and a 17-ion register (`simulate`), a unit
 on the curvature `c` (`chain`), a `nu1` that is the JSON integer 10^400
-(`couplings`), `--ion x` (`spectrum`), and the sweep
-bounds `1_00_000` and `nan`, `--steps ３`, `delta_shift[1_0]` on
+(`couplings`), `--ion x` (`spectrum`), `--shots` of 10^14 (`simulate`), and the sweep
+bounds `1_00_000` and `nan`, `--steps ３`, `--steps` of 10^12, `delta_shift[1_0]` on
 trap_n10 and `--param comment` (`sweep`).
 This script is not a test module and pytest does not collect it.
 """
@@ -71,6 +73,17 @@ pulse ion=4 rabi=2kHz detune=-40Hz phase=1.1rad area=0.5pi
 log sx all
 log sy all
 measure z all
+"""
+SUBSET_PROGRAM = """ions 10
+pulse ion=1 rabi=2kHz detune=0 phase=0 area=0.5pi
+pulse ion=3 rabi=2kHz detune=0 phase=0.4rad area=0.5pi
+pulse ion=7 rabi=2kHz detune=0 phase=0.9rad area=0.5pi
+pulse ion=2 rabi=2kHz detune=0 phase=0 area=0.3pi
+delay 2ms
+measure z 3,1
+measure z 2
+log sx 1,3
+measure z 7, 3 ,1
 """
 
 # failing programs on trap.json (2 ions), each run with CLI defaults
@@ -180,6 +193,9 @@ def _commands(work: Path) -> list[tuple[str, list[str]]]:
     (work / "frame.pp").write_text(FRAME_PROGRAM, encoding="utf-8")
     commands.append(("frame_n10", ["simulate", "--config", "trap_n10.json", "--program", "frame.pp",
                                    "--out", "{out}/run.json"]))
+    (work / "subset.pp").write_text(SUBSET_PROGRAM, encoding="utf-8")
+    commands.append(("subset_n10", ["simulate", "--config", "trap_n10.json", "--program", "subset.pp",
+                                    "--shots", "2000", "--out", "{out}/run.json"]))
     odd = {"species": "Yb171", "N": ODD_N, "nu1": "100kHz", "field": {"uniform": {"B0": "0T", "b": "20T/m"}}}
     (work / f"n{ODD_N}.json").write_text(json.dumps(odd), encoding="utf-8")
     commands += [(f"n{ODD_N}_chain", ["chain", "--config", f"n{ODD_N}.json", "--out", "{out}/chain.json"]),
@@ -194,6 +210,8 @@ def _commands(work: Path) -> list[tuple[str, list[str]]]:
         commands.append((f"error_{name}", [args[0], "--config", f"error_{name}.json", *args[1:]]))
     commands += [("error_shots", ["simulate", "--config", "trap.json", "--program", "cnot.pp", "--shots", "-5",
                                   "--out", "{out}/run.json"]),
+                 ("error_shots_huge", ["simulate", "--config", "trap.json", "--program", "cnot.pp",
+                                       "--shots", "100000000000000", "--out", "{out}/run.json"]),
                  ("error_initial", ["simulate", "--config", "trap.json", "--program", "cnot.pp", "--initial", "1x",
                                     "--out", "{out}/run.json"]),
                  ("error_spectrum_ion", ["spectrum", "--config", "trap.json", "--ion", "3",
@@ -205,6 +223,7 @@ def _commands(work: Path) -> list[tuple[str, list[str]]]:
     commands += [("error_sweep_underscore", sweep + ["--to", "1_00_000", "--steps", "3"]),
                  ("error_sweep_nan", sweep + ["--to", "nan", "--steps", "3"]),
                  ("error_sweep_steps", sweep + ["--to", "100kHz", "--steps", "\uff13"]),
+                 ("error_sweep_steps_huge", sweep + ["--to", "100kHz", "--steps", "1000000000000"]),
                  ("error_sweep_ion_index", ["sweep", "--config", "trap_n10.json", "--param", "nu1", "--from", "50kHz",
                                             "--to", "100kHz", "--steps", "3", "--quantity", "delta_shift[1_0]",
                                             "--out", "{out}/sweep.csv"]),

@@ -18,13 +18,7 @@ from gradchain.cli import main
 from gradchain.config import validate_config
 from gradchain.coupling import epsilon_matrix, j_matrix, omega_gradients
 from gradchain.pulse import interpret, parse
-from gradchain.spins import (
-    PulseSpec,
-    SpinHamiltonian,
-    SpinState,
-    apply_pulse,
-    free_evolution,
-)
+from gradchain.spins import PulseSpec, SpinHamiltonian, apply_pulse, free_evolution
 from oracles import evolve_oracle, j_matrix_bruteforce_oracle
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -156,11 +150,11 @@ def test_criterion_08_dynamics_oracle():
         np.fill_diagonal(j, 0.0)
         h = SpinHamiltonian(j)
         amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-        state = SpinState(amps / np.linalg.norm(amps))
+        state = amps / np.linalg.norm(amps)
 
         if case % 3 == 0:
             t = float(rng.uniform(0, 2e-3))
-            fast = SpinState(state.amplitudes.copy())
+            fast = state.copy()
             free_evolution(fast, h, t)
             dense = evolve_oracle(state, h, [], t)
         else:
@@ -171,10 +165,10 @@ def test_criterion_08_dynamics_oracle():
                 float(rng.uniform(0, TWO_PI)),
                 float(rng.uniform(0, 1e-3)),
             )
-            fast = SpinState(state.amplitudes.copy())
+            fast = state.copy()
             apply_pulse(fast, h, pulse)
             dense = evolve_oracle(state, h, [pulse], pulse.duration)
-        deficit = 1.0 - abs(np.vdot(fast.amplitudes, dense.amplitudes))
+        deficit = 1.0 - abs(np.vdot(fast, dense))
         worst = max(worst, deficit)
     elapsed = time.perf_counter() - started
     assert worst <= 1e-10
@@ -194,9 +188,9 @@ def test_criterion_09_conditional_dynamics(report2):
         "measure z all\n"
     )
     on = interpret(cnot, report2.j_matrix, "10", seed=1, shots=1)
-    flip = float(np.abs(on.final_state.amplitudes[3]) ** 2)
+    flip = float(np.abs(on.final_state[3]) ** 2)
     off = interpret(cnot, report2.j_matrix, "00", seed=1, shots=1)
-    leak = float(np.abs(off.final_state.amplitudes[2]) ** 2)
+    leak = float(np.abs(off.final_state[2]) ** 2)
     assert flip > 0.99
     assert leak < 0.05
 

@@ -13,8 +13,7 @@ from gradchain.chain import solve_chain
 from gradchain.cli import _fmt, _sweep_values, _write_json, main
 from gradchain.config import validate_config
 from gradchain.coupling import build_report
-from gradchain.pulse import interpret, parse
-from gradchain.spins import SpinState
+from gradchain.pulse import RunRecord, interpret, parse
 
 CNOT_PROGRAM = """ions 2
 pulse ion=2 rabi=1.929847096624915Hz detune=-19.29847096624915Hz phase=0 area=1pi
@@ -269,6 +268,12 @@ FAILING_RUNS = {
                           "label '1x' is not a 2-bit string of 0s and 1s"),
     "register_too_large": ({"N": 17}, ["simulate"], "ions 17\nmeasure z all\n", 2,
                            "register of 17 qubits exceeds the supported maximum of 16"),
+    # bounds checked before the arrays they size are allocated: 8 bytes a shot or a step would be 728 TiB, 7.28 TiB
+    "huge_shots": ({}, ["simulate", "--shots", "100000000000000"], CNOT_PROGRAM, 2,
+                   "shots must be <= 10000000, got 100000000000000"),
+    "huge_steps": ({}, ["sweep", "--param", "nu1", "--from", "50kHz", "--to", "100kHz", "--steps", "1000000000000",
+                        "--quantity", "max_J", "--out", "out/sweep.csv"], CNOT_PROGRAM, 2,
+                   "sweep needs steps <= 100000, got 1000000000000"),
     "empty_program": ({}, ["simulate"], "", 4, "p.pp:1:1: program is empty"),
     "unknown_keyword": ({}, ["simulate"], "ions 2\nwiggle 5\n", 4, "p.pp:2:1: unknown keyword 'wiggle'"),
     "duplicate_header": ({}, ["simulate"], "ions 2\nions 2\n", 4, "p.pp:2:1: duplicate 'ions' header"),
@@ -744,7 +749,8 @@ def test_write_json_small_runs(tmp_path, case):
     [1.0 + 0.0j, complex(math.nan, 1.0), complex(math.inf, -math.inf), 0.0j],  # json spells NaN, Infinity
 ])
 def test_write_json_float_spellings(tmp_path, amplitudes):
-    doc = {"final_state": SpinState(np.array(amplitudes)).to_json_dict(), "counts": {}, "empty": []}
+    record = RunRecord(n_qubits=2, initial_label="00", seed=0, shots=0, final_state=np.array(amplitudes))
+    doc = {"final_state": record.to_json_dict()["final_state"], "counts": {}, "empty": []}
     out = tmp_path / "state.json"
     _write_json(out, doc, False)
     assert_writes_json_reference(out, doc)

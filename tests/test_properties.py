@@ -213,7 +213,7 @@ def leaf_paths(node, path=()):
     return paths or [path]
 
 
-@pytest.mark.filterwarnings("error")  # a numpy warning reaching stderr fails too
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy overflow or invalid-value warning fails too
 @PROPERTY
 @given(trap_configs, st.data())
 def test_cli_exit_codes_on_generated_configs(raw, data):

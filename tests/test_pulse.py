@@ -251,7 +251,7 @@ def test_delays_preserve_populations(report2):
     program = parse("ions 2\ndelay 1ms\ndelay 2ms\nmeasure z all\n")
     record = interpret(program, report2.j_matrix, "10", seed=5, shots=64)
     assert record.measurements[0]["counts"] == {"10": 64}
-    probs = np.abs(record.final_state.amplitudes) ** 2
+    probs = np.abs(record.final_state) ** 2
     assert probs[1] == pytest.approx(1.0, abs=1e-12)
     assert record.total_time_s == pytest.approx(3e-3)
 
@@ -330,7 +330,7 @@ def test_energy_table_built_once_per_hamiltonian(report2, monkeypatch):
     monkeypatch.setattr(spins, "diagonal_rates", lambda h: calls.append(h) or original(h))
     record = interpret(program, report2.j_matrix, "01", seed=4, shots=50)
     assert len(calls) == 1
-    assert record.final_state.norm() == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(record.final_state) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.filterwarnings("error")

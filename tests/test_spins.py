@@ -4,16 +4,17 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradchain.pulse import marginal_counts
+from gradchain import pulse
+from gradchain.pulse import ProgramRuntimeError, interpret, marginal_counts, parse
 from gradchain.spins import (
     PulseSpec,
     SpinHamiltonian,
-    SpinState,
     apply_pulse,
     diagonal_rates,
     expectation,
     free_evolution,
     initialize,
+    outcome_indices,
     outcome_labels,
 )
 from oracles import (
@@ -24,6 +25,7 @@ from oracles import (
     evolve_oracle,
     expectation_oracle,
     free_evolution_oracle,
+    label_tally,
     measurement_probabilities,
 )
 
@@ -63,39 +65,45 @@ def random_hamiltonian(rng, n, j_scale=1e3):
 
 def random_state(rng, n):
     amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-    return SpinState(amps / np.linalg.norm(amps))
+    return amps / np.linalg.norm(amps)
 
 
-def fidelity(a: SpinState, b: SpinState) -> float:
-    return float(abs(np.vdot(a.amplitudes, b.amplitudes)))
+def fidelity(a: np.ndarray, b: np.ndarray) -> float:
+    return float(abs(np.vdot(a, b)))
 
 
 # initialization --------------------------------------------------------------
 
 def test_initialize_all_zeros():
     state = initialize(2, "00")
-    assert state.amplitudes.tolist() == [1, 0, 0, 0]
+    assert state.tolist() == [1, 0, 0, 0]
 
 
 def test_initialize_convention():
     # qubit 1 is bit 0: "10" means qubit 1 in |1>, basis index 1
     state = initialize(2, "10")
-    assert state.amplitudes[1] == 1.0
-    assert np.sum(np.abs(state.amplitudes)) == 1.0
-    assert outcome_labels([1], 2) == ["10"]
+    assert state[1] == 1.0
+    assert np.sum(np.abs(state)) == 1.0
+    assert outcome_labels(outcome_indices(np.array([1]), (1, 2)), 2) == ["10"]
 
 
 def test_initialize_large_register():
     state = initialize(12, "0" * 12)
-    assert state.amplitudes.size == 4096
-    assert state.norm() == 1.0
+    assert state.dtype == complex
+    assert state.size == 4096
+    assert np.linalg.norm(state) == 1.0
 
 
-def test_norm_matches_linalg_norm():
+def test_norm_matches_linalg_norm(monkeypatch):
+    # interpret's norm check reports the norm it computed; start it from states whose norm is not 1
     rng = np.random.default_rng(5)
     for amplitudes in (rng.normal(size=1 << 10) + 1j * rng.normal(size=1 << 10), np.arange(4.0), np.zeros(2)):
-        want = np.linalg.norm(amplitudes)
-        assert SpinState(amplitudes).norm() == pytest.approx(want, rel=1e-14, abs=0.0)
+        n = amplitudes.size.bit_length() - 1
+        monkeypatch.setattr(pulse, "initialize", lambda n, label: amplitudes.astype(complex))
+        with pytest.raises(ProgramRuntimeError, match="^2:1: state norm ") as err:
+            interpret(parse(f"ions {n}\ndelay 0s\n"), np.zeros((n, n)), "0" * n, seed=0)
+        got = float(str(err.value).split()[3])
+        assert got == pytest.approx(np.linalg.norm(amplitudes), rel=1e-14, abs=0.0)
 
 
 def test_initialize_bad_labels():
@@ -139,7 +147,7 @@ def signed_zero_state(rng, n):
     parts = rng.normal(size=(1 << n, 2))
     zeros = rng.random(parts.shape) < 0.25
     parts[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, 0.0, -0.0)
-    return SpinState(parts.view(complex).ravel())
+    return parts.view(complex).ravel()
 
 
 def bits(x) -> bytes:
@@ -152,14 +160,14 @@ def check_kernels_bitwise(rng, n, j_nonzero):
 
     state = signed_zero_state(rng, n)
     t = rng.uniform(0, 2e-3)
-    fast = free_evolution(SpinState(state.amplitudes.copy()), h, t)
-    assert bits(fast.amplitudes) == bits(free_evolution_oracle(SpinState(state.amplitudes.copy()), h, t).amplitudes)
+    fast = free_evolution(state.copy(), h, t)
+    assert bits(fast) == bits(free_evolution_oracle(state.copy(), h, t))
     for ion in range(1, n + 1):
         pulse = PulseSpec(ion, rng.uniform(0, TWO_PI * 1e4), rng.uniform(-TWO_PI * 1e5, TWO_PI * 1e5),
                           rng.uniform(0, TWO_PI), rng.uniform(0, 1e-3))
-        fast = apply_pulse(SpinState(state.amplitudes.copy()), h, pulse)
-        slow = apply_pulse_oracle(SpinState(state.amplitudes.copy()), h, pulse)
-        assert bits(fast.amplitudes) == bits(slow.amplitudes)
+        fast = apply_pulse(state.copy(), h, pulse)
+        slow = apply_pulse_oracle(state.copy(), h, pulse)
+        assert bits(fast) == bits(slow)
         for observable in ("sx", "sy", "sz"):
             assert bits(expectation(state, observable, ion)) == bits(expectation_oracle(state, observable, ion))
 
@@ -184,9 +192,9 @@ def test_free_evolution_time_zero_is_identity():
     rng = np.random.default_rng(0)
     h = random_hamiltonian(rng, 2)
     state = random_state(rng, 2)
-    before = state.amplitudes.copy()
+    before = state.copy()
     free_evolution(state, h, 0.0)
-    assert np.array_equal(state.amplitudes, before)
+    assert np.array_equal(state, before)
 
 
 def test_j_modulated_ramsey_fringe():
@@ -194,15 +202,13 @@ def test_j_modulated_ramsey_fringe():
     j12 = TWO_PI * 19.3
     h = SpinHamiltonian(np.array([[0.0, j12], [j12, 0.0]]))
     for t in np.linspace(0.0, 0.1, 7):
-        state = initialize(2, "00")
-        state.amplitudes[:] = 0
-        state.amplitudes[0] = state.amplitudes[1] = 1 / np.sqrt(2)
+        state = np.array([1, 1, 0, 0], dtype=complex) / np.sqrt(2)
         free_evolution(state, h, t)
         assert expectation(state, "sx", 1) == pytest.approx(np.cos(j12 * t), abs=1e-12)
         assert expectation(state, "sy", 1) == pytest.approx(np.sin(j12 * t), abs=1e-12)
         # brute-force 4x4 matrix exponential agrees
         ref = scipy_free_evolution(np.array([1, 1, 0, 0]) / np.sqrt(2), h, t)
-        assert abs(np.vdot(ref, state.amplitudes)) == pytest.approx(1.0, abs=1e-12)
+        assert abs(np.vdot(ref, state)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_product_state_stays_product_without_coupling():
@@ -213,21 +219,21 @@ def test_product_state_stays_product_without_coupling():
     single_b = rng.normal(size=2) + 1j * rng.normal(size=2)
     single_a /= np.linalg.norm(single_a)
     single_b /= np.linalg.norm(single_b)
-    state = SpinState(np.kron(single_b, single_a))  # qubit 1 = fast index
+    state = np.kron(single_b, single_a)  # qubit 1 = fast index
     free_evolution(state, h, 3e-4)
-    assert np.array_equal(state.amplitudes, np.kron(single_b, single_a))
+    assert np.array_equal(state, np.kron(single_b, single_a))
 
 
 def test_free_evolution_composes():
     rng = np.random.default_rng(2)
     h = random_hamiltonian(rng, 3)
     state = random_state(rng, 3)
-    split = SpinState(state.amplitudes.copy())
+    split = state.copy()
     free_evolution(split, h, 1.25e-4)
     free_evolution(split, h, 0.75e-4)
-    joint = SpinState(state.amplitudes.copy())
+    joint = state.copy()
     free_evolution(joint, h, 2.0e-4)
-    assert np.allclose(split.amplitudes, joint.amplitudes, atol=1e-12)
+    assert np.allclose(split, joint, atol=1e-12)
 
 
 def test_free_evolution_rejects_negative_time():
@@ -246,12 +252,12 @@ def test_resonant_pi_pulse_flips():
     start = 0b001  # qubits (1,2,3) = (1,0,0)
     flipped = 0b011
     omega = rates[flipped] - rates[start]
-    state = SpinState(np.zeros(8, dtype=complex))
-    state.amplitudes[start] = 1.0
+    state = np.zeros(8, dtype=complex)
+    state[start] = 1.0
     rabi = TWO_PI * 500.0
     apply_pulse(state, h, PulseSpec(2, rabi, omega, 0.3, np.pi / rabi))
-    assert abs(state.amplitudes[flipped]) ** 2 == pytest.approx(1.0, abs=1e-12)
-    assert state.norm() == pytest.approx(1.0, abs=1e-12)
+    assert abs(state[flipped]) ** 2 == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_far_detuned_pulse_bounded():
@@ -265,7 +271,7 @@ def test_far_detuned_pulse_bounded():
         state = initialize(1, "0")
         apply_pulse(state, h, PulseSpec(1, rabi, -delta, 0.0, tau))
         bound = rabi**2 / (rabi**2 + delta**2)
-        assert abs(state.amplitudes[1]) ** 2 <= bound + 1e-12
+        assert abs(state[1]) ** 2 <= bound + 1e-12
 
 
 def test_cnot_conditional_flip():
@@ -300,14 +306,14 @@ def test_pulse_norm_preserved_long_sequence():
             rng.uniform(0, 1e-4),
         )
         apply_pulse(state, h, pulse)
-    assert state.norm() == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_hard_pulse_matches_strong_finite_pulse():
     rng = np.random.default_rng(7)
     h = random_hamiltonian(rng, 2, j_scale=1.0)
     state_hard = random_state(rng, 2)
-    state_finite = SpinState(state_hard.amplitudes.copy())
+    state_finite = state_hard.copy()
     apply_hard_pulse(state_hard, 1, np.pi / 2, 0.4)
     # strong fast pulse approaches the hard-pulse limit
     rabi = TWO_PI * 1e9
@@ -324,7 +330,7 @@ def test_sz_of_ground_state():
 
 
 def test_sx_of_plus_state():
-    state = SpinState(np.array([1, 1], dtype=complex) / np.sqrt(2))
+    state = np.array([1, 1], dtype=complex) / np.sqrt(2)
     assert expectation(state, "sx", 1) == pytest.approx(1.0, rel=1e-15)
     assert expectation(state, "sy", 1) == pytest.approx(0.0, abs=1e-15)
     assert expectation(state, "sz", 1) == pytest.approx(0.0, abs=1e-15)
@@ -361,7 +367,7 @@ def test_sample_basis_state_certain():
 
 
 def test_sample_uniform_statistics():
-    state = SpinState(0.5 * np.ones(4, dtype=complex))
+    state = 0.5 * np.ones(4, dtype=complex)
     rng = np.random.default_rng(123)
     shots = 100_000
     counts = marginal_counts(state, (1, 2), rng, shots)
@@ -371,7 +377,7 @@ def test_sample_uniform_statistics():
 
 
 def test_sample_same_seed_same_sequence():
-    state = SpinState(np.sqrt(np.array([0.1, 0.2, 0.3, 0.4], dtype=complex)))
+    state = np.sqrt(np.array([0.1, 0.2, 0.3, 0.4], dtype=complex))
     gen1 = np.random.default_rng(42)
     gen2 = np.random.default_rng(42)
     seq1 = [marginal_counts(state, (1, 2), gen1, 1) for _ in range(50)]
@@ -382,7 +388,7 @@ def test_sample_same_seed_same_sequence():
 
 def test_marginal_counts_pinned():
     # seeded counts from a per-shot string tally of the same draws; the bincount tally must match exactly
-    state = SpinState(np.sqrt(np.arange(1, 17) / 136.0).astype(complex))
+    state = np.sqrt(np.arange(1, 17) / 136.0).astype(complex)
     assert marginal_counts(state, (3, 1), np.random.default_rng(2024), 1000) == {
         "11": 355, "00": 157, "10": 286, "01": 202,
     }
@@ -396,11 +402,23 @@ def test_outcome_labels_match_format():
     rng = np.random.default_rng(5)
     for n in range(1, 17):
         ks = np.concatenate(([0, 1, (1 << n) - 1], rng.integers(0, 1 << n, 20)))
-        assert outcome_labels(ks, n) == [format(int(k), f"0{n}b")[::-1] for k in ks]
+        assert outcome_labels(ks, n) == [format(int(k), f"0{n}b") for k in ks]
+
+
+def test_marginal_counts_come_in_label_order():
+    # permuted ion subsets: sorted keys, equal to a per-shot label tally of the same seeded draws
+    state = np.sqrt(np.arange(1, 17) / 136.0).astype(complex)
+    probs = np.abs(state) ** 2
+    for ions in ((3, 1), (4, 2, 1), (2, 4, 3, 1), (3,)):
+        got = marginal_counts(state, ions, np.random.default_rng(99), 3000)
+        draws = np.random.default_rng(99).choice(state.size, size=3000, p=probs / probs.sum())
+        assert list(got) == sorted(got)
+        assert len(got) == 1 << len(ions)
+        assert got == label_tally(draws, ions)
 
 
 def test_measurement_probabilities_marginal():
-    state = SpinState(np.sqrt(np.arange(1, 17) / 136.0).astype(complex))
+    state = np.sqrt(np.arange(1, 17) / 136.0).astype(complex)
     # outcome "ab": qubit 3 is a, qubit 1 is b; basis index b has weight (b + 1) / 136
     expected = {"00": 0, "01": 0, "10": 0, "11": 0}
     for b in range(16):
@@ -418,7 +436,7 @@ def test_oracle_identity_at_time_zero():
     h = random_hamiltonian(rng, 2)
     state = random_state(rng, 2)
     evolved = evolve_oracle(state, h, [], 0.0)
-    assert np.allclose(evolved.amplitudes, state.amplitudes, atol=1e-15)
+    assert np.allclose(evolved, state, atol=1e-15)
 
 
 def test_oracle_matches_free_evolution():
@@ -428,7 +446,7 @@ def test_oracle_matches_free_evolution():
         h = random_hamiltonian(rng, n)
         state = random_state(rng, n)
         t = rng.uniform(0, 2e-3)
-        fast = SpinState(state.amplitudes.copy())
+        fast = state.copy()
         free_evolution(fast, h, t)
         dense = evolve_oracle(state, h, [], t)
         assert fidelity(fast, dense) > 1 - 1e-10
@@ -446,7 +464,7 @@ def test_oracle_matches_apply_pulse_n3():
             rng.uniform(0, TWO_PI),
             rng.uniform(0, 1e-3),
         )
-        fast = SpinState(state.amplitudes.copy())
+        fast = state.copy()
         apply_pulse(fast, h, pulse)
         dense = evolve_oracle(state, h, [pulse], pulse.duration)
         assert fidelity(fast, dense) > 1 - 1e-10
@@ -459,8 +477,8 @@ def test_oracle_scipy_cross_check():
     state = random_state(rng, 3)
     t = 1.3e-3
     mine = evolve_oracle(state, h, [], t)
-    ref = scipy_free_evolution(state.amplitudes, h, t)
-    assert np.allclose(mine.amplitudes, ref, atol=1e-11)
+    ref = scipy_free_evolution(state, h, t)
+    assert np.allclose(mine, ref, atol=1e-11)
 
 
 def test_oracle_size_limit():
