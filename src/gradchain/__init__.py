@@ -9,8 +9,8 @@ directly or through the pulse-program DSL.
 The spin layer, `spins` and `pulse`, loads on first use: `import gradchain`
 (and every command but `simulate`) binds both modules without running
 them. Each is in `sys.modules` and on the package from the start, and its
-code runs at the first attribute read, through the module or through one of
-the names re-exported here.
+code runs at the first attribute read. The package root re-exports none of
+their names: import them from `gradchain.spins` and `gradchain.pulse`.
 """
 
 import importlib.util
@@ -50,20 +50,6 @@ def _lazy_submodule(name: str):
 spins = _lazy_submodule("spins")
 pulse = _lazy_submodule("pulse")
 
-# re-exported spin-layer name -> the submodule that defines it
-_LAZY_NAMES = {
-    **dict.fromkeys(("PulseProgram", "RunRecord", "interpret", "parse"), "pulse"),
-    **dict.fromkeys(("PulseSpec", "SpinHamiltonian", "apply_pulse", "expectation", "free_evolution",
-                     "initialize"), "spins"),
-}
-
-
-def __getattr__(name: str):
-    if name not in _LAZY_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(globals()[_LAZY_NAMES[name]], name)
-
-
 __version__ = "0.1.0"
 
 __all__ = [
@@ -71,28 +57,18 @@ __all__ = [
     "ChainSolution",
     "CouplingReport",
     "PhysicalConstants",
-    "PulseProgram",
-    "PulseSpec",
-    "RunRecord",
     "SPECIES_REGISTRY",
     "Species",
-    "SpinHamiltonian",
     "TrapConfig",
-    "apply_pulse",
     "build_report",
     "dynamical_matrix",
     "effective_lamb_dicke",
     "epsilon_matrix",
-    "expectation",
-    "free_evolution",
-    "initialize",
-    "interpret",
     "j_matrix",
     "length_scale",
     "load_config",
     "normal_modes",
     "omega_gradients",
-    "parse",
     "parse_quantity",
     "qubit_frequencies",
     "sideband_spectrum",

@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+import time
 from collections.abc import Iterator, Sequence
 from datetime import datetime, timezone
 from itertools import repeat
@@ -107,8 +108,10 @@ def _array_pieces(a: np.ndarray, pad: str) -> Iterator[str]:
     yield f"\n{pad}  ]\n{pad}]"
 
 
-def _write_json(path: Path, doc: dict, with_timestamp: bool) -> None:
+def _write_json(path: Path, doc: dict, with_timestamp: bool, **timing: float) -> None:
     """Write doc as json.dumps(doc, indent=2, sort_keys=True) + newline would, ndarrays as their tolist().
+
+    `generated_at` and the `timing` fields join the document only `with_timestamp`.
 
     The text goes to the file piece by piece, so the whole document never
     exists as one string. It is written to a temporary file next to `path`
@@ -116,8 +119,7 @@ def _write_json(path: Path, doc: dict, with_timestamp: bool) -> None:
     temporary file is removed and `path` is left as it was.
     """
     if with_timestamp:
-        doc = dict(doc)
-        doc["generated_at"] = _timestamp()
+        doc = {**doc, "generated_at": _timestamp(), **timing}
     path.parent.mkdir(parents=True, exist_ok=True)
     partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -206,6 +208,8 @@ def cmd_spectrum(args) -> int:
 def cmd_simulate(args) -> int:
     if args.shots < 0:
         raise ValueError(f"--shots must be >= 0, got {args.shots}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     config = load_config(args.config)
     try:
         source = Path(args.program).read_text(encoding="utf-8")
@@ -221,14 +225,16 @@ def cmd_simulate(args) -> int:
     solution = chain_mod.solve_chain(config)
     report = coupling_mod.build_report(config, solution)
     initial = args.initial if args.initial is not None else "0" * config.ion_count
+    started = time.perf_counter()
     try:
         record = pulse_mod.interpret(program, report.j_matrix, initial, seed=args.seed, shots=args.shots)
     except pulse_mod.ProgramRuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    wall_time_s = time.perf_counter() - started
 
     out = Path(args.out)
-    _write_json(out, record.to_json_dict(include_timing=not args.no_timestamp), not args.no_timestamp)
+    _write_json(out, record.to_json_dict(), not args.no_timestamp, wall_time_s=wall_time_s)
 
     if record.measurements:
         counts = record.measurements[-1]["counts"]

@@ -2,8 +2,9 @@
 
 Configs are JSON documents. Quantity-valued entries are JSON numbers (SI)
 or strings of units.read_value: "100kHz", or "1e5" meaning SI; `c` and an
-explicit wavevector take numbers only. Unknown keys are rejected outright:
-a silently ignored typo in a physics config produces plausible-looking wrong numbers.
+explicit wavevector take a bare SI number, as a JSON number or a numeric
+string; no unit. Unknown keys are rejected outright: a silently ignored
+typo in a physics config produces plausible-looking wrong numbers.
 """
 
 from __future__ import annotations

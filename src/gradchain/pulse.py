@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import re
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +29,6 @@ import numpy as np
 from .units import ANGLE, FREQUENCY, TIME, QuantityError, read_integer, read_value
 from .spins import (
     SpinHamiltonian,
-    PulseSpec,
     apply_pulse,
     expectation,
     free_evolution,
@@ -282,12 +280,14 @@ class RunRecord:
     measurements: list[dict] = field(default_factory=list)
     final_state: np.ndarray | None = None  # complex amplitudes, basis order of gradchain.spins
     total_time_s: float = 0.0      # simulated sequence time
-    wall_time_s: float | None = None
 
-    def to_json_dict(self, include_timing: bool = True) -> dict:
-        """run.json's document; the final state is a (2^n, 2) float array of [real, imag] rows."""
+    def to_json_dict(self) -> dict:
+        """run.json's document, all but the CLI's generated_at and wall_time_s.
+
+        The final state is a (2^n, 2) float array of [real, imag] rows.
+        """
         state = self.final_state
-        doc = {
+        return {
             "n_qubits": self.n_qubits,
             "initial": self.initial_label,
             "seed": self.seed,
@@ -301,9 +301,6 @@ class RunRecord:
             },
             "frame": FRAME,
         }
-        if include_timing and self.wall_time_s is not None:
-            doc["wall_time_s"] = self.wall_time_s
-        return doc
 
 
 def marginal_counts(
@@ -330,9 +327,9 @@ def interpret(
     The register evolves in the synthesizer frame (FRAME), where the energy
     table holds only the J terms. A pulse's tone is its detune, and its phase
     is shifted by -2 pi detune t_start so that the synthesizer stays phase
-    coherent across the whole sequence. A pulse or delay that leaves the
-    state non-finite or its norm off 1 by more than NORM_TOLERANCE raises
-    ProgramRuntimeError.
+    coherent across the whole sequence. A pulse or delay that takes the
+    sequence time past the largest double, or leaves the state non-finite or
+    its norm off 1 by more than NORM_TOLERANCE, raises ProgramRuntimeError.
     """
     n = len(coupling)
     if program.n_ions != n:
@@ -345,7 +342,6 @@ def interpret(
     state = initialize(n, initial)
     rng = np.random.default_rng(seed)
     record = RunRecord(n_qubits=n, initial_label=initial, seed=seed, shots=shots)
-    started = time.perf_counter()
     t = 0.0
 
     for ins in program.instructions:
@@ -353,9 +349,8 @@ def interpret(
             if isinstance(ins, Pulse):
                 omega_r = 2.0 * math.pi * ins.rabi_hz
                 tone = 2.0 * math.pi * ins.detune_hz
-                spec = PulseSpec(ins.ion, omega_r, tone, ins.phase_rad - tone * t, ins.duration_s)
                 with np.errstate(over="ignore", invalid="ignore"):  # the norm check below reports it
-                    apply_pulse(state, hamiltonian, spec)
+                    apply_pulse(state, hamiltonian, ins.ion, omega_r, tone, ins.phase_rad - tone * t, ins.duration_s)
                 t += ins.duration_s
             elif isinstance(ins, Delay):
                 with np.errstate(over="ignore", invalid="ignore"):
@@ -375,6 +370,8 @@ def interpret(
                         )
         except (ValueError, RuntimeError) as exc:
             raise ProgramRuntimeError(str(exc), ins.span) from exc
+        if not math.isfinite(t):
+            raise ProgramRuntimeError(f"sequence time {t!r} s is not finite", ins.span)
         # einsum, not np.linalg.norm or a dot: their BLAS call leaves OpenBLAS threads spinning afterwards
         parts = state.view(np.float64)
         norm = math.sqrt(float(np.einsum("i,i->", parts, parts)))
@@ -383,5 +380,4 @@ def interpret(
 
     record.final_state = state
     record.total_time_s = t
-    record.wall_time_s = time.perf_counter() - started
     return record

@@ -67,23 +67,6 @@ class SpinHamiltonian:
         return rates
 
 
-@dataclass(frozen=True)
-class PulseSpec:
-    """One single-tone drive: target ion (1-based), Rabi rate, tone, phase, duration."""
-
-    target_ion: int
-    rabi_frequency: float   # rad/s, >= 0
-    drive_frequency: float  # rad/s
-    phase: float            # rad
-    duration: float         # s, >= 0
-
-    def __post_init__(self):
-        if self.rabi_frequency < 0.0:
-            raise ValueError("Rabi frequency must be non-negative")
-        if self.duration < 0.0:
-            raise ValueError("pulse duration must be non-negative")
-
-
 def _sign_table(n: int) -> np.ndarray:
     """s[b, q] = +/-1 for qubit q+1 in basis state b."""
     b = np.arange(1 << n, dtype=np.int64)
@@ -161,32 +144,39 @@ def _block_unitary(delta: np.ndarray, omega_r: float, phase: float, tau: float):
     return u00, u01, u10, u11
 
 
-def apply_pulse(state: np.ndarray, h: SpinHamiltonian, pulse: PulseSpec) -> np.ndarray:
-    """Exact RWA evolution for one single-tone pulse on one target qubit.
+def apply_pulse(state: np.ndarray, h: SpinHamiltonian, ion: int, rabi: float, tone: float, phase: float,
+                duration: float) -> np.ndarray:
+    """Exact RWA evolution for one single-tone pulse on qubit `ion` (1-based).
 
+    The drive has Rabi rate `rabi` >= 0 and tone `tone` from the qubit's
+    carrier, both in rad/s, phase `phase` in rad and length `duration` >= 0 s.
     Every spectator configuration c defines an independent 2x2 block with
     detuning delta(c); spectator phases accumulate exactly alongside. The
     drive phase is taken at the pulse's local t = 0 (pulse.interpret, in the
     synthesizer frame where the tone is the detune, shifts it by -tone * t_start).
     """
+    if rabi < 0.0:
+        raise ValueError("Rabi frequency must be non-negative")
+    if duration < 0.0:
+        raise ValueError("pulse duration must be non-negative")
     if state.size != 1 << h.n_qubits:
         raise ValueError("state size does not match Hamiltonian")
 
     # contiguous 1-D copies in basis order for the arithmetic, written back through the views
-    rates = _pairs(h.rates, pulse.target_ion)
+    rates = _pairs(h.rates, ion)
     r0, r1 = rates[:, 0].ravel(), rates[:, 1].ravel()
-    amps = _pairs(state, pulse.target_ion)
+    amps = _pairs(state, ion)
     a0, a1 = amps[:, 0].ravel(), amps[:, 1].ravel()
 
-    delta = r1 - r0 - pulse.drive_frequency
-    u00, u01, u10, u11 = _block_unitary(delta, pulse.rabi_frequency, pulse.phase, pulse.duration)
+    delta = r1 - r0 - tone
+    u00, u01, u10, u11 = _block_unitary(delta, rabi, phase, duration)
 
     new0 = u00 * a0 + u01 * a1
     new1 = u10 * a0 + u11 * a1
     # back out of the per-block rotating frame into the frame of h
-    lab0 = np.exp(-1j * r0 * pulse.duration)
+    lab0 = np.exp(-1j * r0 * duration)
     amps[:, 0] = (lab0 * new0).reshape(-1, amps.shape[2])
-    amps[:, 1] = (lab0 * np.exp(-1j * pulse.drive_frequency * pulse.duration) * new1).reshape(-1, amps.shape[2])
+    amps[:, 1] = (lab0 * np.exp(-1j * tone * duration) * new1).reshape(-1, amps.shape[2])
     return state
 
 

@@ -21,6 +21,8 @@ references for gradchain.spins and share only its 2x2 block propagator.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import mpmath
 import numpy as np
 
@@ -28,9 +30,19 @@ from gradchain.chain import ChainSolution
 from gradchain.config import TrapConfig
 from gradchain.constants import CONSTANTS
 from gradchain.pulse import Delay, ExpectationLog, Pulse, PulseProgram
-from gradchain.spins import PulseSpec, SpinHamiltonian, _block_unitary
+from gradchain.spins import SpinHamiltonian, _block_unitary
 
 MAX_ORACLE_QUBITS = 6
+
+
+class Drive(NamedTuple):
+    """One single-tone drive, in the order of gradchain.spins.apply_pulse's arguments after the Hamiltonian."""
+
+    ion: int         # 1-based target
+    rabi: float      # rad/s, >= 0
+    tone: float      # rad/s, from the target's carrier
+    phase: float     # rad
+    duration: float  # s, >= 0
 
 
 def j_matrix_bruteforce_oracle(grads: np.ndarray, chain: ChainSolution) -> np.ndarray:
@@ -146,7 +158,7 @@ def _expm_scaled_series(a: np.ndarray) -> np.ndarray:
 
 
 def evolve_oracle(
-    state: np.ndarray, h: SpinHamiltonian, drives: list[PulseSpec], t: float
+    state: np.ndarray, h: SpinHamiltonian, drives: list[Drive], t: float
 ) -> np.ndarray:
     """Dense-matrix evolution used only to validate the fast paths.
 
@@ -170,10 +182,10 @@ def evolve_oracle(
     rotating_ion = None
     if drives:
         pulse = drives[0]
-        rotating_ion = pulse.target_ion
-        sp = _operator_on(_SIGMA_PLUS, pulse.target_ion, n)
-        ham -= 0.5 * pulse.drive_frequency * z_ops[pulse.target_ion - 1]
-        ham += 0.5 * pulse.rabi_frequency * (
+        rotating_ion = pulse.ion
+        sp = _operator_on(_SIGMA_PLUS, pulse.ion, n)
+        ham -= 0.5 * pulse.tone * z_ops[pulse.ion - 1]
+        ham += 0.5 * pulse.rabi * (
             np.exp(1j * pulse.phase) * sp + np.exp(-1j * pulse.phase) * sp.conj().T
         )
 
@@ -181,7 +193,7 @@ def evolve_oracle(
     amplitudes = propagator @ state
     if rotating_ion is not None:
         # undo the rotating-frame transformation at the final time
-        back = _expm_scaled_series(-1j * drives[0].drive_frequency * t * 0.5 * z_ops[rotating_ion - 1])
+        back = _expm_scaled_series(-1j * drives[0].tone * t * 0.5 * z_ops[rotating_ion - 1])
         amplitudes = back @ amplitudes
     return amplitudes
 
@@ -318,19 +330,20 @@ def free_evolution_oracle(state: np.ndarray, h: SpinHamiltonian, t: float) -> np
     return state
 
 
-def apply_pulse_oracle(state: np.ndarray, h: SpinHamiltonian, pulse: PulseSpec) -> np.ndarray:
+def apply_pulse_oracle(state: np.ndarray, h: SpinHamiltonian, ion: int, rabi: float, tone: float, phase: float,
+                       duration: float) -> np.ndarray:
     """One single-tone pulse with its 2x2 blocks gathered and scattered by index arrays, in place."""
     rates = diagonal_rates_oracle(h)
-    b0, b1 = _pair_indices(h.n_qubits, pulse.target_ion)
-    delta = rates[b1] - rates[b0] - pulse.drive_frequency
-    u00, u01, u10, u11 = _block_unitary(delta, pulse.rabi_frequency, pulse.phase, pulse.duration)
+    b0, b1 = _pair_indices(h.n_qubits, ion)
+    delta = rates[b1] - rates[b0] - tone
+    u00, u01, u10, u11 = _block_unitary(delta, rabi, phase, duration)
     a0 = state[b0]
     a1 = state[b1]
     new0 = u00 * a0 + u01 * a1
     new1 = u10 * a0 + u11 * a1
-    lab0 = np.exp(-1j * rates[b0] * pulse.duration)
+    lab0 = np.exp(-1j * rates[b0] * duration)
     state[b0] = lab0 * new0
-    state[b1] = lab0 * np.exp(-1j * pulse.drive_frequency * pulse.duration) * new1
+    state[b1] = lab0 * np.exp(-1j * tone * duration) * new1
     return state
 
 

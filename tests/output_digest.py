@@ -21,7 +21,9 @@ cnot, ramsey and echo with CLI defaults, with `--seed 5 --shots 3000`
 and with `--shots 0`, and echo with --emit-plot-data; echo on trap.json with its gradient set to
 0 T/m, where J = 0 and every energy is a signed zero (`spins.diagonal_rates` writes +0.0
 there by its `0.0 -`; plain negation, -0.0, gives the same outputs, so the bitwise kernel
-tests of test_spins.py pin that rule, not this run); `simulate` on trap_n10 of FRAME_PROGRAM, whose
+tests of test_spins.py pin that rule, not this run), and on the same config the exit-3 `line:col` of
+two 1e308 s delays, whose sum overflows the sequence time while the state stays exact
+(error_time_overflow); `simulate` on trap_n10 of FRAME_PROGRAM, whose
 logged <sx> and <sy> after detuned, phased pulses depend on the frame the
 simulator evolves in; `simulate` on trap_n10 of SUBSET_PROGRAM, whose
 measurements of permuted ion subsets (`measure z 7, 3 ,1` last, so in the
@@ -42,7 +44,8 @@ area, an empty program, an unknown keyword, a second `ions` header and
 unknown species (`chain`), ions outside a sampled field profile
 (`couplings`), `--initial 1x` and a 17-ion register (`simulate`), a unit
 on the curvature `c` (`chain`), a `nu1` that is the JSON integer 10^400
-(`couplings`), `--ion x` (`spectrum`), `--shots` of 10^14 (`simulate`), and the sweep
+(`couplings`), `--ion x` (`spectrum`), `--shots` of 10^14 and `--seed -1`
+(`simulate`, the latter error_seed_negative), and the sweep
 bounds `1_00_000` and `nan`, `--steps ３`, `--steps` of 10^12, `delta_shift[1_0]` on
 trap_n10 and `--param comment` (`sweep`).
 This script is not a test module and pytest does not collect it.
@@ -190,6 +193,9 @@ def _commands(work: Path) -> list[tuple[str, list[str]]]:
     (work / "trap_b0.json").write_text(json.dumps(zero_j), encoding="utf-8")
     commands.append(("echo_zero_j", ["simulate", "--config", "trap_b0.json", "--program", "echo.pp",
                                      "--out", "{out}/run.json"]))
+    (work / "time_overflow.pp").write_text("ions 2\ndelay 1e308s\ndelay 1e308s\nmeasure z all\n", encoding="utf-8")
+    commands.append(("error_time_overflow", ["simulate", "--config", "trap_b0.json", "--program",
+                                             "time_overflow.pp", "--out", "{out}/run.json"]))
     (work / "frame.pp").write_text(FRAME_PROGRAM, encoding="utf-8")
     commands.append(("frame_n10", ["simulate", "--config", "trap_n10.json", "--program", "frame.pp",
                                    "--out", "{out}/run.json"]))
@@ -212,6 +218,8 @@ def _commands(work: Path) -> list[tuple[str, list[str]]]:
                                   "--out", "{out}/run.json"]),
                  ("error_shots_huge", ["simulate", "--config", "trap.json", "--program", "cnot.pp",
                                        "--shots", "100000000000000", "--out", "{out}/run.json"]),
+                 ("error_seed_negative", ["simulate", "--config", "trap.json", "--program", "cnot.pp",
+                                          "--seed", "-1", "--out", "{out}/run.json"]),
                  ("error_initial", ["simulate", "--config", "trap.json", "--program", "cnot.pp", "--initial", "1x",
                                     "--out", "{out}/run.json"]),
                  ("error_spectrum_ion", ["spectrum", "--config", "trap.json", "--ion", "3",

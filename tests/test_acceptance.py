@@ -18,8 +18,8 @@ from gradchain.cli import main
 from gradchain.config import validate_config
 from gradchain.coupling import epsilon_matrix, j_matrix, omega_gradients
 from gradchain.pulse import interpret, parse
-from gradchain.spins import PulseSpec, SpinHamiltonian, apply_pulse, free_evolution
-from oracles import evolve_oracle, j_matrix_bruteforce_oracle
+from gradchain.spins import SpinHamiltonian, apply_pulse, free_evolution
+from oracles import Drive, evolve_oracle, j_matrix_bruteforce_oracle
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -158,7 +158,7 @@ def test_criterion_08_dynamics_oracle():
             free_evolution(fast, h, t)
             dense = evolve_oracle(state, h, [], t)
         else:
-            pulse = PulseSpec(
+            pulse = Drive(
                 int(rng.integers(1, n + 1)),
                 float(rng.uniform(0, TWO_PI * 1e4)),
                 float(rng.uniform(-TWO_PI * 1.2e5, TWO_PI * 1.2e5)),
@@ -166,7 +166,7 @@ def test_criterion_08_dynamics_oracle():
                 float(rng.uniform(0, 1e-3)),
             )
             fast = state.copy()
-            apply_pulse(fast, h, pulse)
+            apply_pulse(fast, h, *pulse)
             dense = evolve_oracle(state, h, [pulse], pulse.duration)
         deficit = 1.0 - abs(np.vdot(fast, dense))
         worst = max(worst, deficit)

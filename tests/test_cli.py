@@ -271,9 +271,14 @@ FAILING_RUNS = {
     # bounds checked before the arrays they size are allocated: 8 bytes a shot or a step would be 728 TiB, 7.28 TiB
     "huge_shots": ({}, ["simulate", "--shots", "100000000000000"], CNOT_PROGRAM, 2,
                    "shots must be <= 10000000, got 100000000000000"),
+    "seed_negative": ({}, ["simulate", "--seed", "-1"], CNOT_PROGRAM, 2, "--seed must be >= 0, got -1"),
     "huge_steps": ({}, ["sweep", "--param", "nu1", "--from", "50kHz", "--to", "100kHz", "--steps", "1000000000000",
                         "--quantity", "max_J", "--out", "out/sweep.csv"], CNOT_PROGRAM, 2,
                    "sweep needs steps <= 100000, got 1000000000000"),
+    # J = 0 at b = 0: the state stays exact and only the sequence time overflows
+    "time_overflow": ({"field": {"uniform": {"b": "0T/m"}}}, ["simulate"],
+                      "ions 2\ndelay 1e308s\ndelay 1e308s\nmeasure z all\n", 3,
+                      "3:1: sequence time inf s is not finite"),
     "empty_program": ({}, ["simulate"], "", 4, "p.pp:1:1: program is empty"),
     "unknown_keyword": ({}, ["simulate"], "ions 2\nwiggle 5\n", 4, "p.pp:2:1: unknown keyword 'wiggle'"),
     "duplicate_header": ({}, ["simulate"], "ions 2\nions 2\n", 4, "p.pp:2:1: duplicate 'ions' header"),
@@ -670,6 +675,20 @@ def test_timestamp_present_without_flag(trap2, tmp_path):
     assert "generated_at" in doc
 
 
+@pytest.mark.parametrize("flags", [[], ["--no-timestamp"]], ids=["timestamp", "no-timestamp"])
+def test_simulate_wall_time_only_without_flag(trap2, tmp_path, flags):
+    program = tmp_path / "cnot.pp"
+    program.write_text(CNOT_PROGRAM, encoding="utf-8")
+    out = tmp_path / "run.json"
+    assert main(["simulate", "--config", trap2, "--program", str(program), "--out", str(out), *flags]) == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    if flags:
+        assert "wall_time_s" not in doc and "generated_at" not in doc
+    else:
+        assert math.isfinite(doc["wall_time_s"]) and doc["wall_time_s"] >= 0.0
+        assert isinstance(doc["generated_at"], str)
+
+
 def test_module_entry_point(trap2, tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "gradchain", "chain", "--config", trap2],
@@ -691,11 +710,11 @@ def assert_writes_json_reference(path, doc):
                     f"{got[at - 30:at + 30]!r} != {want[at - 30:at + 30]!r}")
 
 
-def run_doc(n, source, shots, include_timing=False):
+def run_doc(n, source, shots):
     config = validate_config(standard_raw(n=n))
     chain = solve_chain(config)
     record = interpret(parse(source), build_report(config, chain).j_matrix, "0" * n, seed=3, shots=shots)
-    return record.to_json_dict(include_timing=include_timing)
+    return record.to_json_dict()
 
 
 def register_source(n, rng):
@@ -713,16 +732,17 @@ def register_source(n, rng):
 
 @pytest.fixture(scope="module")
 def register_doc():
-    return run_doc(16, register_source(16, np.random.default_rng(16)), shots=20000, include_timing=True)
+    return run_doc(16, register_source(16, np.random.default_rng(16)), shots=20000)
 
 
 @pytest.mark.parametrize("with_timestamp", [False, True])
 def test_write_json_16_ion_register(register_doc, tmp_path, with_timestamp):
     out = tmp_path / "run.json"
-    _write_json(out, register_doc, with_timestamp)
+    _write_json(out, register_doc, with_timestamp, wall_time_s=1.25)
     doc = dict(register_doc)
     if with_timestamp:
         doc["generated_at"] = json.loads(out.read_text(encoding="utf-8"))["generated_at"]
+        doc["wall_time_s"] = 1.25
     assert "generated_at" not in register_doc
     assert len(register_doc["final_state"]["amplitudes"]) == 1 << 16
     assert len(register_doc["measurements"][-1]["counts"]) > 10000

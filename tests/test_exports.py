@@ -12,16 +12,11 @@ import gradchain
 SRC = Path(gradchain.__file__).resolve().parents[1]
 CONFIGS = SRC.parent / "configs"
 
-# perfbench/tracer.py's TARGETS: the functions it wraps, looked up in
+# perfbench/tracer.py's TARGETS, read from its source: the functions it wraps, looked up in
 # sys.modules["gradchain.<module>"] right after `import gradchain.cli`
-TRACER_TARGETS = {
-    "chain": ("solve_chain", "solve_equilibrium", "stationarity_residual", "dynamical_matrix", "normal_modes"),
-    "coupling": ("build_report",),
-    "pulse": ("parse", "interpret", "apply_pulse", "free_evolution", "expectation", "marginal_counts"),
-    "spins": ("diagonal_rates",),
-    "config": ("load_config", "validate_config"),
-    "units": ("parse_quantity",),
-}
+[TRACER_TARGETS] = [ast.literal_eval(node.value)
+                    for node in ast.parse((SRC.parent / "perfbench" / "tracer.py").read_text(encoding="utf-8")).body
+                    if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TARGETS"]
 
 # runs gradchain.cli.main on each argv of the JSON list in argv[1]; prints, as its last line, the exit
 # codes and whether gradchain.pulse and gradchain.spins have run (a module still waiting for its
@@ -63,12 +58,18 @@ def test_all_matches_imported_names():
     imported = [alias.asname or alias.name
                 for node in tree.body if isinstance(node, ast.ImportFrom)
                 for alias in node.names if not (alias.asname or alias.name).startswith("_")]
-    assert sorted(gradchain.__all__) == sorted(imported + list(gradchain._LAZY_NAMES))
+    assert sorted(gradchain.__all__) == sorted(imported)
 
 
 def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         getattr(gradchain, "no_such_name")
+
+
+@pytest.mark.parametrize("name", ["interpret", "apply_pulse"])
+def test_root_re_exports_no_spin_layer_name(name):
+    with pytest.raises(AttributeError, match=name):
+        getattr(gradchain, name)
 
 
 def test_tracer_targets_resolve_after_importing_the_cli(tmp_path):

@@ -280,7 +280,7 @@ measure z all
 def run_json_text(config, chain) -> str:
     """The run.json text (as written under --no-timestamp) of N10_PROGRAM on this chain."""
     record = interpret(N10_PROGRAM, build_report(config, chain).j_matrix, "0101100000", seed=7, shots=500)
-    return json_text(record.to_json_dict(include_timing=False))
+    return json_text(record.to_json_dict())
 
 
 @pytest.fixture(scope="module")

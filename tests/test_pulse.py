@@ -343,6 +343,15 @@ def test_non_finite_state_fails_at_its_instruction(report2):
     assert "norm" in str(err.value)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("second", ["delay 1e308s", "pulse ion=2 rabi=0 detune=0 phase=0 dur=1e308s"])
+def test_sequence_time_overflow_fails_at_its_instruction(second):
+    # J = 0, so the state stays exact; only the sequence time leaves the doubles
+    program = parse(f"ions 2\ndelay 1e308s\n{second}\nmeasure z all\n")
+    with pytest.raises(ProgramRuntimeError, match="^3:1: sequence time inf s is not finite$"):
+        interpret(program, np.zeros((2, 2)), "00", seed=0, shots=10)
+
+
 def test_interpret_checks_ion_count(report2):
     program = parse("ions 3\ndelay 1ms\n")
     with pytest.raises(ValueError):
@@ -372,8 +381,8 @@ def test_interpret_deterministic(report2):
     program = parse(CNOT_SRC)
     a = interpret(program, report2.j_matrix, "10", seed=99, shots=100)
     b = interpret(program, report2.j_matrix, "10", seed=99, shots=100)
-    doc_a = a.to_json_dict(include_timing=False)
-    doc_b = b.to_json_dict(include_timing=False)
+    doc_a = a.to_json_dict()
+    doc_b = b.to_json_dict()
     as_text = dict(sort_keys=True, default=np.ndarray.tolist)  # final-state amplitudes are an array
     assert json.dumps(doc_a, **as_text) == json.dumps(doc_b, **as_text)
 
@@ -384,8 +393,6 @@ def test_run_record_serialization(report2):
     doc = record.to_json_dict()
     assert doc["n_qubits"] == 2
     assert doc["initial"] == "10"
-    assert "wall_time_s" in doc
     assert len(doc["final_state"]["amplitudes"]) == 4
     assert "basis_convention" in doc["final_state"]
-    trimmed = record.to_json_dict(include_timing=False)
-    assert "wall_time_s" not in trimmed
+    assert "wall_time_s" not in doc and "generated_at" not in doc  # the CLI's to add

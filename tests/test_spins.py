@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from gradchain import pulse
 from gradchain.pulse import ProgramRuntimeError, interpret, marginal_counts, parse
 from gradchain.spins import (
-    PulseSpec,
     SpinHamiltonian,
     apply_pulse,
     diagonal_rates,
@@ -18,6 +17,7 @@ from gradchain.spins import (
     outcome_labels,
 )
 from oracles import (
+    Drive,
     OracleTooLargeError,
     apply_hard_pulse,
     apply_pulse_oracle,
@@ -163,10 +163,10 @@ def check_kernels_bitwise(rng, n, j_nonzero):
     fast = free_evolution(state.copy(), h, t)
     assert bits(fast) == bits(free_evolution_oracle(state.copy(), h, t))
     for ion in range(1, n + 1):
-        pulse = PulseSpec(ion, rng.uniform(0, TWO_PI * 1e4), rng.uniform(-TWO_PI * 1e5, TWO_PI * 1e5),
-                          rng.uniform(0, TWO_PI), rng.uniform(0, 1e-3))
-        fast = apply_pulse(state.copy(), h, pulse)
-        slow = apply_pulse_oracle(state.copy(), h, pulse)
+        pulse = Drive(ion, rng.uniform(0, TWO_PI * 1e4), rng.uniform(-TWO_PI * 1e5, TWO_PI * 1e5),
+                      rng.uniform(0, TWO_PI), rng.uniform(0, 1e-3))
+        fast = apply_pulse(state.copy(), h, *pulse)
+        slow = apply_pulse_oracle(state.copy(), h, *pulse)
         assert bits(fast) == bits(slow)
         for observable in ("sx", "sy", "sz"):
             assert bits(expectation(state, observable, ion)) == bits(expectation_oracle(state, observable, ion))
@@ -255,7 +255,7 @@ def test_resonant_pi_pulse_flips():
     state = np.zeros(8, dtype=complex)
     state[start] = 1.0
     rabi = TWO_PI * 500.0
-    apply_pulse(state, h, PulseSpec(2, rabi, omega, 0.3, np.pi / rabi))
+    apply_pulse(state, h, 2, rabi, omega, 0.3, np.pi / rabi)
     assert abs(state[flipped]) ** 2 == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
 
@@ -269,7 +269,7 @@ def test_far_detuned_pulse_bounded():
         delta = rng.uniform(-TWO_PI * 1e4, TWO_PI * 1e4)
         tau = rng.uniform(0.0, 0.1)
         state = initialize(1, "0")
-        apply_pulse(state, h, PulseSpec(1, rabi, -delta, 0.0, tau))
+        apply_pulse(state, h, 1, rabi, -delta, 0.0, tau)
         bound = rabi**2 / (rabi**2 + delta**2)
         assert abs(state[1]) ** 2 <= bound + 1e-12
 
@@ -283,11 +283,11 @@ def test_cnot_conditional_flip():
     drive = -j12
 
     control_one = initialize(2, "10")
-    apply_pulse(control_one, h, PulseSpec(2, rabi, drive, 0.0, tau))
+    apply_pulse(control_one, h, 2, rabi, drive, 0.0, tau)
     assert measurement_probabilities(control_one)["11"] > 0.99
 
     control_zero = initialize(2, "00")
-    apply_pulse(control_zero, h, PulseSpec(2, rabi, drive, 0.0, tau))
+    apply_pulse(control_zero, h, 2, rabi, drive, 0.0, tau)
     flipped = measurement_probabilities(control_zero).get("01", 0.0)
     assert flipped < 0.05
 
@@ -298,14 +298,15 @@ def test_pulse_norm_preserved_long_sequence():
     state = random_state(rng, 4)
     for _ in range(1000):
         ion = int(rng.integers(1, 5))
-        pulse = PulseSpec(
+        apply_pulse(
+            state,
+            h,
             ion,
             rng.uniform(0, TWO_PI * 1e4),
             rng.uniform(-TWO_PI * 1e5, TWO_PI * 1e5),
             rng.uniform(0, TWO_PI),
             rng.uniform(0, 1e-4),
         )
-        apply_pulse(state, h, pulse)
     assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -317,8 +318,20 @@ def test_hard_pulse_matches_strong_finite_pulse():
     apply_hard_pulse(state_hard, 1, np.pi / 2, 0.4)
     # strong fast pulse approaches the hard-pulse limit
     rabi = TWO_PI * 1e9
-    apply_pulse(state_finite, h, PulseSpec(1, rabi, 0.0, 0.4, 0.5 * np.pi / rabi))
+    apply_pulse(state_finite, h, 1, rabi, 0.0, 0.4, 0.5 * np.pi / rabi)
     assert fidelity(state_hard, state_finite) > 1 - 1e-10
+
+
+@pytest.mark.parametrize("rabi, duration, message", [
+    (-1.0, 1.0, "Rabi frequency must be non-negative"),
+    (1.0, -1.0, "pulse duration must be non-negative"),
+], ids=["rabi", "duration"])
+def test_apply_pulse_rejects_negative_rabi_and_duration(rabi, duration, message):
+    h = SpinHamiltonian(np.zeros((2, 2)))
+    state = initialize(2, "10")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        apply_pulse(state, h, 1, rabi, 0.0, 0.0, duration)
+    assert np.array_equal(state, initialize(2, "10"))
 
 
 # expectation values ---------------------------------------------------------------
@@ -457,7 +470,7 @@ def test_oracle_matches_apply_pulse_n3():
     for _ in range(20):
         h = random_hamiltonian(rng, 3)
         state = random_state(rng, 3)
-        pulse = PulseSpec(
+        pulse = Drive(
             int(rng.integers(1, 4)),
             rng.uniform(0, TWO_PI * 1e4),
             rng.uniform(-TWO_PI * 1.2e5, TWO_PI * 1.2e5),
@@ -465,7 +478,7 @@ def test_oracle_matches_apply_pulse_n3():
             rng.uniform(0, 1e-3),
         )
         fast = state.copy()
-        apply_pulse(fast, h, pulse)
+        apply_pulse(fast, h, *pulse)
         dense = evolve_oracle(state, h, [pulse], pulse.duration)
         assert fidelity(fast, dense) > 1 - 1e-10
 
@@ -491,7 +504,7 @@ def test_oracle_size_limit():
 def test_multi_tone_rejected():
     h = SpinHamiltonian(np.zeros((2, 2)))
     state = initialize(2, "00")
-    pulses = [PulseSpec(1, 1.0, 0.0, 0.0, 1.0), PulseSpec(2, 1.0, 0.0, 0.0, 1.0)]
+    pulses = [Drive(1, 1.0, 0.0, 0.0, 1.0), Drive(2, 1.0, 0.0, 0.0, 1.0)]
     with pytest.raises(ValueError):
         evolve_oracle(state, h, pulses, 1.0)
 
