@@ -6,31 +6,23 @@ positions and normal modes), whose output feeds the coupling report
 parameters); the report parameterizes exact spin dynamics driven either
 directly or through the pulse-program DSL.
 
+The package root exports four names: validate_config, solve_chain,
+solve_equilibrium and build_report. Every other name is imported from its
+module (gradchain.config, gradchain.chain, gradchain.coupling,
+gradchain.spins, gradchain.pulse, ...).
+
 The spin layer, `spins` and `pulse`, loads on first use: `import gradchain`
 (and every command but `simulate`) binds both modules without running
 them. Each is in `sys.modules` and on the package from the start, and its
-code runs at the first attribute read. The package root re-exports none of
-their names: import them from `gradchain.spins` and `gradchain.pulse`.
+code runs at the first attribute read.
 """
 
 import importlib.util
 import sys
 
-from .chain import ChainSolution, dynamical_matrix, length_scale, normal_modes, solve_chain, solve_equilibrium
-from .config import TrapConfig, load_config, validate_config
-from .constants import CONSTANTS, SPECIES_REGISTRY, PhysicalConstants, Species
-from .coupling import (
-    CouplingReport,
-    build_report,
-    effective_lamb_dicke,
-    epsilon_matrix,
-    j_matrix,
-    omega_gradients,
-    qubit_frequencies,
-    sideband_spectrum,
-    validity_epsilon,
-)
-from .units import parse_quantity
+from .chain import solve_chain, solve_equilibrium
+from .config import validate_config
+from .coupling import build_report
 
 
 def _lazy_submodule(name: str):
@@ -52,28 +44,4 @@ pulse = _lazy_submodule("pulse")
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CONSTANTS",
-    "ChainSolution",
-    "CouplingReport",
-    "PhysicalConstants",
-    "SPECIES_REGISTRY",
-    "Species",
-    "TrapConfig",
-    "build_report",
-    "dynamical_matrix",
-    "effective_lamb_dicke",
-    "epsilon_matrix",
-    "j_matrix",
-    "length_scale",
-    "load_config",
-    "normal_modes",
-    "omega_gradients",
-    "parse_quantity",
-    "qubit_frequencies",
-    "sideband_spectrum",
-    "solve_chain",
-    "solve_equilibrium",
-    "validate_config",
-    "validity_epsilon",
-]
+__all__ = ["build_report", "solve_chain", "solve_equilibrium", "validate_config"]

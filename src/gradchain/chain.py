@@ -105,7 +105,7 @@ def length_scale(config: TrapConfig) -> float:
     try:
         zeta = (
             c.elementary_charge**2
-            / (4.0 * math.pi * c.vacuum_permittivity * config.mass * config.nu1**2)
+            / (4.0 * math.pi * c.vacuum_permittivity * config.species.mass * config.nu1**2)
         ) ** (1.0 / 3.0)
     except (ZeroDivisionError, OverflowError):  # the denominator under- or overflows
         zeta = math.nan
@@ -233,7 +233,7 @@ def solve_chain(config: TrapConfig) -> ChainSolution:
     eigenvalues, s = normal_modes(dynamical_matrix(u))
     zeta = length_scale(config)
     nu = config.nu1 * np.sqrt(eigenvalues)
-    extents = np.sqrt(CONSTANTS.hbar / (2.0 * config.mass * nu))
+    extents = np.sqrt(CONSTANTS.hbar / (2.0 * config.species.mass * nu))
     return ChainSolution(
         length_scale=zeta,
         positions=u,
@@ -241,6 +241,6 @@ def solve_chain(config: TrapConfig) -> ChainSolution:
         mode_matrix=s,
         mode_frequencies=nu,
         ground_state_extents=extents,
-        mass=config.mass,
+        mass=config.species.mass,
         nu1=config.nu1,
     )

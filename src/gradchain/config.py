@@ -131,10 +131,6 @@ class TrapConfig:
         """Axial trap frequency in rad/s."""
         return 2.0 * math.pi * self.axial_frequency_hz
 
-    @property
-    def mass(self) -> float:
-        return self.species.mass
-
     def wavevector(self) -> float:
         """Drive wavevector k in rad/m (omega0/c unless set explicitly)."""
         if self.drive_wavevector is not None:

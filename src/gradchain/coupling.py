@@ -44,7 +44,7 @@ class CouplingReport:
     Matrix index conventions: epsilon_matrix, eta_eff and phases_exact are
     [mode, ion]; j_matrix is [ion, ion] (symmetric, zero diagonal). Of
     these only epsilon_matrix and phases_exact depend on the mode-matrix
-    sign convention recorded in sign_convention.
+    sign convention, ChainSolution.SIGN_CONVENTION.
     """
 
     omega_gradients: np.ndarray    # rad/(s m) per ion
@@ -56,7 +56,6 @@ class CouplingReport:
     phases_exact: np.ndarray       # rad, [mode, ion]
     validity: float                # max |grad| dz_1 / nu_1
     qubit_frequencies: np.ndarray  # omega_n(z0_n), rad/s per ion
-    sign_convention: str
 
     @property
     def ion_count(self) -> int:
@@ -83,7 +82,7 @@ class CouplingReport:
                 "threshold": VALIDITY_THRESHOLD,
                 "harmonic_approximation_valid": self.harmonic_approximation_valid,
             },
-            "sign_convention": self.sign_convention,
+            "sign_convention": ChainSolution.SIGN_CONVENTION,
         }
 
 
@@ -144,7 +143,7 @@ def validity_epsilon(config: TrapConfig, grads: np.ndarray) -> float:
     potential term over one ground-state extent with the mode quantum
     hbar*nu1; the derived Hamiltonian holds while this is well below unity.
     """
-    dz1 = math.sqrt(CONSTANTS.hbar / (2.0 * config.mass * config.nu1))
+    dz1 = math.sqrt(CONSTANTS.hbar / (2.0 * config.species.mass * config.nu1))
     return float(np.max(np.abs(grads)) * dz1 / config.nu1)
 
 
@@ -190,7 +189,6 @@ def build_report(config: TrapConfig, chain: ChainSolution) -> CouplingReport:
             phases_exact=exact_phases(chain, eta_bare, eps),
             validity=validity_epsilon(config, grads),
             qubit_frequencies=qubit_frequencies(config, chain),
-            sign_convention=chain.SIGN_CONVENTION,
         )
     bad = [name for name, value in vars(report).items()
            if isinstance(value, (np.ndarray, float)) and not np.isfinite(value).all()]

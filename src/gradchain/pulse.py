@@ -203,6 +203,8 @@ def _parse_pulse(tokens: list[tuple[str, int]], span: SourceSpan, n_ions: int) -
         if rabi == 0.0:
             raise PulseProgramError("area-specified pulse needs rabi > 0", fields["rabi"][1])
         duration = area * math.pi / (2.0 * math.pi * rabi)
+        if not math.isfinite(duration):
+            raise PulseProgramError(f"pulse duration {duration!r} s is not finite", fields["rabi"][1])
     else:
         duration = _read(read_value, fields["dur"][0], TIME, fields["dur"][1])
         if duration < 0:

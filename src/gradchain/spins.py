@@ -67,17 +67,16 @@ class SpinHamiltonian:
         return rates
 
 
-def _sign_table(n: int) -> np.ndarray:
-    """s[b, q] = +/-1 for qubit q+1 in basis state b."""
-    b = np.arange(1 << n, dtype=np.int64)
+def _lower_sign_table(n: int) -> np.ndarray:
+    """s[b, q] = +/-1 for qubit q+1 in basis state b, over the lower half b < 2^(n-1) (qubit n in |0>)."""
+    b = np.arange(1 << (n - 1), dtype=np.int64)
     bits = (b[:, None] >> np.arange(n)[None, :]) & 1
     return 2.0 * bits - 1.0
 
 
 def diagonal_rates(h: SpinHamiltonian) -> np.ndarray:
     """E(b)/hbar for every basis state, rad/s."""
-    s = _sign_table(h.n_qubits)
-    lower = s[: s.shape[0] // 2]  # row ~b is minus row b
+    lower = _lower_sign_table(h.n_qubits)  # row ~b is minus row b
     pair = 0.25 * np.einsum("bn,nl,bl->b", lower, h.coupling, lower)  # half of n<l double count
     return 0.0 - np.concatenate((pair, pair[::-1]))  # +0.0 where pair is +0.0; plain negation gives -0.0
 
@@ -136,6 +135,9 @@ def _block_unitary(delta: np.ndarray, omega_r: float, phase: float, tau: float):
     # sin(x)/x stays finite for unresolved blocks (effective ~ 0)
     sinc = np.where(effective > 0.0, np.sin(half_angle) / np.where(effective > 0.0, effective, 1.0), 0.5 * tau)
     common = np.exp(-0.5j * delta * tau)
+    # From 16,384 blocks (256 KiB arrays) on, numpy's temporary elision evaluates these two products as
+    # (cos +/- ...) * common, and its AVX-512 complex multiply is not bitwise commutative: 15- and
+    # 16-qubit amplitudes depend on that heuristic. Pinning one order changes output bytes.
     u00 = common * (cos + 1j * delta * sinc)
     u11 = common * (cos - 1j * delta * sinc)
     coupling = -1j * omega_r * sinc * common

@@ -39,8 +39,9 @@ input message, the exit-3 `line:col` of a non-finite state, or the exit-4
 out of range, a repeated entry, none at all, two entries with no comma
 between them in `measure z 1 2`, `all` split into `a ll`), a delay value
 (an unknown unit, `5kHz`, `1e400`), a missing field, a negative pulse
-area, an empty program, an unknown keyword, a second `ions` header and
-`area=` with `dur=` (ERROR_PROGRAMS); and the exit-2 input errors of an
+area, an area whose duration at `rabi=1e-320Hz` overflows, an empty
+program, an unknown keyword, a second `ions` header and `area=` with
+`dur=` (ERROR_PROGRAMS); and the exit-2 input errors of an
 unknown species (`chain`), ions outside a sampled field profile
 (`couplings`), `--initial 1x` and a 17-ion register (`simulate`), a unit
 on the curvature `c` (`chain`), a `nu1` that is the JSON integer 10^400
@@ -107,6 +108,7 @@ ERROR_PROGRAMS = {
     "area_and_dur": "ions 2\npulse ion=1 rabi=1kHz detune=0 phase=0 area=1pi dur=1ms\n",
     "delay_unit": "ions 2\ndelay 5kHz\n",
     "delay_non_finite": "ions 2\ndelay 1e400\n",
+    "area_overflow": "ions 2\npulse ion=1 rabi=1e-320Hz detune=0 phase=0 area=1pi\n",
 }
 # failing runs on a config of their own: the config and the command each runs
 ERROR_CONFIGS = {

@@ -185,7 +185,7 @@ def test_length_scale_mass_power_law():
     # doubling the mass at fixed nu1 scales zeta by 2^(-1/3)
     light = validate_config(standard_raw())
     zeta_light = length_scale(light)
-    heavy_mass = 2.0 * light.mass
+    heavy_mass = 2.0 * light.species.mass
     expected = zeta_light * 2.0 ** (-1.0 / 3.0)
     from dataclasses import replace
 

@@ -284,6 +284,9 @@ FAILING_RUNS = {
     "duplicate_header": ({}, ["simulate"], "ions 2\nions 2\n", 4, "p.pp:2:1: duplicate 'ions' header"),
     "area_and_dur": ({}, ["simulate"], "ions 2\npulse ion=1 rabi=1kHz detune=0 phase=0 area=1pi dur=1ms\n", 4,
                      "p.pp:2:49: pulse takes either area or dur, not both"),
+    # pi / (2 pi rabi) overflows at a subnormal rabi: a parse error at the rabi value, not an exit-3 sequence time
+    "area_duration_overflow": ({}, ["simulate"], "ions 2\npulse ion=1 rabi=1e-320Hz detune=0 phase=0 area=1pi\n",
+                               4, "p.pp:2:18: pulse duration inf s is not finite"),
     # `c` and an explicit wavevector have no unit, so their strings take none either
     "curvature_unit": ({"field": {"quadratic": {"b": "10T/m", "c": "1T/m"}}}, ["chain"], CNOT_PROGRAM, 2,
                        "field field.quadratic.c: expected curvature in T/m^2, got gradient ('1T/m')"),

@@ -22,8 +22,8 @@ def test_standard_config():
     assert cfg.ion_count == 10
     assert cfg.axial_frequency_hz == 1.0e5
     # mass is 171 u exactly
-    assert cfg.mass == pytest.approx(171.0 * AMU, rel=1e-12)
-    assert cfg.mass == pytest.approx(2.8395e-25, rel=1e-4)
+    assert cfg.species.mass == pytest.approx(171.0 * AMU, rel=1e-12)
+    assert cfg.species.mass == pytest.approx(2.8395e-25, rel=1e-4)
     assert isinstance(cfg.field, UniformGradientField)
     assert cfg.field.b == 10.0
     assert cfg.field.b0 == 0.0

@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,9 +9,12 @@ from pathlib import Path
 import pytest
 
 import gradchain
+from gradchain.chain import ChainSolution
 
 SRC = Path(gradchain.__file__).resolve().parents[1]
 CONFIGS = SRC.parent / "configs"
+README = (SRC.parent / "README.md").read_text(encoding="utf-8")
+PYTHON_BLOCK = re.compile(r"```python\n(.*?)```", re.S)
 
 # perfbench/tracer.py's TARGETS, read from its source: the functions it wraps, looked up in
 # sys.modules["gradchain.<module>"] right after `import gradchain.cli`
@@ -46,6 +50,38 @@ def run_probe(script: str, arg, cwd: Path):
                           capture_output=True, text=True, check=False)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
+
+
+def root_imports(source: str) -> set[str]:
+    """The names of every `from gradchain import ...` in `source`, at any depth."""
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.module == "gradchain" and not node.level
+            for alias in node.names}
+
+
+def test_all_is_what_callers_import_from_the_root():
+    """__all__ is the names README.md's code and perfbench/make_reference.py import from the root, read from source."""
+    make_reference = (SRC.parent / "perfbench" / "make_reference.py").read_text(encoding="utf-8")
+    sources = [*PYTHON_BLOCK.findall(README), make_reference]
+    assert set(gradchain.__all__) == set().union(*map(root_imports, sources))
+
+
+def test_records_keep_one_copy_of_each_value(config2, report2):
+    assert not hasattr(config2, "mass")
+    assert not hasattr(report2, "sign_convention")
+    assert report2.to_json_dict()["sign_convention"] == ChainSolution.SIGN_CONVENTION
+
+
+def test_readme_library_tour_runs():
+    """The python block under "## Library tour", in a fresh interpreter from the repository root."""
+    tour = PYTHON_BLOCK.search(README.split("## Library tour", 1)[1]).group(1)
+    done = subprocess.run([sys.executable, "-c", tour], cwd=SRC.parent, env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, check=False)
+    assert done.returncode == 0, done.stderr
+    *j_lines, counts = done.stdout.splitlines()
+    assert counts == "{'11': 500}"
+    j_over_2pi = [float(x) for x in re.findall(r"[-+.\deE]+", " ".join(j_lines))]
+    assert j_over_2pi == pytest.approx([0.0, 19.29847097, 19.29847097, 0.0], rel=0, abs=1e-8)
 
 
 def test_all_names_resolve():
