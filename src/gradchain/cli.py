@@ -236,15 +236,8 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     _write_json(out, record.to_json_dict(), not args.no_timestamp, wall_time_s=wall_time_s)
 
-    if record.measurements:
-        counts = record.measurements[-1]["counts"]
-    else:
-        rng = np.random.default_rng(args.seed)
-        counts = pulse_mod.marginal_counts(
-            record.final_state, tuple(range(1, record.n_qubits + 1)), rng, args.shots
-        )
     _write_table(out.with_name(out.stem + "_hist.csv"), ["outcome", "count"],
-                 [[outcome, str(count)] for outcome, count in counts.items()])
+                 [[outcome, str(count)] for outcome, count in record.histogram.items()])
 
     if record.expectation_log:
         log_path = out.with_name(out.stem + "_log.csv")

@@ -142,6 +142,10 @@ def validity_epsilon(config: TrapConfig, grads: np.ndarray) -> float:
     grads is omega_gradients(config, chain). Compares the gradient-induced
     potential term over one ground-state extent with the mode quantum
     hbar*nu1; the derived Hamiltonian holds while this is well below unity.
+    Against the full spin-phonon dynamics for two ions, the J-only spin model
+    is off in populations by ~eps^2: at VALIDITY_THRESHOLD = 0.1, up to 1.2e-4
+    for the shipped CNOT and Ramsey programs and 2.8e-3 for detuned, phased
+    pulses, mostly the carrier Rabi rate's exp(-sum_j eps[j, n]^2 / 2) (README).
     """
     dz1 = math.sqrt(CONSTANTS.hbar / (2.0 * config.species.mass * config.nu1))
     return float(np.max(np.abs(grads)) * dz1 / config.nu1)

@@ -30,6 +30,7 @@ from .units import ANGLE, FREQUENCY, TIME, QuantityError, read_integer, read_val
 from .spins import (
     SpinHamiltonian,
     apply_pulse,
+    diagonal_rates,
     expectation,
     free_evolution,
     initialize,
@@ -280,6 +281,7 @@ class RunRecord:
     shots: int
     expectation_log: list[dict] = field(default_factory=list)
     measurements: list[dict] = field(default_factory=list)
+    histogram: dict[str, int] = field(default_factory=dict)  # the last measurement's counts; not in run.json
     final_state: np.ndarray | None = None  # complex amplitudes, basis order of gradchain.spins
     total_time_s: float = 0.0      # simulated sequence time
 
@@ -332,6 +334,10 @@ def interpret(
     coherent across the whole sequence. A pulse or delay that takes the
     sequence time past the largest double, or leaves the state non-finite or
     its norm off 1 by more than NORM_TOLERANCE, raises ProgramRuntimeError.
+
+    One generator, seeded with `seed`, draws every shot. The record's
+    histogram is the last measurement's counts; a program without a
+    measurement gets a final one of all ions from the same generator.
     """
     n = len(coupling)
     if program.n_ions != n:
@@ -340,9 +346,10 @@ def interpret(
         raise ValueError(f"shots must be >= 0, got {shots}")
     if shots > MAX_SHOTS:
         raise ValueError(f"shots must be <= {MAX_SHOTS}, got {shots}")
-    hamiltonian = SpinHamiltonian(coupling)
-    state = initialize(n, initial)
+    state = initialize(n, initial)  # checks the register size before the 2^n table below
+    rates = diagonal_rates(SpinHamiltonian(coupling))
     rng = np.random.default_rng(seed)
+    all_ions = tuple(range(1, n + 1))
     record = RunRecord(n_qubits=n, initial_label=initial, seed=seed, shots=shots)
     t = 0.0
 
@@ -352,14 +359,14 @@ def interpret(
                 omega_r = 2.0 * math.pi * ins.rabi_hz
                 tone = 2.0 * math.pi * ins.detune_hz
                 with np.errstate(over="ignore", invalid="ignore"):  # the norm check below reports it
-                    apply_pulse(state, hamiltonian, ins.ion, omega_r, tone, ins.phase_rad - tone * t, ins.duration_s)
+                    apply_pulse(state, rates, ins.ion, omega_r, tone, ins.phase_rad - tone * t, ins.duration_s)
                 t += ins.duration_s
             elif isinstance(ins, Delay):
                 with np.errstate(over="ignore", invalid="ignore"):
-                    free_evolution(state, hamiltonian, ins.duration_s)
+                    free_evolution(state, rates, ins.duration_s)
                 t += ins.duration_s
             else:
-                ions = ins.ions if ins.ions is not None else tuple(range(1, n + 1))
+                ions = ins.ions if ins.ions is not None else all_ions
                 if isinstance(ins, MeasureZ):
                     record.measurements.append(
                         {"time_s": t, "ions": list(ions), "counts": marginal_counts(state, ions, rng, shots)}
@@ -374,12 +381,14 @@ def interpret(
             raise ProgramRuntimeError(str(exc), ins.span) from exc
         if not math.isfinite(t):
             raise ProgramRuntimeError(f"sequence time {t!r} s is not finite", ins.span)
-        # einsum, not np.linalg.norm or a dot: their BLAS call leaves OpenBLAS threads spinning afterwards
+        # einsum, not np.linalg.norm or a dot: those call BLAS, which starts OpenBLAS's threads (README, BLAS threads)
         parts = state.view(np.float64)
         norm = math.sqrt(float(np.einsum("i,i->", parts, parts)))
         if not abs(1.0 - norm) <= NORM_TOLERANCE:  # NaN compares false: a non-finite state fails too
             raise ProgramRuntimeError(f"state norm {norm!r} is not within {NORM_TOLERANCE:g} of 1", ins.span)
 
+    record.histogram = (record.measurements[-1]["counts"] if record.measurements
+                        else marginal_counts(state, all_ions, rng, shots))
     record.final_state = state
     record.total_time_s = t
     return record

@@ -13,7 +13,9 @@ Hamiltonian between pulses is diagonal and holds only the J couplings,
 
     E(b)/hbar = -(1/2) sum_{n<l} J_nl s_n(b) s_l(b),
 
-so free evolution is exact phase accumulation. A single-tone drive on one
+so free evolution is exact phase accumulation. diagonal_rates builds this
+table from J; free_evolution and apply_pulse take it as `rates`, and
+pulse.interpret builds it once per run. A single-tone drive on one
 qubit, w from its carrier, splits the register into independent 2x2 blocks,
 one per spectator configuration; each sees detuning delta = -w - sum_l J_jl s_l
 and rotates at sqrt(Omega^2 + delta^2). This blockwise treatment is exact
@@ -29,7 +31,6 @@ in |0>) and mirrored, and free evolution exponentiates only that half.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -51,20 +52,9 @@ class SpinHamiltonian:
             raise ValueError("coupling matrix must be symmetric")
 
     @property
-    def n_qubits(self) -> int:
-        return len(self.coupling)
-
-    @property
     def omega_eff(self) -> np.ndarray:
         """Zeros for perfbench/tracer.py's Hamiltonian key, its only reader; it goes when that key drops it."""
-        return np.zeros(self.n_qubits)
-
-    @cached_property
-    def rates(self) -> np.ndarray:
-        """Read-only diagonal_rates(self), built on first use (2^n entries) and then reused."""
-        rates = diagonal_rates(self)
-        rates.flags.writeable = False
-        return rates
+        return np.zeros(len(self.coupling))
 
 
 def _lower_sign_table(n: int) -> np.ndarray:
@@ -75,8 +65,8 @@ def _lower_sign_table(n: int) -> np.ndarray:
 
 
 def diagonal_rates(h: SpinHamiltonian) -> np.ndarray:
-    """E(b)/hbar for every basis state, rad/s."""
-    lower = _lower_sign_table(h.n_qubits)  # row ~b is minus row b
+    """E(b)/hbar for every basis state, rad/s: the energy table the kernels below take as `rates`."""
+    lower = _lower_sign_table(len(h.coupling))  # row ~b is minus row b
     pair = 0.25 * np.einsum("bn,nl,bl->b", lower, h.coupling, lower)  # half of n<l double count
     return 0.0 - np.concatenate((pair, pair[::-1]))  # +0.0 where pair is +0.0; plain negation gives -0.0
 
@@ -118,11 +108,11 @@ def _pairs(a: np.ndarray, ion: int) -> np.ndarray:
     return a.reshape(-1, 2, 1 << (ion - 1))
 
 
-def free_evolution(state: np.ndarray, h: SpinHamiltonian, t: float) -> np.ndarray:
-    """Diagonal evolution: amplitude b picks up exp(-i E(b) t / hbar), one exponential per flip pair b, ~b."""
+def free_evolution(state: np.ndarray, rates: np.ndarray, t: float) -> np.ndarray:
+    """Diagonal evolution: amplitude b picks up exp(-i rates[b] t), one exponential per flip pair b, ~b."""
     if t < 0.0:
         raise ValueError("evolution time must be non-negative")
-    phases = np.exp(-1j * h.rates[: h.rates.size // 2] * t)
+    phases = np.exp(-1j * rates[: rates.size // 2] * t)
     state *= np.concatenate((phases, phases[::-1]))
     return state
 
@@ -146,7 +136,7 @@ def _block_unitary(delta: np.ndarray, omega_r: float, phase: float, tau: float):
     return u00, u01, u10, u11
 
 
-def apply_pulse(state: np.ndarray, h: SpinHamiltonian, ion: int, rabi: float, tone: float, phase: float,
+def apply_pulse(state: np.ndarray, rates: np.ndarray, ion: int, rabi: float, tone: float, phase: float,
                 duration: float) -> np.ndarray:
     """Exact RWA evolution for one single-tone pulse on qubit `ion` (1-based).
 
@@ -161,12 +151,12 @@ def apply_pulse(state: np.ndarray, h: SpinHamiltonian, ion: int, rabi: float, to
         raise ValueError("Rabi frequency must be non-negative")
     if duration < 0.0:
         raise ValueError("pulse duration must be non-negative")
-    if state.size != 1 << h.n_qubits:
-        raise ValueError("state size does not match Hamiltonian")
+    if state.size != rates.size:
+        raise ValueError("state size does not match the energy table")
 
     # contiguous 1-D copies in basis order for the arithmetic, written back through the views
-    rates = _pairs(h.rates, ion)
-    r0, r1 = rates[:, 0].ravel(), rates[:, 1].ravel()
+    pairs = _pairs(rates, ion)
+    r0, r1 = pairs[:, 0].ravel(), pairs[:, 1].ravel()
     amps = _pairs(state, ion)
     a0, a1 = amps[:, 0].ravel(), amps[:, 1].ravel()
 
@@ -175,7 +165,7 @@ def apply_pulse(state: np.ndarray, h: SpinHamiltonian, ion: int, rabi: float, to
 
     new0 = u00 * a0 + u01 * a1
     new1 = u10 * a0 + u11 * a1
-    # back out of the per-block rotating frame into the frame of h
+    # back out of the per-block rotating frame into the carrier frame of `rates`
     lab0 = np.exp(-1j * r0 * duration)
     amps[:, 0] = (lab0 * new0).reshape(-1, amps.shape[2])
     amps[:, 1] = (lab0 * np.exp(-1j * tone * duration) * new1).reshape(-1, amps.shape[2])

@@ -3,7 +3,8 @@
 The dense-matrix spin evolution builds the full RWA Hamiltonian from
 explicit Pauli operators and exponentiates it; the brute-force J expands
 the squared mode-displacement sum term by term; the carrier shifts come
-from diagonalizing the spin-phonon Hamiltonian in a truncated Fock space.
+from diagonalizing the spin-phonon Hamiltonian in a truncated Fock space,
+and the spin populations of a program from evolving under it.
 None shares code with the fast paths in gradchain.spins and
 gradchain.coupling. The 50-digit lab-frame evolution keeps the GHz
 carriers that the interpreter's synthesizer frame leaves out. The
@@ -36,7 +37,7 @@ MAX_ORACLE_QUBITS = 6
 
 
 class Drive(NamedTuple):
-    """One single-tone drive, in the order of gradchain.spins.apply_pulse's arguments after the Hamiltonian."""
+    """One single-tone drive, in the order of gradchain.spins.apply_pulse's arguments after the energy table."""
 
     ion: int         # 1-based target
     rabi: float      # rad/s, >= 0
@@ -104,6 +105,73 @@ def carrier_shift_oracle(config: TrapConfig, chain: ChainSolution, fock_levels: 
     return np.array(centres)
 
 
+def spin_phonon_populations_oracle(config: TrapConfig, chain: ChainSolution, shifts: np.ndarray,
+                                   program: PulseProgram, initial: str, fock_levels: int) -> np.ndarray:
+    """Final spin populations of a program under the spin-phonon Hamiltonian, by basis index.
+
+    H/hbar = sum_j sum_s w_s(z0_j + q_j) |s><s|_j + sum_n nu_n a_n^dagger a_n, with
+    the Zeeman frequencies and displacements of carrier_shift_oracle and
+    `fock_levels` Fock states per mode. Each qubit is counted against its
+    carrier, its splitting at rest plus shifts[j], so the rest energies leave
+    -(shifts[j] / 2) s_j. A pulse adds (W/2)(e^{i phi}|1><0|_j + h.c.) in the frame
+    of its tone, with interpret's phi = phase - tone t_start. Each pulse and
+    delay is exponentiated by eigh of the whole spin x Fock matrix. The
+    register starts in the labelled spin state with the motional ground state
+    of that configuration, and the motion is traced out at the end. Neither J
+    nor a polaron transformation is used; the gap to gradchain.pulse.interpret
+    is the error of its J-only model. Skips measure and log instructions.
+    """
+    n = chain.ion_count
+    moments = np.array([config.species.moment_state0, config.species.moment_state1])
+    grads = np.array([config.field.gradient_at(z) for z in chain.positions_m])
+    slopes = moments[:, None] * CONSTANTS.bohr_magneton * grads[None, :] / CONSTANTS.hbar  # [level, ion]
+    lower = np.diag(np.sqrt(np.arange(1.0, fock_levels)), 1)
+
+    def on_mode(op: np.ndarray, mode: int) -> np.ndarray:
+        out = np.ones((1, 1))
+        for m in range(n):
+            out = np.kron(out, op if m == mode else np.eye(fock_levels))
+        return out
+
+    positions = [on_mode(lower + lower.T, m) for m in range(n)]
+    motion = sum(nu * on_mode(lower.T @ lower, m) for m, nu in enumerate(chain.mode_frequencies))
+    dim = fock_levels**n
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n)[None, :]) & 1  # [basis index, ion]
+    blocks = []
+    for b in range(1 << n):
+        forces = chain.ground_state_extents * (chain.mode_matrix @ slopes[bits[b], np.arange(n)])
+        rest = -0.5 * float(np.dot(shifts, 2.0 * bits[b] - 1.0))
+        blocks.append(motion + sum(f * x for f, x in zip(forces, positions)) + rest * np.eye(dim))
+    static = np.zeros(((1 << n) * dim,) * 2, dtype=complex)
+    for b, block in enumerate(blocks):
+        static[b * dim:(b + 1) * dim, b * dim:(b + 1) * dim] = block
+
+    start = sum(1 << q for q, c in enumerate(initial) if c == "1")
+    state = np.zeros((1 << n, dim), dtype=complex)
+    state[start] = np.linalg.eigh(blocks[start])[1][:, 0]
+    state = state.ravel()
+    t = 0.0
+    for ins in program.instructions:
+        if not isinstance(ins, (Pulse, Delay)):
+            continue
+        ham = static.copy()
+        if isinstance(ins, Pulse):
+            tone = 2.0 * np.pi * ins.detune_hz
+            s_target = np.repeat(2.0 * bits[:, ins.ion - 1] - 1.0, dim)
+            ham[np.diag_indices_from(ham)] -= 0.5 * tone * s_target
+            drive = 0.5 * 2.0 * np.pi * ins.rabi_hz * np.exp(1j * (ins.phase_rad - tone * t))
+            for b in np.flatnonzero(bits[:, ins.ion - 1] == 0):
+                up = b | 1 << (ins.ion - 1)
+                ham[up * dim:(up + 1) * dim, b * dim:(b + 1) * dim] += drive * np.eye(dim)
+                ham[b * dim:(b + 1) * dim, up * dim:(up + 1) * dim] += np.conj(drive) * np.eye(dim)
+        energies, vectors = np.linalg.eigh(ham)
+        state = vectors @ (np.exp(-1j * energies * ins.duration_s) * (vectors.conj().T @ state))
+        if isinstance(ins, Pulse):
+            state *= np.exp(-0.5j * tone * ins.duration_s * s_target)  # out of the tone's frame
+        t += ins.duration_s
+    return np.sum(np.abs(state.reshape(1 << n, dim)) ** 2, axis=1)
+
+
 def equilibrium_oracle(n: int, digits: int = 50) -> list:
     """Equilibrium positions of n ions in chain units, as mpf values at `digits` digits.
 
@@ -166,7 +234,7 @@ def evolve_oracle(
     rotating frame of the single drive, if any) and exponentiates it.
     Returns a new state; the input is untouched.
     """
-    n = h.n_qubits
+    n = len(h.coupling)
     if n > MAX_ORACLE_QUBITS:
         raise OracleTooLargeError(n)
     if len(drives) > 1:
@@ -310,8 +378,9 @@ def label_tally(draws, ions) -> dict[str, int]:
 
 def diagonal_rates_oracle(h: SpinHamiltonian) -> np.ndarray:
     """E(b)/hbar for every basis state from the full sign table, rad/s."""
-    b = np.arange(1 << h.n_qubits, dtype=np.int64)
-    s = 2.0 * ((b[:, None] >> np.arange(h.n_qubits)[None, :]) & 1) - 1.0
+    n = len(h.coupling)
+    b = np.arange(1 << n, dtype=np.int64)
+    s = 2.0 * ((b[:, None] >> np.arange(n)[None, :]) & 1) - 1.0
     return 0.0 - 0.25 * np.einsum("bn,nl,bl->b", s, h.coupling, s)
 
 
@@ -334,7 +403,7 @@ def apply_pulse_oracle(state: np.ndarray, h: SpinHamiltonian, ion: int, rabi: fl
                        duration: float) -> np.ndarray:
     """One single-tone pulse with its 2x2 blocks gathered and scattered by index arrays, in place."""
     rates = diagonal_rates_oracle(h)
-    b0, b1 = _pair_indices(h.n_qubits, ion)
+    b0, b1 = _pair_indices(len(h.coupling), ion)
     delta = rates[b1] - rates[b0] - tone
     u00, u01, u10, u11 = _block_unitary(delta, rabi, phase, duration)
     a0 = state[b0]

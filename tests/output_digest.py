@@ -49,6 +49,11 @@ on the curvature `c` (`chain`), a `nu1` that is the JSON integer 10^400
 (`simulate`, the latter error_seed_negative), and the sweep
 bounds `1_00_000` and `nan`, `--steps ３`, `--steps` of 10^12, `delta_shift[1_0]` on
 trap_n10 and `--param comment` (`sweep`).
+Byte identity holds per host. numpy's SIMD dispatch and OpenBLAS's kernel
+choice reach the last bits: on an AVX-512 host,
+NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" (numpy without its
+AVX-512 loops) changes 16 of the 364 lines and OPENBLAS_CORETYPE=Haswell 14,
+while OPENBLAS_NUM_THREADS=1 changes none. Diff listings from one host.
 This script is not a test module and pytest does not collect it.
 """
 

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gradchain
 from conftest import HBAR, MU_B, TWO_PI, YB_MASS, json_text, standard_raw
 from gradchain.chain import solve_chain
 from gradchain.cli import _fmt, _sweep_values, _write_json, main
@@ -369,6 +371,21 @@ def test_simulate_deterministic(trap2, tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_simulate_without_measure_draws_as_a_final_measure_z_all(trap2, tmp_path):
+    # the histogram of a program without a measurement is one all-ion draw from the run's generator
+    source = ("ions 2\npulse ion=1 rabi=5kHz detune=0 phase=0 area=0.5pi\n"
+              "pulse ion=2 rabi=5kHz detune=0 phase=0 area=0.3pi\ndelay 3ms\n")
+    histograms = []
+    for tag, text in (("bare", source), ("measured", source + "measure z all\n")):
+        program = tmp_path / f"{tag}.pp"
+        program.write_text(text, encoding="utf-8")
+        assert main(["simulate", "--config", trap2, "--program", str(program), "--seed", "7", "--shots", "400",
+                     "--out", str(tmp_path / f"{tag}.json"), "--no-timestamp"]) == 0
+        histograms.append((tmp_path / f"{tag}_hist.csv").read_bytes())
+    assert histograms[0] == histograms[1]
+    assert histograms[0].count(b"\n") == 5  # the header and all four outcomes
+
+
 # sweep ----------------------------------------------------------------------------
 
 def test_sweep_gradient_quadratic_law(trap2, tmp_path):
@@ -699,6 +716,32 @@ def test_module_entry_point(trap2, tmp_path):
     )
     assert result.returncode == 0
     assert "min spacing" in result.stdout
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # N = 50 puts eigh on LAPACK's divide-and-conquer path (above N = 25), which OpenBLAS threads
+    config50 = tmp_path / "n50.json"
+    config50.write_text(json.dumps(standard_raw(n=50)), encoding="utf-8")
+    src = Path(gradchain.__file__).resolve().parents[1]
+    configs = src.parent / "configs"
+    commands = [["couplings", "--config", str(config50), "--out-dir", "couplings"],
+                ["simulate", "--config", str(configs / "trap.json"), "--program", str(configs / "cnot.pp"),
+                 "--out", "run.json"]]
+
+    def run_all(threads):
+        base = tmp_path / f"threads_{threads}"
+        base.mkdir()
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}
+        done = [subprocess.run([sys.executable, "-m", "gradchain", *command, "--no-timestamp"], cwd=base, env=env,
+                               capture_output=True, check=False) for command in commands]
+        assert [d.returncode for d in done] == [0, 0], [d.stderr for d in done]
+        files = [(path.relative_to(base).as_posix(), path.read_bytes()) for path in sorted(base.rglob("*"))
+                 if path.is_file()]
+        return [d.stdout for d in done], files
+
+    one, two = run_all("1"), run_all("2")
+    assert len(one[1]) == 5  # report.json, two matrix CSVs, run.json, run_hist.csv
+    assert one == two
 
 
 # the JSON writer -------------------------------------------------------------------

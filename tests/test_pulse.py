@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import TWO_PI
-from gradchain import spins
+from gradchain import pulse as pulse_mod
 from gradchain.chain import solve_chain
 from gradchain.config import load_config
 from gradchain.coupling import build_report
@@ -21,7 +21,7 @@ from gradchain.pulse import (
     interpret,
     parse,
 )
-from oracles import lab_frame_sz_oracle
+from oracles import lab_frame_sz_oracle, spin_phonon_populations_oracle
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -326,11 +326,22 @@ def test_energy_table_built_once_per_hamiltonian(report2, monkeypatch):
     assert len(program.instructions) == 81
 
     calls = []
-    original = spins.diagonal_rates
-    monkeypatch.setattr(spins, "diagonal_rates", lambda h: calls.append(h) or original(h))
+    original = pulse_mod.diagonal_rates
+    monkeypatch.setattr(pulse_mod, "diagonal_rates", lambda h: calls.append(h) or original(h))
     record = interpret(program, report2.j_matrix, "01", seed=4, shots=50)
     assert len(calls) == 1
     assert np.linalg.norm(record.final_state) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [17, 24])
+def test_oversized_register_fails_before_the_energy_table(n, monkeypatch):
+    # the table has 2^(n-1) rows of n signs: built first, a 24-ion run would allocate gigabytes
+    def refuse(h):
+        raise AssertionError("the energy table was built before the register size was checked")
+
+    monkeypatch.setattr(pulse_mod, "diagonal_rates", refuse)
+    with pytest.raises(ValueError, match=f"^register of {n} qubits exceeds the supported maximum of 16$"):
+        interpret(parse(f"ions {n}\ndelay 1ms\n"), np.zeros((n, n)), "0" * n, seed=0)
 
 
 @pytest.mark.filterwarnings("error")
@@ -375,6 +386,21 @@ def test_logged_sz_matches_50_digit_lab_frame_evolution(name):
     logged = [entry["value"] for entry in record.expectation_log]
     assert len(logged) == len(exact) == 1
     assert logged == pytest.approx(exact, rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("name, initial", [("cnot.pp", "10"), ("cnot.pp", "00"), ("ramsey.pp", "00")],
+                         ids=["cnot_control_on", "cnot_control_off", "ramsey_control_flipped"])
+def test_j_only_model_matches_the_spin_phonon_hamiltonian(name, initial):
+    # epsilon = 0.024 on trap.json: the J-only populations are within 2e-6 of the full spin x Fock dynamics
+    config = load_config(CONFIGS / "trap.json")
+    chain = solve_chain(config)
+    report = build_report(config, chain)
+    program = parse((CONFIGS / name).read_text(encoding="utf-8"))
+    populations = np.abs(interpret(program, report.j_matrix, initial, seed=0, shots=1).final_state) ** 2
+    six, ten = (spin_phonon_populations_oracle(config, chain, report.shifts, program, initial, fock)
+                for fock in (6, 10))
+    assert np.max(np.abs(six - ten)) <= 1e-12  # converged in the Fock cutoff
+    assert np.max(np.abs(ten - populations)) <= 2e-6
 
 
 def test_interpret_deterministic(report2):
