@@ -21,9 +21,9 @@ import math
 import os
 import sys
 import time
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from datetime import datetime, timezone
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -39,15 +39,9 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 EXIT_PROGRAM = 4
 
-_INPUT_ERRORS = (OSError, ValueError)
-
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
-
-
-def _timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat()
 
 
 _CONTAINERS = (dict, list, tuple, np.ndarray)
@@ -108,38 +102,36 @@ def _array_pieces(a: np.ndarray, pad: str) -> Iterator[str]:
     yield f"\n{pad}  ]\n{pad}]"
 
 
-def _write_json(path: Path, doc: dict, with_timestamp: bool, **timing: float) -> None:
-    """Write doc as json.dumps(doc, indent=2, sort_keys=True) + newline would, ndarrays as their tolist().
-
-    `generated_at` and the `timing` fields join the document only `with_timestamp`.
-
-    The text goes to the file piece by piece, so the whole document never
-    exists as one string. It is written to a temporary file next to `path`
-    and renamed onto `path` only once complete; on any failure the
-    temporary file is removed and `path` is left as it was.
-    """
-    if with_timestamp:
-        doc = {**doc, "generated_at": _timestamp(), **timing}
+def _write_text(path: Path, pieces: Iterable[str]) -> None:
+    """Stream `pieces` to a temporary file beside `path` and rename it onto `path`; on failure `path` is untouched."""
     path.parent.mkdir(parents=True, exist_ok=True)
     partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(partial, "w", encoding="utf-8") as fh:
-            fh.writelines(_json_pieces(doc))
-            fh.write("\n")
+            fh.writelines(pieces)
         os.replace(partial, path)
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
 
 
+def _write_json(path: Path, doc: dict, with_timestamp: bool, **timing: float) -> None:
+    """Write doc, in pieces, as json.dumps(doc, indent=2, sort_keys=True) + newline would, ndarrays as their tolist().
+
+    `generated_at` and the `timing` fields join the document only `with_timestamp`.
+    """
+    if with_timestamp:
+        doc = {**doc, "generated_at": datetime.now(timezone.utc).isoformat(), **timing}
+    _write_text(path, chain(_json_pieces(doc), ["\n"]))
+
+
 def _write_table(path: Path, header: Sequence[str], rows: list[Sequence[str]],
                  plot_path: Path | None = None, plot_columns: tuple[int, int] = (0, 1)) -> None:
     """Write the CSV of `header` and `rows` (cell texts); with `plot_path`, also the two plot columns space-joined."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(map(",".join, [header, *rows])) + "\n", encoding="utf-8")
+    _write_text(path, ["\n".join(map(",".join, [header, *rows])), "\n"])
     if plot_path is not None:
         x, y = plot_columns
-        plot_path.write_text("\n".join(f"{row[x]} {row[y]}" for row in rows) + "\n", encoding="utf-8")
+        _write_text(plot_path, ["\n".join(f"{row[x]} {row[y]}" for row in rows), "\n"])
 
 
 def _write_matrix_csv(path: Path, matrix: np.ndarray, row_label: str) -> None:
@@ -173,7 +165,6 @@ def cmd_couplings(args) -> int:
     solution = chain_mod.solve_chain(config)
     report = coupling_mod.build_report(config, solution)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     two_pi = 2.0 * math.pi
     _write_matrix_csv(out_dir / "j_matrix.csv", report.j_matrix / two_pi, "ion")
@@ -417,7 +408,7 @@ def main(argv=None) -> int:
     except (chain_mod.SolverError, coupling_mod.NonFiniteReportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except _INPUT_ERRORS as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

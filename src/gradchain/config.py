@@ -9,9 +9,11 @@ typo in a physics config produces plausible-looking wrong numbers.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import sys
+from collections.abc import Collection
 from dataclasses import dataclass
 
 from .constants import CONSTANTS, SPECIES_REGISTRY, Species
@@ -85,24 +87,20 @@ class SampledField:
         if any(b <= a for a, b in zip(zs, zs[1:])):
             raise OutOfRangeError("field.sampled.points", "z values must be strictly increasing")
 
-    def _segment(self, z: float) -> int:
+    def _segment(self, z: float) -> tuple[tuple[float, float], tuple[float, float]]:
         zs = [p[0] for p in self.points]
         if z < zs[0] or z > zs[-1]:
             raise ConfigError(f"position z={z:.6g} m outside sampled profile range [{zs[0]:.6g}, {zs[-1]:.6g}] m")
         # right-hand segment on ties; the last point belongs to the final segment
-        for i in range(len(zs) - 1):
-            if zs[i] <= z < zs[i + 1]:
-                return i
-        return len(zs) - 2
+        end = min(bisect.bisect_right(zs, z), len(zs) - 1)
+        return self.points[end - 1], self.points[end]
 
     def field_at(self, z: float) -> float:
-        i = self._segment(z)
-        (z0, b0), (z1, b1) = self.points[i], self.points[i + 1]
+        (z0, b0), (z1, b1) = self._segment(z)
         return b0 + (b1 - b0) * (z - z0) / (z1 - z0)
 
     def gradient_at(self, z: float) -> float:
-        i = self._segment(z)
-        (z0, b0), (z1, b1) = self.points[i], self.points[i + 1]
+        (z0, b0), (z1, b1) = self._segment(z)
         return (b1 - b0) / (z1 - z0)
 
 
@@ -156,10 +154,17 @@ def _quantity(raw, path: str, dimension: str) -> float:
     raise OutOfRangeError(path, f"expected a quantity, got {type(raw).__name__}")
 
 
-def _check_keys(doc: dict, allowed: set[str], prefix: str = "") -> None:
+def _check_keys(doc: dict, allowed: Collection[str], prefix: str = "") -> None:
     for key in doc:
         if key not in allowed:
             raise UnknownKeyError(prefix + key, allowed)
+
+
+# variant -> profile class, and its keys in field order with their dimensions; B0 defaults to 0 T, the rest are required
+_ANALYTIC_FIELDS = {
+    "uniform": (UniformGradientField, {"B0": "field", "b": "gradient"}),
+    "quadratic": (QuadraticField, {"B0": "field", "b": "gradient", "c": "curvature in T/m^2"}),  # no unit carries c
+}
 
 
 def _parse_field(raw, path: str = "field") -> FieldProfile:
@@ -168,24 +173,14 @@ def _parse_field(raw, path: str = "field") -> FieldProfile:
     (variant, body), = raw.items()
     if not isinstance(body, dict):
         raise OutOfRangeError(f"{path}.{variant}", "expected an object")
-    if variant == "uniform":
-        _check_keys(body, {"B0", "b"}, f"{path}.uniform.")
-        if "b" not in body:
-            raise MissingFieldError(f"{path}.uniform.b")
-        return UniformGradientField(
-            b0=_quantity(body.get("B0", 0.0), f"{path}.uniform.B0", "field"),
-            b=_quantity(body["b"], f"{path}.uniform.b", "gradient"),
-        )
-    if variant == "quadratic":
-        _check_keys(body, {"B0", "b", "c"}, f"{path}.quadratic.")
-        for key in ("b", "c"):
-            if key not in body:
-                raise MissingFieldError(f"{path}.quadratic.{key}")
-        return QuadraticField(
-            b0=_quantity(body.get("B0", 0.0), f"{path}.quadratic.B0", "field"),
-            b=_quantity(body["b"], f"{path}.quadratic.b", "gradient"),
-            c=_quantity(body["c"], f"{path}.quadratic.c", "curvature in T/m^2"),  # no unit carries it
-        )
+    if variant in _ANALYTIC_FIELDS:
+        profile, dimensions = _ANALYTIC_FIELDS[variant]
+        _check_keys(body, dimensions, f"{path}.{variant}.")
+        for key in dimensions:
+            if key != "B0" and key not in body:
+                raise MissingFieldError(f"{path}.{variant}.{key}")
+        return profile(*(_quantity(body.get(key, 0.0), f"{path}.{variant}.{key}", dimension)
+                         for key, dimension in dimensions.items()))
     if variant == "sampled":
         _check_keys(body, {"points"}, f"{path}.sampled.")
         if "points" not in body:
@@ -260,10 +255,18 @@ def validate_config(raw: dict) -> TrapConfig:
 
 
 def read_document(path):
-    """Parse a config file's JSON; a file that is not UTF-8 JSON is a ConfigError naming the path."""
+    """Parse a config file's JSON; a file that is not UTF-8 JSON or repeats a key is a ConfigError naming the path."""
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise ConfigError(f"{path}: duplicate key {key!r}")
+            doc[key] = value
+        return doc
+
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -164,9 +164,12 @@ def effective_lamb_dicke(chain: ChainSolution, eta_bare: np.ndarray, eps: np.nda
 
 
 def exact_phases(chain: ChainSolution, eta_bare: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """Per-(mode, ion) drive phase pi/2 - atan2(eta_n S[n, j], eps[n, j]).
+    """Per-(mode, ion) drive phase phi = pi/2 - atan2(eta_n S[n, j], eps[n, j]), [mode, ion].
 
-    Exactly pi/2 where S = eps = +0.0, and -pi/2 where S = +0.0, eps = -0.0.
+    phi is the phase of the first-order sideband amplitude r = eps + i eta_n S = i eta' e^{-i phi}
+    (gradient displacement plus photon recoil): exactly pi/2 where S = eps = +0.0, -pi/2 where
+    S = +0.0, eps = -0.0, and not determined where both are rounding noise (|S| < 1e-13, in the
+    highest modes from N = 35; eigensolvers disagree on their signs at N >= 44).
     """
     return 0.5 * math.pi - np.arctan2(eta_bare[:, None] * chain.mode_matrix, eps)
 

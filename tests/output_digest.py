@@ -45,7 +45,8 @@ program, an unknown keyword, a second `ions` header and `area=` with
 unknown species (`chain`), ions outside a sampled field profile
 (`couplings`), `--initial 1x` and a 17-ion register (`simulate`), a unit
 on the curvature `c` (`chain`), a `nu1` that is the JSON integer 10^400
-(`couplings`), `--ion x` (`spectrum`), `--shots` of 10^14 and `--seed -1`
+(`couplings`), a gradient `b` given twice in one object (`couplings`,
+error_duplicate_key), `--ion x` (`spectrum`), `--shots` of 10^14 and `--seed -1`
 (`simulate`, the latter error_seed_negative), and the sweep
 bounds `1_00_000` and `nan`, `--steps ３`, `--steps` of 10^12, `delta_shift[1_0]` on
 trap_n10 and `--param comment` (`sweep`).
@@ -131,6 +132,9 @@ ERROR_CONFIGS = {
     "huge_integer": ({"species": "Yb171", "N": 2, "nu1": 10**400, "field": {"uniform": {"b": "10T/m"}}},
                      ["couplings", "--out-dir", "{out}/coup"]),
 }
+# a config whose gradient is given twice; json alone would keep the last, 0 T/m, and report J = 0
+DUPLICATE_KEY_CONFIG = ('{"species": "Yb171", "N": 2, "nu1": "100kHz", '
+                        '"field": {"uniform": {"b": "20T/m", "b": "0T/m"}}}')
 # one config twice, its numbers as JSON numbers and as strings; the two runs write the same files
 NUMERIC = {
     "numbers": {"species": "Yb171", "N": 3, "nu1": 100000, "field": {"quadratic": {"b": 10, "c": 2e5}},
@@ -221,6 +225,9 @@ def _commands(work: Path) -> list[tuple[str, list[str]]]:
     for name, (config, args) in ERROR_CONFIGS.items():
         (work / f"error_{name}.json").write_text(json.dumps(config), encoding="utf-8")
         commands.append((f"error_{name}", [args[0], "--config", f"error_{name}.json", *args[1:]]))
+    (work / "error_duplicate_key.json").write_text(DUPLICATE_KEY_CONFIG, encoding="utf-8")
+    commands.append(("error_duplicate_key", ["couplings", "--config", "error_duplicate_key.json",
+                                             "--out-dir", "{out}/coup"]))
     commands += [("error_shots", ["simulate", "--config", "trap.json", "--program", "cnot.pp", "--shots", "-5",
                                   "--out", "{out}/run.json"]),
                  ("error_shots_huge", ["simulate", "--config", "trap.json", "--program", "cnot.pp",

@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -259,7 +260,14 @@ def test_non_finite_quantity_exit_codes(tmp_path, capsys):
     assert "2:7" in capsys.readouterr().err
 
 
-# case -> (config fields over standard_raw(n=2), command, program, exit code, stderr line)
+def repeated_key_text(old: str, new: str) -> str:
+    """The two-ion standard config's JSON text with `old` replaced by `new`, which repeats a key no dict can hold."""
+    text = json.dumps(standard_raw(n=2))
+    assert old in text
+    return text.replace(old, new)
+
+
+# case -> (config fields over standard_raw(n=2) or a config's whole text, command, program, exit code, stderr line)
 FAILING_RUNS = {
     "unknown_species": ({"species": "Xx999"}, ["chain", "--out", "out/chain.json"], CNOT_PROGRAM, 2,
                         "unknown species 'Xx999' (known: Yb171)"),
@@ -312,6 +320,15 @@ FAILING_RUNS = {
                               "field drive_wavevector.explicit: integer is beyond the range of a double"),
     "sampled_huge_integer": ({"field": {"sampled": {"points": [[-1, 0], [1, -10**400]]}}}, ["chain"], CNOT_PROGRAM, 2,
                              "field field.sampled.points[1].B: integer is beyond the range of a double"),
+    # json keeps a repeated key's last value: 50 ions, or b = 0 and so J = 0, under exit 0
+    "repeated_key": (repeated_key_text('"N": 2', '"N": 2, "N": 50'), ["chain"], CNOT_PROGRAM, 2,
+                     "trap.json: duplicate key 'N'"),
+    "repeated_nested_key": (repeated_key_text('"b": "10T/m"', '"b": "20T/m", "b": "0T/m"'),
+                            ["couplings", "--out-dir", "out"], CNOT_PROGRAM, 2, "trap.json: duplicate key 'b'"),
+    "repeated_key_sweep": (repeated_key_text('"nu1": "100kHz"', '"nu1": "100kHz", "nu1": "200kHz"'),
+                           ["sweep", "--param", "nu1", "--from", "50kHz", "--to", "100kHz", "--steps", "3",
+                            "--quantity", "max_J", "--out", "out/sweep.csv"], CNOT_PROGRAM, 2,
+                           "trap.json: duplicate key 'nu1'"),
 }
 
 
@@ -320,7 +337,8 @@ FAILING_RUNS = {
 def test_failing_run_exit_code_and_message(tmp_path, capsys, monkeypatch, case):
     fields, command, program, code, message = FAILING_RUNS[case]
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "trap.json").write_text(json.dumps({**standard_raw(n=2), **fields}), encoding="utf-8")
+    text = fields if isinstance(fields, str) else json.dumps({**standard_raw(n=2), **fields})
+    (tmp_path / "trap.json").write_text(text, encoding="utf-8")
     (tmp_path / "p.pp").write_text(program, encoding="utf-8")
     if command[0] == "simulate":
         command = [*command, "--program", "p.pp", "--out", "out/run.json"]
@@ -853,3 +871,38 @@ def test_write_json_failure_leaves_nothing(tmp_path, existing):
     assert [p.name for p in tmp_path.iterdir()] == (["run.json"] if existing else [])
     if existing:
         assert out.read_text(encoding="utf-8") == "earlier run\n"
+
+
+class _FullDisk:
+    """An open output file whose disk fills after the first 20 characters of its first piece."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def writelines(self, pieces):
+        self.fh.write(next(iter(pieces))[:20])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_failed_csv_write_leaves_the_earlier_outputs(tmp_path, monkeypatch, capsys):
+    # j_matrix.csv, the first file couplings writes, fails partway: no truncated CSV passes for a result
+    monkeypatch.chdir(tmp_path)
+    argv = ["couplings", "--config", "trap.json", "--out-dir", "out", "--no-timestamp"]
+    Path("trap.json").write_text(json.dumps(standard_raw(n=2)), encoding="utf-8")
+    assert main(argv) == 0
+    earlier = {p.name: p.read_bytes() for p in Path("out").iterdir()}
+    assert sorted(earlier) == ["epsilon_matrix.csv", "j_matrix.csv", "report.json"]
+    Path("trap.json").write_text(json.dumps(standard_raw(n=2, b="20T/m")), encoding="utf-8")
+    monkeypatch.setattr(gradchain.cli, "open", lambda *args, **kwargs: _FullDisk(open(*args, **kwargs)),
+                        raising=False)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    # every file as it was, j_matrix.csv included, and no temporary file left beside them
+    assert {p.name: p.read_bytes() for p in Path("out").iterdir()} == earlier

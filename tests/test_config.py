@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -82,6 +83,18 @@ def test_unknown_key_rejected():
     with pytest.raises(UnknownKeyError) as err:
         validate_config(raw)
     assert "nu2" in str(err.value)
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ('"N": 2', '"N": 2, "N": 50', "N"),
+    ('"b": "10T/m"', '"b": "20T/m", "b": "0T/m"', "b"),
+], ids=["top_level", "nested"])
+def test_repeated_key_rejected(tmp_path, old, new, key):
+    # json.load keeps a repeated key's last value, a wrong number as silent as an ignored typo
+    path = tmp_path / "trap.json"
+    path.write_text(json.dumps(standard_raw(n=2)).replace(old, new), encoding="utf-8")
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: duplicate key '{key}'$"):
+        load_config(path)
 
 
 def test_unknown_nested_key_rejected():

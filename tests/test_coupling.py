@@ -293,6 +293,16 @@ def test_exact_phases_at_centre_zeros(n, b, expected):
     assert np.all(report.epsilon_matrix[zeros] == 0.0)
     assert np.all(report.phases_exact[zeros] == expected)
 
+def test_exact_phases_are_the_phase_of_the_sideband_amplitude():
+    # r = eps + i eta S = i eta' e^{-i phi} on every (mode, ion) of a quadratic field, to rounding
+    cfg = load_config(CONFIGS / "trap_quadratic.json")
+    chain = solve_chain(cfg)
+    report = build_report(cfg, chain)
+    amplitude = report.epsilon_matrix + 1j * report.eta_bare[:, None] * chain.mode_matrix
+    assert np.all(np.abs(1j * report.eta_eff * np.exp(-1j * report.phases_exact) - amplitude)
+                  <= 1e-15 * report.eta_eff)
+
+
 # sideband spectrum ----------------------------------------------------------------
 
 def test_spectrum_two_ions(config2, chain2, report2):

@@ -1,15 +1,17 @@
 import json
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import TWO_PI
+from conftest import AMU, TWO_PI
 from gradchain import pulse as pulse_mod
 from gradchain.chain import solve_chain
-from gradchain.config import load_config
+from gradchain.config import QuadraticField, TrapConfig, load_config, validate_config
+from gradchain.constants import Species
 from gradchain.coupling import build_report
 from gradchain.pulse import (
     Delay,
@@ -401,6 +403,58 @@ def test_j_only_model_matches_the_spin_phonon_hamiltonian(name, initial):
                 for fock in (6, 10))
     assert np.max(np.abs(six - ten)) <= 1e-12  # converged in the Fock cutoff
     assert np.max(np.abs(ten - populations)) <= 2e-6
+
+
+@pytest.mark.parametrize("initial", ["101", "100"], ids=["neighbours_on", "neighbour_3_off"])
+def test_three_ions_with_mu0_match_the_spin_phonon_hamiltonian(initial):
+    # mu0 = 0.3 puts both levels in the gradient, so the carrier shifts the oracle counts against take the
+    # eps_sum (mu0 + mu1) path; c != 0 makes the three J differ; epsilon = 0.026
+    species = Species("mu0_test", 171.0 * AMU, 12.6e9, moment_state0=0.3, moment_state1=1.0)
+    config = TrapConfig(species, 3, 1e5, QuadraticField(b0=0.0, b=10.0, c=2e5))
+    chain = solve_chain(config)
+    report = build_report(config, chain)
+    assert 0.02 < report.validity <= 0.03
+    j = report.j_matrix / TWO_PI
+    rabi = 0.1 * float(np.min(np.abs(j[np.triu_indices(3, 1)])))  # a tenth of the smallest |J|
+    line_2 = float(-(j[1, 0] + j[1, 2]))  # ion 2's line with ions 1 and 3 in |1>
+    line_1 = float(-(j[0, 1] + j[0, 2]))  # ion 1's line with ions 2 and 3 in |1>
+    program = parse(f"ions 3\npulse ion=2 rabi={rabi!r}Hz detune={line_2!r}Hz phase=0 area=1pi\n"
+                    f"pulse ion=1 rabi={rabi!r}Hz detune={line_1!r}Hz phase=0.5rad area=0.5pi\n")
+    # the dressed carrier's Rabi rate, exp(-sum_j eps[j, n]^2 / 2) of the bare one, at each pulse's duration
+    dressing = np.exp(-0.5 * np.sum(report.epsilon_matrix**2, axis=0))
+    dressed = replace(program, instructions=tuple(replace(p, rabi_hz=p.rabi_hz * dressing[p.ion - 1])
+                                                  for p in program.instructions))
+    bare_model, dressed_model = (np.abs(interpret(p, report.j_matrix, initial, seed=0, shots=1).final_state) ** 2
+                                 for p in (program, dressed))
+    four, five = (spin_phonon_populations_oracle(config, chain, report.shifts, program, initial, fock)
+                  for fock in (4, 5))
+    assert np.max(np.abs(four - five)) <= 1e-10  # converged in the Fock cutoff: 1.3e-11 from 101
+    # the J-only model is off only by the dressed Rabi rate: 1.0e-5 from 101 as it stands, 8e-12 with it applied
+    assert np.max(np.abs(five - bare_model)) <= 2e-5
+    assert np.max(np.abs(five - dressed_model)) <= 1e-10
+
+
+def test_blue_sideband_rabi_rate_is_eta_eff_times_the_drive():
+    # one ion of configs/trap.json (epsilon = 0.024) from |0> and the motional ground state, driven at detune = nu1:
+    # P(1) = sin^2(eta' e^{-eta'^2/2} Omega t / 2). The Debye-Waller factor e^{-eta'^2/2} is modelled (leaving it
+    # out is off by 2.3e-4 at half the pi time); the bound holds the carrier's light shift Omega^2 / (2 nu1),
+    # (Omega / (2 nu1 eta'))^2 = 3.9e-5 at the pi time for Omega / nu1 = 3e-4.
+    config = validate_config(json.loads((CONFIGS / "trap.json").read_text(encoding="utf-8")) | {"N": 1})
+    chain = solve_chain(config)
+    report = build_report(config, chain)
+    eta = float(report.eta_eff[0, 0])
+    assert 0.02 < eta <= 0.03
+    assert eta == pytest.approx(report.validity, rel=1e-6)  # the bare eta is 4.5e-6
+    nu_hz = config.axial_frequency_hz
+    rabi_hz = 3e-4 * nu_hz
+    omega = TWO_PI * rabi_hz
+    for fraction in (1 / 3, 1 / 2, 1.0):
+        t = fraction * math.pi / (eta * omega)
+        program = parse(f"ions 1\npulse ion=1 rabi={rabi_hz!r}Hz detune={nu_hz!r}Hz phase=0 dur={t!r}s\n")
+        six, ten = (spin_phonon_populations_oracle(config, chain, report.shifts, program, "0", fock)[1]
+                    for fock in (6, 10))
+        assert abs(six - ten) <= 1e-12
+        assert abs(ten - math.sin(eta * math.exp(-eta**2 / 2) * omega * t / 2) ** 2) <= 5e-5, fraction
 
 
 def test_interpret_deterministic(report2):
