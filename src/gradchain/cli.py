@@ -102,48 +102,66 @@ def _array_pieces(a: np.ndarray, pad: str) -> Iterator[str]:
     yield f"\n{pad}  ]\n{pad}]"
 
 
-def _write_text(path: Path, pieces: Iterable[str]) -> None:
-    """Stream `pieces` to a temporary file beside `path` and rename it onto `path`; on failure `path` is untouched."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+def _write_text(files: dict[Path, Iterable[str]]) -> None:
+    """Write one command's output files together: each is streamed to a temporary file, then all are renamed.
+
+    Each file's pieces go to `.{name}.{pid}.tmp` beside it; only once every file is written is each renamed
+    onto its path. A failure while writing removes every temporary file and leaves every path as it was.
+    """
+    partials = {}
     try:
-        with open(partial, "w", encoding="utf-8") as fh:
-            fh.writelines(pieces)
-        os.replace(partial, path)
+        for path, pieces in files.items():
+            path.parent.mkdir(parents=True, exist_ok=True)
+            partials[path] = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            with open(partials[path], "w", encoding="utf-8") as fh:
+                fh.writelines(pieces)
+        for path, partial in partials.items():
+            os.replace(partial, path)
     except BaseException:
-        partial.unlink(missing_ok=True)
+        for partial in partials.values():
+            partial.unlink(missing_ok=True)
         raise
 
 
-def _write_json(path: Path, doc: dict, with_timestamp: bool, **timing: float) -> None:
-    """Write doc, in pieces, as json.dumps(doc, indent=2, sort_keys=True) + newline would, ndarrays as their tolist().
+def _json_text(doc: dict, with_timestamp: bool, **timing: float) -> Iterator[str]:
+    """doc, in pieces, as json.dumps(doc, indent=2, sort_keys=True) + newline gives it, ndarrays as their tolist().
 
     `generated_at` and the `timing` fields join the document only `with_timestamp`.
     """
     if with_timestamp:
         doc = {**doc, "generated_at": datetime.now(timezone.utc).isoformat(), **timing}
-    _write_text(path, chain(_json_pieces(doc), ["\n"]))
+    return chain(_json_pieces(doc), ["\n"])
 
 
-def _write_table(path: Path, header: Sequence[str], rows: list[Sequence[str]],
-                 plot_path: Path | None = None, plot_columns: tuple[int, int] = (0, 1)) -> None:
-    """Write the CSV of `header` and `rows` (cell texts); with `plot_path`, also the two plot columns space-joined."""
-    _write_text(path, ["\n".join(map(",".join, [header, *rows])), "\n"])
-    if plot_path is not None:
-        x, y = plot_columns
-        _write_text(plot_path, ["\n".join(f"{row[x]} {row[y]}" for row in rows), "\n"])
+def _table_text(header: Sequence[str], rows: list[Sequence[str]]) -> list[str]:
+    """The CSV of `header` and `rows` (cell texts)."""
+    return ["\n".join(map(",".join, [header, *rows])), "\n"]
 
 
-def _write_matrix_csv(path: Path, matrix: np.ndarray, row_label: str) -> None:
+def _plot_text(rows: list[Sequence[str]], x: int, y: int) -> list[str]:
+    """Columns x and y of a table's rows, space-joined: its gnuplot-ready .dat file."""
+    return ["\n".join(f"{row[x]} {row[y]}" for row in rows), "\n"]
+
+
+def _table_files(path: Path, header: Sequence[str], rows: list[Sequence[str]],
+                 plot_data: bool) -> dict[Path, list[str]]:
+    """The CSV at `path` and, with `plot_data`, its first two columns in `path` + .dat."""
+    files = {path: _table_text(header, rows)}
+    if plot_data:
+        files[path.with_suffix(path.suffix + ".dat")] = _plot_text(rows, 0, 1)
+    return files
+
+
+def _matrix_text(matrix: np.ndarray, row_label: str) -> list[str]:
     header = [row_label, *map(str, range(1, matrix.shape[1] + 1))]
-    _write_table(path, header, [[str(r), *map(_fmt, row)] for r, row in enumerate(matrix, start=1)])
+    return _table_text(header, [[str(r), *map(_fmt, row)] for r, row in enumerate(matrix, start=1)])
 
 
 def cmd_chain(args) -> int:
     config = load_config(args.config)
     solution = chain_mod.solve_chain(config)
     if args.out:
-        _write_json(Path(args.out), solution.to_json_dict(), not args.no_timestamp)
+        _write_text({Path(args.out): _json_text(solution.to_json_dict(), not args.no_timestamp)})
 
     print(f"ion chain: {config.species.name}, N={config.ion_count}, "
           f"nu1/2pi = {_fmt(config.axial_frequency_hz)} Hz")
@@ -167,9 +185,9 @@ def cmd_couplings(args) -> int:
     out_dir = Path(args.out_dir)
 
     two_pi = 2.0 * math.pi
-    _write_matrix_csv(out_dir / "j_matrix.csv", report.j_matrix / two_pi, "ion")
-    _write_matrix_csv(out_dir / "epsilon_matrix.csv", report.epsilon_matrix, "mode")
-    _write_json(out_dir / "report.json", report.to_json_dict(), not args.no_timestamp)
+    _write_text({out_dir / "j_matrix.csv": _matrix_text(report.j_matrix / two_pi, "ion"),
+                 out_dir / "epsilon_matrix.csv": _matrix_text(report.epsilon_matrix, "mode"),
+                 out_dir / "report.json": _json_text(report.to_json_dict(), not args.no_timestamp)})
 
     verdict = "valid" if report.harmonic_approximation_valid else "NOT valid"
     print(f"validity epsilon = {report.validity:.6g} "
@@ -189,9 +207,7 @@ def cmd_spectrum(args) -> int:
     lines = coupling_mod.sideband_spectrum(solution, report, args.ion)
 
     rows = [[_fmt(line.offset / (2.0 * math.pi)), _fmt(line.amplitude), line.label] for line in lines]
-    out = Path(args.out)
-    _write_table(out, ["offset_hz", "amplitude", "label"], rows,
-                 out.with_suffix(out.suffix + ".dat") if args.emit_plot_data else None)
+    _write_text(_table_files(Path(args.out), ["offset_hz", "amplitude", "label"], rows, args.emit_plot_data))
     print(f"wrote {len(lines)} spectral lines for ion {args.ion}")
     return EXIT_OK
 
@@ -225,17 +241,17 @@ def cmd_simulate(args) -> int:
     wall_time_s = time.perf_counter() - started
 
     out = Path(args.out)
-    _write_json(out, record.to_json_dict(), not args.no_timestamp, wall_time_s=wall_time_s)
-
-    _write_table(out.with_name(out.stem + "_hist.csv"), ["outcome", "count"],
-                 [[outcome, str(count)] for outcome, count in record.histogram.items()])
-
+    histogram = [[outcome, str(count)] for outcome, count in record.histogram.items()]
+    files = {out: _json_text(record.to_json_dict(), not args.no_timestamp, wall_time_s=wall_time_s),
+             out.with_name(out.stem + "_hist.csv"): _table_text(["outcome", "count"], histogram)}
     if record.expectation_log:
         log_path = out.with_name(out.stem + "_log.csv")
         rows = [[_fmt(entry["time_s"]), entry["observable"], str(entry["ion"]), _fmt(entry["value"])]
                 for entry in record.expectation_log]
-        _write_table(log_path, ["time_s", "observable", "ion", "value"], rows,
-                     log_path.with_suffix(".dat") if args.emit_plot_data else None, plot_columns=(0, 3))
+        files[log_path] = _table_text(["time_s", "observable", "ion", "value"], rows)
+        if args.emit_plot_data:
+            files[log_path.with_suffix(".dat")] = _plot_text(rows, 0, 3)
+    _write_text(files)
 
     print(f"simulated {len(program.instructions)} instructions, "
           f"sequence duration {record.total_time_s:.6g} s")
@@ -295,16 +311,22 @@ def _sweep_value(quantity: str, ion: int, config: TrapConfig) -> float:
     return float(report.shifts[ion - 1]) / (2.0 * math.pi)
 
 
-def _set_path(raw: dict, dotted: str, value: float) -> None:
-    parts = dotted.split(".")
-    node = raw
-    for part in parts[:-1]:
-        if not isinstance(node, dict) or part not in node:
+def _with_value(raw: dict, dotted: str, value) -> dict:
+    """A copy of the config document `raw` whose entry at the dotted path (e.g. field.uniform.b) is `value`.
+
+    The objects along the path are copied; `raw` is left as it is.
+    """
+    *parents, leaf = dotted.split(".")
+    doc = node = dict(raw)
+    for part in parents:
+        if not isinstance(node.get(part), dict):
             raise ValueError(f"sweep parameter path {dotted!r} not present in config")
+        node[part] = dict(node[part])
         node = node[part]
-    if not isinstance(node, dict) or parts[-1] not in node:
+    if leaf not in node:
         raise ValueError(f"sweep parameter path {dotted!r} not present in config")
-    node[parts[-1]] = value
+    node[leaf] = value
+    return doc
 
 
 def _parse_sweep_bound(text: str, raw: dict, parameter: str) -> float:
@@ -313,16 +335,13 @@ def _parse_sweep_bound(text: str, raw: dict, parameter: str) -> float:
         value = read_value(text)
     except QuantityError as exc:
         raise QuantityError(f"sweep bound: {exc}") from None
-    probe = json.loads(json.dumps(raw))
-    _set_path(probe, parameter, None)
     try:
-        validate_config(probe)  # a field read as a quantity refuses null
+        validate_config(_with_value(raw, parameter, None))  # a field read as a quantity refuses null
     except ConfigError:
         pass
     else:
         raise ConfigError(f"sweep parameter {parameter!r} is not a quantity")
-    _set_path(probe, parameter, text)
-    validate_config(probe)  # the field's own check rejects a unit of another dimension
+    validate_config(_with_value(raw, parameter, text))  # the field's own check rejects a unit of another dimension
     return value
 
 
@@ -334,12 +353,9 @@ def cmd_sweep(args) -> int:
 
     rows = []
     for value in values:
-        point_raw = json.loads(json.dumps(raw))
-        _set_path(point_raw, args.param, float(value))
-        rows.append([_fmt(value), _fmt(_sweep_value(args.quantity, ion, validate_config(point_raw)))])
-    out = Path(args.out)
-    _write_table(out, [args.param, args.quantity], rows,
-                 out.with_suffix(out.suffix + ".dat") if args.emit_plot_data else None)
+        point = validate_config(_with_value(raw, args.param, float(value)))
+        rows.append([_fmt(value), _fmt(_sweep_value(args.quantity, ion, point))])
+    _write_text(_table_files(Path(args.out), [args.param, args.quantity], rows, args.emit_plot_data))
     print(f"swept {args.param} over {args.steps} points -> {args.quantity}")
     return EXIT_OK
 

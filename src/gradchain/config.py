@@ -122,18 +122,12 @@ class TrapConfig:
     ion_count: int
     axial_frequency_hz: float
     field: FieldProfile
-    drive_wavevector: float | None = None  # rad/m; None = derive from transition
+    drive_wavevector: float  # k, rad/m: omega0/c unless the config sets it explicitly
 
     @property
     def nu1(self) -> float:
         """Axial trap frequency in rad/s."""
         return 2.0 * math.pi * self.axial_frequency_hz
-
-    def wavevector(self) -> float:
-        """Drive wavevector k in rad/m (omega0/c unless set explicitly)."""
-        if self.drive_wavevector is not None:
-            return self.drive_wavevector
-        return self.species.omega0 / CONSTANTS.speed_of_light
 
 
 def _quantity(raw, path: str, dimension: str) -> float:
@@ -204,7 +198,7 @@ def validate_config(raw: dict) -> TrapConfig:
     """Validate a parsed config document and build a TrapConfig.
 
     Deterministic and side-effect free. Defaults: B0 = 0 when omitted,
-    drive wavevector derived from the qubit transition frequency.
+    drive wavevector omega0/c of the qubit transition.
     """
     if not isinstance(raw, dict):
         raise OutOfRangeError("<root>", "config document must be a JSON object")
@@ -233,7 +227,7 @@ def validate_config(raw: dict) -> TrapConfig:
 
     profile = _parse_field(raw["field"])
 
-    k = None
+    k = species.omega0 / CONSTANTS.speed_of_light
     dw = raw.get("drive_wavevector", FROM_TRANSITION)
     if isinstance(dw, dict):
         _check_keys(dw, {"explicit"}, "drive_wavevector.")

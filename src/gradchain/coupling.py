@@ -185,7 +185,7 @@ def build_report(config: TrapConfig, chain: ChainSolution) -> CouplingReport:
         eps = epsilon_matrix(grads, chain)
         species = config.species
         eps_sum = epsilon_matrix(omega_gradients(config, chain, species.moment_state0 + species.moment_state1), chain)
-        eta_bare = chain.ground_state_extents * config.wavevector()
+        eta_bare = chain.ground_state_extents * config.drive_wavevector
         report = CouplingReport(
             omega_gradients=grads,
             epsilon_matrix=eps,

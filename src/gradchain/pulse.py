@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,14 +88,14 @@ class Delay:
 
 @dataclass(frozen=True)
 class MeasureZ:
-    ions: tuple[int, ...] | None  # None = all
+    ions: tuple[int, ...]
     span: SourceSpan
 
 
 @dataclass(frozen=True)
 class ExpectationLog:
     observable: str  # sx | sy | sz
-    ions: tuple[int, ...] | None
+    ions: tuple[int, ...]
     span: SourceSpan
 
 
@@ -129,10 +129,8 @@ def _read(reader, text: str, arg: str, span: SourceSpan):
         raise PulseProgramError(str(exc), span) from exc
 
 
-def _parse_ion_set(
-    tokens: list[tuple[str, int]], line_no: int, n_ions: int
-) -> tuple[int, ...] | None:
-    """The ion list of a measure or log line, tokens[2:] of it; None for 'all'.
+def _parse_ion_set(tokens: list[tuple[str, int]], line_no: int, n_ions: int) -> tuple[int, ...]:
+    """The ion list of a measure or log line, tokens[2:] of it; 'all' is every ion, 1 to n_ions.
 
     Whitespace may stand next to a comma, never in its place: two tokens
     with no comma between them are an error at the second.
@@ -146,7 +144,7 @@ def _parse_ion_set(
     chars = [(ch, col + i) for tok, col in tokens[2:] for i, ch in enumerate(tok)]
     joined = "".join(ch for ch, _ in chars)
     if joined == "all":
-        return None
+        return tuple(range(1, n_ions + 1))
     ions = []
     start = 0  # index of an entry's first character in `joined`; an empty last entry is past the end
     for part in joined.split(","):
@@ -227,9 +225,7 @@ def parse(source: str) -> PulseProgram:
 
         if keyword == "ions":
             if n_ions is not None:
-                raise PulseProgramError("duplicate 'ions' header", kw_span)
-            if instructions:
-                raise PulseProgramError("'ions' header must precede all instructions", kw_span)
+                raise PulseProgramError("duplicate 'ions' header", kw_span)  # a header after an instruction too
             if len(tokens) != 2:
                 raise PulseProgramError("usage: ions <count>", kw_span)
             count_tok, count_col = tokens[1]
@@ -271,7 +267,7 @@ def parse(source: str) -> PulseProgram:
     return PulseProgram(n_ions, tuple(instructions))
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunRecord:
     """Everything one program execution produced."""
 
@@ -279,18 +275,17 @@ class RunRecord:
     initial_label: str
     seed: int
     shots: int
-    expectation_log: list[dict] = field(default_factory=list)
-    measurements: list[dict] = field(default_factory=list)
-    histogram: dict[str, int] = field(default_factory=dict)  # the last measurement's counts; not in run.json
-    final_state: np.ndarray | None = None  # complex amplitudes, basis order of gradchain.spins
-    total_time_s: float = 0.0      # simulated sequence time
+    expectation_log: list[dict]
+    measurements: list[dict]
+    histogram: dict[str, int]  # the last measurement's counts; not in run.json
+    final_state: np.ndarray    # complex amplitudes, basis order of gradchain.spins
+    total_time_s: float        # simulated sequence time
 
     def to_json_dict(self) -> dict:
         """run.json's document, all but the CLI's generated_at and wall_time_s.
 
         The final state is a (2^n, 2) float array of [real, imag] rows.
         """
-        state = self.final_state
         return {
             "n_qubits": self.n_qubits,
             "initial": self.initial_label,
@@ -299,9 +294,9 @@ class RunRecord:
             "sequence_duration_s": self.total_time_s,
             "expectation_log": self.expectation_log,
             "measurements": self.measurements,
-            "final_state": None if state is None else {
+            "final_state": {
                 "basis_convention": BASIS_CONVENTION,
-                "amplitudes": np.column_stack((state.real, state.imag)),
+                "amplitudes": np.column_stack((self.final_state.real, self.final_state.imag)),
             },
             "frame": FRAME,
         }
@@ -319,13 +314,7 @@ def marginal_counts(
     return dict(zip(outcome_labels(seen, len(ions)), tally[seen].tolist()))
 
 
-def interpret(
-    program: PulseProgram,
-    coupling: np.ndarray,
-    initial: str,
-    seed: int,
-    shots: int = 100,
-) -> RunRecord:
+def interpret(program: PulseProgram, coupling: np.ndarray, initial: str, seed: int, shots: int) -> RunRecord:
     """Execute a program on the register whose J matrix (rad/s) is `coupling`.
 
     The register evolves in the synthesizer frame (FRAME), where the energy
@@ -349,8 +338,8 @@ def interpret(
     state = initialize(n, initial)  # checks the register size before the 2^n table below
     rates = diagonal_rates(SpinHamiltonian(coupling))
     rng = np.random.default_rng(seed)
-    all_ions = tuple(range(1, n + 1))
-    record = RunRecord(n_qubits=n, initial_label=initial, seed=seed, shots=shots)
+    log: list[dict] = []
+    measurements: list[dict] = []
     t = 0.0
 
     for ins in program.instructions:
@@ -365,18 +354,14 @@ def interpret(
                 with np.errstate(over="ignore", invalid="ignore"):
                     free_evolution(state, rates, ins.duration_s)
                 t += ins.duration_s
+            elif isinstance(ins, MeasureZ):
+                measurements.append(
+                    {"time_s": t, "ions": list(ins.ions), "counts": marginal_counts(state, ins.ions, rng, shots)}
+                )
             else:
-                ions = ins.ions if ins.ions is not None else all_ions
-                if isinstance(ins, MeasureZ):
-                    record.measurements.append(
-                        {"time_s": t, "ions": list(ions), "counts": marginal_counts(state, ions, rng, shots)}
-                    )
-                else:
-                    for ion in ions:
-                        record.expectation_log.append(
-                            {"time_s": t, "observable": ins.observable, "ion": ion,
-                             "value": expectation(state, ins.observable, ion)}
-                        )
+                for ion in ins.ions:
+                    log.append({"time_s": t, "observable": ins.observable, "ion": ion,
+                                "value": expectation(state, ins.observable, ion)})
         except (ValueError, RuntimeError) as exc:
             raise ProgramRuntimeError(str(exc), ins.span) from exc
         if not math.isfinite(t):
@@ -387,8 +372,7 @@ def interpret(
         if not abs(1.0 - norm) <= NORM_TOLERANCE:  # NaN compares false: a non-finite state fails too
             raise ProgramRuntimeError(f"state norm {norm!r} is not within {NORM_TOLERANCE:g} of 1", ins.span)
 
-    record.histogram = (record.measurements[-1]["counts"] if record.measurements
-                        else marginal_counts(state, all_ions, rng, shots))
-    record.final_state = state
-    record.total_time_s = t
-    return record
+    histogram = (measurements[-1]["counts"] if measurements
+                 else marginal_counts(state, tuple(range(1, n + 1)), rng, shots))
+    return RunRecord(n_qubits=n, initial_label=initial, seed=seed, shots=shots, expectation_log=log,
+                     measurements=measurements, histogram=histogram, final_state=state, total_time_s=t)

@@ -319,7 +319,7 @@ def lab_frame_sz_oracle(
             elif isinstance(ins, ExpectationLog):
                 if ins.observable != "sz":
                     raise ValueError("the lab-frame oracle logs only sz, the one frame-independent observable")
-                for ion in ins.ions if ins.ions is not None else range(1, n + 1):
+                for ion in ins.ions:
                     logged.append(float(sum(s[b][ion - 1] * abs(amp[b]) ** 2 for b in range(dim))))
         return logged
 

@@ -53,7 +53,7 @@ trap_n10 and `--param comment` (`sweep`).
 Byte identity holds per host. numpy's SIMD dispatch and OpenBLAS's kernel
 choice reach the last bits: on an AVX-512 host,
 NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" (numpy without its
-AVX-512 loops) changes 16 of the 364 lines and OPENBLAS_CORETYPE=Haswell 14,
+AVX-512 loops) changes 16 of the 368 lines and OPENBLAS_CORETYPE=Haswell 14,
 while OPENBLAS_NUM_THREADS=1 changes none. Diff listings from one host.
 This script is not a test module and pytest does not collect it.
 """

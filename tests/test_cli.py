@@ -13,7 +13,7 @@ import pytest
 import gradchain
 from conftest import HBAR, MU_B, TWO_PI, YB_MASS, json_text, standard_raw
 from gradchain.chain import solve_chain
-from gradchain.cli import _fmt, _sweep_values, _write_json, main
+from gradchain.cli import _fmt, _json_text, _sweep_values, _write_text, main
 from gradchain.config import validate_config
 from gradchain.coupling import build_report
 from gradchain.pulse import RunRecord, interpret, parse
@@ -802,7 +802,7 @@ def register_doc():
 @pytest.mark.parametrize("with_timestamp", [False, True])
 def test_write_json_16_ion_register(register_doc, tmp_path, with_timestamp):
     out = tmp_path / "run.json"
-    _write_json(out, register_doc, with_timestamp, wall_time_s=1.25)
+    _write_text({out: _json_text(register_doc, with_timestamp, wall_time_s=1.25)})
     doc = dict(register_doc)
     if with_timestamp:
         doc["generated_at"] = json.loads(out.read_text(encoding="utf-8"))["generated_at"]
@@ -824,7 +824,7 @@ SMALL_RUNS = {
 def test_write_json_small_runs(tmp_path, case):
     doc = run_doc(*SMALL_RUNS[case])
     out = tmp_path / "run.json"
-    _write_json(out, doc, False)
+    _write_text({out: _json_text(doc, False)})
     assert_writes_json_reference(out, doc)
 
 
@@ -833,10 +833,11 @@ def test_write_json_small_runs(tmp_path, case):
     [1.0 + 0.0j, complex(math.nan, 1.0), complex(math.inf, -math.inf), 0.0j],  # json spells NaN, Infinity
 ])
 def test_write_json_float_spellings(tmp_path, amplitudes):
-    record = RunRecord(n_qubits=2, initial_label="00", seed=0, shots=0, final_state=np.array(amplitudes))
+    record = RunRecord(n_qubits=2, initial_label="00", seed=0, shots=0, expectation_log=[], measurements=[],
+                       histogram={}, final_state=np.array(amplitudes), total_time_s=0.0)
     doc = {"final_state": record.to_json_dict()["final_state"], "counts": {}, "empty": []}
     out = tmp_path / "state.json"
-    _write_json(out, doc, False)
+    _write_text({out: _json_text(doc, False)})
     assert_writes_json_reference(out, doc)
 
 
@@ -845,7 +846,7 @@ def test_write_json_peak_memory_below_file_size(register_doc, tmp_path):
     out = tmp_path / "run.json"
     tracemalloc.start()
     try:
-        _write_json(out, register_doc, False)
+        _write_text({out: _json_text(register_doc, False)})
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -867,7 +868,7 @@ def test_write_json_failure_leaves_nothing(tmp_path, existing):
     # the array's text is written before json meets the set
     doc = {"amplitudes": np.ones((5000, 2)), "z": [{"outcomes": {1, 2}}]}
     with pytest.raises(TypeError, match="not JSON serializable"):
-        _write_json(out, doc, False)
+        _write_text({out: _json_text(doc, False)})
     assert [p.name for p in tmp_path.iterdir()] == (["run.json"] if existing else [])
     if existing:
         assert out.read_text(encoding="utf-8") == "earlier run\n"
@@ -905,4 +906,37 @@ def test_failed_csv_write_leaves_the_earlier_outputs(tmp_path, monkeypatch, caps
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
     # every file as it was, j_matrix.csv included, and no temporary file left beside them
+    assert {p.name: p.read_bytes() for p in Path("out").iterdir()} == earlier
+
+
+# command -> its arguments and the output whose disk fills; every file the command writes before that one is complete
+SET_WRITES = {
+    "couplings": (["couplings", "--config", "trap.json", "--out-dir", "out"], "epsilon_matrix.csv"),
+    "simulate": (["simulate", "--config", "trap.json", "--program", "run.pp", "--out", "out/run.json",
+                  "--emit-plot-data"], "run_hist.csv"),
+}
+
+
+@pytest.mark.parametrize("command", SET_WRITES)
+def test_failed_write_leaves_the_whole_earlier_set(tmp_path, monkeypatch, capsys, command):
+    # a later file of the set fails after an earlier one is written in full: the earlier one must not replace
+    # its old copy either, or the directory holds a mixed set that reads as one result
+    args, failing = SET_WRITES[command]
+    argv = [*args, "--no-timestamp"]
+    monkeypatch.chdir(tmp_path)
+    Path("run.pp").write_text(CNOT_PROGRAM + "log sz all\n", encoding="utf-8")
+    Path("trap.json").write_text(json.dumps(standard_raw(n=2)), encoding="utf-8")
+    assert main(argv) == 0
+    earlier = {p.name: p.read_bytes() for p in Path("out").iterdir()}
+    assert failing in earlier and len(earlier) >= 3
+    Path("trap.json").write_text(json.dumps(standard_raw(n=2, b="20T/m")), encoding="utf-8")
+
+    def fills_inside_failing(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        return _FullDisk(fh) if Path(path).name.startswith(f".{failing}.") else fh
+
+    monkeypatch.setattr(gradchain.cli, "open", fills_inside_failing, raising=False)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
     assert {p.name: p.read_bytes() for p in Path("out").iterdir()} == earlier

@@ -34,15 +34,14 @@ def test_defaults():
     raw = {"species": "Yb171", "N": 2, "nu1": "100kHz", "field": {"uniform": {"b": "10T/m"}}}
     cfg = validate_config(raw)
     assert cfg.field.b0 == 0.0  # B0 defaults to zero
-    assert cfg.drive_wavevector is None  # wavevector from the transition frequency
-    # k = omega0 / c for the microwave transition
-    assert cfg.wavevector() == pytest.approx(2 * 3.141592653589793 * 12.6e9 / 299792458.0, rel=1e-12)
+    # the wavevector, resolved at validation, is omega0 / c of the microwave transition
+    assert cfg.drive_wavevector == pytest.approx(2 * 3.141592653589793 * 12.6e9 / 299792458.0, rel=1e-12)
 
 
 def test_explicit_wavevector():
     raw = standard_raw()
     raw["drive_wavevector"] = {"explicit": 1.0e7}
-    assert validate_config(raw).wavevector() == 1.0e7
+    assert validate_config(raw).drive_wavevector == 1.0e7
 
 
 def test_registry_species():
@@ -95,6 +94,41 @@ def test_repeated_key_rejected(tmp_path, old, new, key):
     path.write_text(json.dumps(standard_raw(n=2)).replace(old, new), encoding="utf-8")
     with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: duplicate key '{key}'$"):
         load_config(path)
+
+
+# config entries -> the exact message of the ConfigError they raise, one for each branch of the field and
+# wavevector checks
+CONFIG_ERRORS = {
+    "field_two_variants": ({"field": {"uniform": {"b": 1.0}, "quadratic": {"b": 1.0, "c": 0.0}}},
+                           "field field: expected exactly one of: uniform, quadratic, sampled"),
+    "field_no_variant": ({"field": {}}, "field field: expected exactly one of: uniform, quadratic, sampled"),
+    "field_not_object": ({"field": "uniform"}, "field field: expected exactly one of: uniform, quadratic, sampled"),
+    "variant_body_not_object": ({"field": {"uniform": 10.0}}, "field field.uniform: expected an object"),
+    "uniform_missing_b": ({"field": {"uniform": {"B0": 0.0}}}, "missing required field: field.uniform.b"),
+    "quadratic_missing_c": ({"field": {"quadratic": {"b": 1.0}}}, "missing required field: field.quadratic.c"),
+    "sampled_missing_points": ({"field": {"sampled": {}}}, "missing required field: field.sampled.points"),
+    "sampled_points_not_list": ({"field": {"sampled": {"points": {"z": 0.0}}}},
+                                "field field.sampled.points: expected a list of [z, B] pairs"),
+    "sampled_pair_too_short": ({"field": {"sampled": {"points": [[-1e-4, 0.0], [1e-4]]}}},
+                               "field field.sampled.points[1]: expected a [z, B] pair"),
+    "sampled_pair_not_list": ({"field": {"sampled": {"points": [0.0, 1.0]}}},
+                              "field field.sampled.points[0]: expected a [z, B] pair"),
+    "unknown_variant": ({"field": {"cubic": {"b": 1.0}}},
+                        "unknown key: field.cubic (allowed: quadratic, sampled, uniform)"),
+    "wavevector_missing_explicit": ({"drive_wavevector": {}}, "missing required field: drive_wavevector.explicit"),
+    "wavevector_bad_string": ({"drive_wavevector": "optical"},
+                              "field drive_wavevector: expected 'from_transition' or {'explicit': k}, got 'optical'"),
+    "wavevector_bare_number": ({"drive_wavevector": 1e7},
+                               "field drive_wavevector: expected 'from_transition' or {'explicit': k}, got 10000000.0"),
+}
+
+
+@pytest.mark.parametrize("case", CONFIG_ERRORS)
+def test_config_error_message(case):
+    entries, message = CONFIG_ERRORS[case]
+    with pytest.raises(ConfigError) as err:
+        validate_config(standard_raw() | entries)
+    assert str(err.value) == message
 
 
 def test_unknown_nested_key_rejected():

@@ -219,7 +219,7 @@ def test_eta_bare_microwave_tiny(config10, chain10, report10):
 def test_zero_gradient_reductions():
     cfg, chain = make(n=3, b="0T/m")
     eps = epsilon_matrix(omega_gradients(cfg, chain), chain)
-    eta_eff = effective_lamb_dicke(chain, chain.ground_state_extents * cfg.wavevector(), eps)
+    eta_eff = effective_lamb_dicke(chain, chain.ground_state_extents * cfg.drive_wavevector, eps)
     k = TWO_PI * 12.6e9 / C_LIGHT
     eta_bare = chain.ground_state_extents * k
     assert np.allclose(eta_eff, np.abs(eta_bare[:, None] * chain.mode_matrix), atol=0)
@@ -228,7 +228,7 @@ def test_zero_gradient_reductions():
 
 def test_eta_eff_modulus_identity(config10, chain10):
     eps = epsilon_matrix(omega_gradients(config10, chain10), chain10)
-    k = config10.wavevector()
+    k = config10.drive_wavevector
     eta_eff = effective_lamb_dicke(chain10, chain10.ground_state_extents * k, eps)
     bare = chain10.ground_state_extents[:, None] * chain10.mode_matrix
     assert np.allclose(eta_eff**2, (k * bare) ** 2 + eps**2, rtol=1e-12)
@@ -272,7 +272,7 @@ def test_uniform_gradient_shift_closed_form():
 
 def test_exact_phases_near_pi_half(config2, chain2):
     eps = epsilon_matrix(omega_gradients(config2, chain2), chain2)
-    phases = exact_phases(chain2, chain2.ground_state_extents * config2.wavevector(), eps)
+    phases = exact_phases(chain2, chain2.ground_state_extents * config2.drive_wavevector, eps)
     # microwave eta is ~1e-6 of eps, so the exact phase sits within ~1e-3 of
     # +pi/2 (eps > 0) or -pi/2 (eps < 0, where the mode row is negative)
     wrapped = np.angle(np.exp(1j * phases))

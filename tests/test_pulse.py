@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import AMU, TWO_PI
+from conftest import AMU, C_LIGHT, TWO_PI
 from gradchain import pulse as pulse_mod
 from gradchain.chain import solve_chain
 from gradchain.config import QuadraticField, TrapConfig, load_config, validate_config
@@ -45,7 +45,7 @@ def test_parse_cnot_example():
     assert pulse.phase_rad == 0.0
     assert pulse.duration_s == 0.125  # a pi pulse at 4 Hz
     assert isinstance(measure, MeasureZ)
-    assert measure.ions is None  # all
+    assert measure.ions == (1, 2)  # all
 
 
 def test_parse_full_grammar():
@@ -65,7 +65,7 @@ log sz 2
     assert pulse.duration_s == pytest.approx(2e-3)
     assert isinstance(delay, Delay) and delay.duration_s == pytest.approx(1.5e-5)
     assert measure.ions == (1, 3)
-    assert isinstance(log_all, ExpectationLog) and log_all.ions is None
+    assert isinstance(log_all, ExpectationLog) and log_all.ions == (1, 2, 3)
     assert log_one.observable == "sz" and log_one.ions == (2,)
 
 
@@ -236,11 +236,49 @@ def test_value_errors_take_the_readers_wording(line):
     assert str(err.value) == f"2:{col}: {message}"
 
 
+# program -> its parse error as "line:col: message", one for each branch of the grammar's checks
+PARSE_ERRORS = {
+    "ions 2\npulse ion=1 rabi": "2:13: expected key=value, got 'rabi'",
+    "ions 2\npulse ion=1 amp=1Hz": "2:13: unknown pulse field 'amp'",
+    "ions 2\npulse ion=1 rabi=-1Hz detune=0 phase=0 dur=1ms": "2:18: rabi must be non-negative",
+    "ions 2\npulse ion=1 rabi=1Hz detune=0 phase=0 dur=-1ms": "2:43: dur must be non-negative",
+    "ions": "1:1: usage: ions <count>",
+    "ions 2 3": "1:1: usage: ions <count>",
+    "ions 0": "1:6: ion count must be positive, got 0",
+    "ions -1": "1:6: ion count must be positive, got -1",
+    # a header after an instruction is a second header
+    "ions 2\ndelay 1ms\nions 3": "3:1: duplicate 'ions' header",
+    "ions 2\ndelay": "2:1: usage: delay <duration>",
+    "ions 2\ndelay 1ms 2ms": "2:1: usage: delay <duration>",
+    "ions 2\nmeasure": "2:1: only z-basis measurement is supported: measure z <ions|all>",
+    "ions 2\nmeasure x 1": "2:1: only z-basis measurement is supported: measure z <ions|all>",
+    "ions 2\nlog": "2:1: usage: log <sx|sy|sz> <ions|all>",
+    "ions 2\nlog sq 1": "2:1: usage: log <sx|sy|sz> <ions|all>",
+}
+
+
+@pytest.mark.parametrize("source", PARSE_ERRORS)
+def test_parse_error_message_and_position(source):
+    with pytest.raises(PulseProgramError) as err:
+        parse(source + "\n")
+    assert str(err.value) == PARSE_ERRORS[source]
+
+
+def test_simulator_error_is_a_runtime_error_at_its_instruction():
+    # parse refuses a negative rabi; a hand-built one reaches apply_pulse, whose ValueError takes the pulse's span
+    program = parse("ions 1\ndelay 1ms\npulse ion=1 rabi=1Hz detune=0 phase=0 dur=1ms\n")
+    delay, pulse = program.instructions
+    bad = replace(program, instructions=(delay, replace(pulse, rabi_hz=-1.0)))
+    with pytest.raises(ProgramRuntimeError) as err:
+        interpret(bad, np.zeros((1, 1)), "0", seed=0, shots=1)
+    assert str(err.value) == "3:1: Rabi frequency must be non-negative"
+
+
 @pytest.mark.parametrize("line, ions", [
     ("measure z 1, 3", (1, 3)),
     ("measure z 1 ,3", (1, 3)),
     ("measure z 1 , 3", (1, 3)),
-    ("log sx all", None),
+    ("log sx all", (1, 2, 3)),
 ])
 def test_ion_list_takes_whitespace_beside_a_comma(line, ions):
     (instruction,) = parse(f"ions 3\n{line}\n").instructions
@@ -343,7 +381,7 @@ def test_oversized_register_fails_before_the_energy_table(n, monkeypatch):
 
     monkeypatch.setattr(pulse_mod, "diagonal_rates", refuse)
     with pytest.raises(ValueError, match=f"^register of {n} qubits exceeds the supported maximum of 16$"):
-        interpret(parse(f"ions {n}\ndelay 1ms\n"), np.zeros((n, n)), "0" * n, seed=0)
+        interpret(parse(f"ions {n}\ndelay 1ms\n"), np.zeros((n, n)), "0" * n, seed=0, shots=1)
 
 
 @pytest.mark.filterwarnings("error")
@@ -368,7 +406,7 @@ def test_sequence_time_overflow_fails_at_its_instruction(second):
 def test_interpret_checks_ion_count(report2):
     program = parse("ions 3\ndelay 1ms\n")
     with pytest.raises(ValueError):
-        interpret(program, report2.j_matrix, "000", seed=0)
+        interpret(program, report2.j_matrix, "000", seed=0, shots=1)
 
 
 @pytest.mark.parametrize("source", ["ions 2\ndelay 1ms\n", CNOT_SRC])
@@ -405,33 +443,56 @@ def test_j_only_model_matches_the_spin_phonon_hamiltonian(name, initial):
     assert np.max(np.abs(ten - populations)) <= 2e-6
 
 
-@pytest.mark.parametrize("initial", ["101", "100"], ids=["neighbours_on", "neighbour_3_off"])
-def test_three_ions_with_mu0_match_the_spin_phonon_hamiltonian(initial):
-    # mu0 = 0.3 puts both levels in the gradient, so the carrier shifts the oracle counts against take the
-    # eps_sum (mu0 + mu1) path; c != 0 makes the three J differ; epsilon = 0.026
+def mu0_quadratic_run(n, initial, fock_levels):
+    """Spin-phonon and J-only populations of n ions of a mu0 = 0.3, mu1 = 1.0 species in B = 10 z + 2e5 z^2.
+
+    mu0 != 0 puts both levels in the gradient, so the carrier shifts the oracle counts against take the eps_sum
+    (mu0 + mu1) path; c != 0 makes the ions' gradients, and for n = 3 the three J, differ. The program is a pi
+    pulse on ion 2, then a pi/2 pulse on ion 1, each at its line with every other ion in |1>, at a tenth of the
+    smallest |J|. Returns the oracle's populations at each Fock cutoff, then interpret's with the bare drive
+    and with the dressed carrier's Rabi rate, exp(-sum_j eps[j, n]^2 / 2) of the bare one, at each duration.
+    """
     species = Species("mu0_test", 171.0 * AMU, 12.6e9, moment_state0=0.3, moment_state1=1.0)
-    config = TrapConfig(species, 3, 1e5, QuadraticField(b0=0.0, b=10.0, c=2e5))
+    config = TrapConfig(species, n, 1e5, QuadraticField(b0=0.0, b=10.0, c=2e5), TWO_PI * 12.6e9 / C_LIGHT)
     chain = solve_chain(config)
     report = build_report(config, chain)
     assert 0.02 < report.validity <= 0.03
     j = report.j_matrix / TWO_PI
-    rabi = 0.1 * float(np.min(np.abs(j[np.triu_indices(3, 1)])))  # a tenth of the smallest |J|
-    line_2 = float(-(j[1, 0] + j[1, 2]))  # ion 2's line with ions 1 and 3 in |1>
-    line_1 = float(-(j[0, 1] + j[0, 2]))  # ion 1's line with ions 2 and 3 in |1>
-    program = parse(f"ions 3\npulse ion=2 rabi={rabi!r}Hz detune={line_2!r}Hz phase=0 area=1pi\n"
+    rabi = 0.1 * float(np.min(np.abs(j[np.triu_indices(n, 1)])))
+    line_2, line_1 = float(-j[1].sum()), float(-j[0].sum())  # the diagonal of J is zero
+    program = parse(f"ions {n}\npulse ion=2 rabi={rabi!r}Hz detune={line_2!r}Hz phase=0 area=1pi\n"
                     f"pulse ion=1 rabi={rabi!r}Hz detune={line_1!r}Hz phase=0.5rad area=0.5pi\n")
-    # the dressed carrier's Rabi rate, exp(-sum_j eps[j, n]^2 / 2) of the bare one, at each pulse's duration
     dressing = np.exp(-0.5 * np.sum(report.epsilon_matrix**2, axis=0))
     dressed = replace(program, instructions=tuple(replace(p, rabi_hz=p.rabi_hz * dressing[p.ion - 1])
                                                   for p in program.instructions))
-    bare_model, dressed_model = (np.abs(interpret(p, report.j_matrix, initial, seed=0, shots=1).final_state) ** 2
-                                 for p in (program, dressed))
-    four, five = (spin_phonon_populations_oracle(config, chain, report.shifts, program, initial, fock)
-                  for fock in (4, 5))
+    oracle = [spin_phonon_populations_oracle(config, chain, report.shifts, program, initial, fock)
+              for fock in fock_levels]
+    models = [np.abs(interpret(p, report.j_matrix, initial, seed=0, shots=1).final_state) ** 2
+              for p in (program, dressed)]
+    return report, *oracle, *models
+
+
+@pytest.mark.parametrize("initial", ["101", "100"], ids=["neighbours_on", "neighbour_3_off"])
+def test_three_ions_with_mu0_match_the_spin_phonon_hamiltonian(initial):
+    # epsilon = 0.026
+    _, four, five, bare_model, dressed_model = mu0_quadratic_run(3, initial, (4, 5))
     assert np.max(np.abs(four - five)) <= 1e-10  # converged in the Fock cutoff: 1.3e-11 from 101
     # the J-only model is off only by the dressed Rabi rate: 1.0e-5 from 101 as it stands, 8e-12 with it applied
     assert np.max(np.abs(five - bare_model)) <= 2e-5
     assert np.max(np.abs(five - dressed_model)) <= 1e-10
+
+
+@pytest.mark.parametrize("initial", ["10", "00"], ids=["control_on", "control_off"])
+def test_two_ions_with_mu0_match_the_spin_phonon_hamiltonian(initial):
+    # epsilon = 0.022, J / 2 pi = 8.48 Hz
+    report, four, six, bare_model, dressed_model = mu0_quadratic_run(2, initial, (4, 6))
+    grads = report.omega_gradients
+    assert 1.9 < grads[1] / grads[0] < 2.0  # 4.18e11 and 8.13e11 rad/(s m): the curvature doubles ion 2's gradient
+    assert np.max(np.abs(four - six)) <= 1e-10  # converged in the Fock cutoff: 1.4e-14 from 10, 1.2e-12 from 00
+    # the J-only model is off only by the dressed Rabi rate: 3.1e-5 from 10 (3.6e-9 from 00) as it stands,
+    # 1.4e-13 with it applied
+    assert np.max(np.abs(six - bare_model)) <= 5e-5
+    assert np.max(np.abs(six - dressed_model)) <= 1e-10
 
 
 def test_blue_sideband_rabi_rate_is_eta_eff_times_the_drive():

@@ -101,7 +101,7 @@ def test_norm_matches_linalg_norm(monkeypatch):
         n = amplitudes.size.bit_length() - 1
         monkeypatch.setattr(pulse, "initialize", lambda n, label: amplitudes.astype(complex))
         with pytest.raises(ProgramRuntimeError, match="^2:1: state norm ") as err:
-            interpret(parse(f"ions {n}\ndelay 0s\n"), np.zeros((n, n)), "0" * n, seed=0)
+            interpret(parse(f"ions {n}\ndelay 0s\n"), np.zeros((n, n)), "0" * n, seed=0, shots=1)
         got = float(str(err.value).split()[3])
         assert got == pytest.approx(np.linalg.norm(amplitudes), rel=1e-14, abs=0.0)
 
