@@ -41,33 +41,25 @@ class UnknownKeyError(ConfigError):
         super().__init__(f"unknown key: {path} (allowed: {', '.join(sorted(allowed))})")
 
 
-@dataclass(frozen=True)
-class UniformGradientField:
-    """B(z) = B0 + b z along the trap axis."""
-
-    b0: float  # T
-    b: float   # T/m
-
-    def field_at(self, z: float) -> float:
-        return self.b0 + self.b * z
-
-    def gradient_at(self, z: float) -> float:
-        return self.b
+def _horner(coefficients: tuple[float, ...], z: float) -> float:
+    value = coefficients[-1]
+    for a in reversed(coefficients[:-1]):
+        value = a + value * z
+    return value
 
 
 @dataclass(frozen=True)
-class QuadraticField:
-    """B(z) = B0 + b z + c z^2."""
+class PolynomialField:
+    """B(z) = B0 + b z (+ c z^2) along the trap axis; coefficients lowest order first, in T, T/m, T/m^2."""
 
-    b0: float  # T
-    b: float   # T/m
-    c: float   # T/m^2
+    coefficients: tuple[float, ...]
 
     def field_at(self, z: float) -> float:
-        return self.b0 + (self.b + self.c * z) * z
+        return _horner(self.coefficients, z)
 
     def gradient_at(self, z: float) -> float:
-        return self.b + 2.0 * self.c * z
+        # a uniform field's gradient is b itself, never b + 0 z: padding c = 0 would turn b = -0.0 into +0.0 at z >= 0
+        return _horner(tuple(k * a for k, a in enumerate(self.coefficients) if k), z)
 
 
 @dataclass(frozen=True)
@@ -104,7 +96,7 @@ class SampledField:
         return (b1 - b0) / (z1 - z0)
 
 
-FieldProfile = UniformGradientField | QuadraticField | SampledField
+FieldProfile = PolynomialField | SampledField
 
 
 FROM_TRANSITION = "from_transition"
@@ -154,10 +146,10 @@ def _check_keys(doc: dict, allowed: Collection[str], prefix: str = "") -> None:
             raise UnknownKeyError(prefix + key, allowed)
 
 
-# variant -> profile class, and its keys in field order with their dimensions; B0 defaults to 0 T, the rest are required
+# variant -> its keys in coefficient order with their dimensions; B0 defaults to 0 T, the rest are required
 _ANALYTIC_FIELDS = {
-    "uniform": (UniformGradientField, {"B0": "field", "b": "gradient"}),
-    "quadratic": (QuadraticField, {"B0": "field", "b": "gradient", "c": "curvature in T/m^2"}),  # no unit carries c
+    "uniform": {"B0": "field", "b": "gradient"},
+    "quadratic": {"B0": "field", "b": "gradient", "c": "curvature in T/m^2"},  # no unit carries c
 }
 
 
@@ -168,13 +160,13 @@ def _parse_field(raw, path: str = "field") -> FieldProfile:
     if not isinstance(body, dict):
         raise OutOfRangeError(f"{path}.{variant}", "expected an object")
     if variant in _ANALYTIC_FIELDS:
-        profile, dimensions = _ANALYTIC_FIELDS[variant]
+        dimensions = _ANALYTIC_FIELDS[variant]
         _check_keys(body, dimensions, f"{path}.{variant}.")
         for key in dimensions:
             if key != "B0" and key not in body:
                 raise MissingFieldError(f"{path}.{variant}.{key}")
-        return profile(*(_quantity(body.get(key, 0.0), f"{path}.{variant}.{key}", dimension)
-                         for key, dimension in dimensions.items()))
+        return PolynomialField(tuple(_quantity(body.get(key, 0.0), f"{path}.{variant}.{key}", dimension)
+                                     for key, dimension in dimensions.items()))
     if variant == "sampled":
         _check_keys(body, {"points"}, f"{path}.sampled.")
         if "points" not in body:

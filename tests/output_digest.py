@@ -23,7 +23,9 @@ and with `--shots 0`, and echo with --emit-plot-data; echo on trap.json with its
 there by its `0.0 -`; plain negation, -0.0, gives the same outputs, so the bitwise kernel
 tests of test_spins.py pin that rule, not this run), and on the same config the exit-3 `line:col` of
 two 1e308 s delays, whose sum overflows the sequence time while the state stays exact
-(error_time_overflow); `simulate` on trap_n10 of FRAME_PROGRAM, whose
+(error_time_overflow); `couplings` on trap.json with its gradient set to -0 T/m, whose -0.0
+gradients and -0 epsilon entries change if a uniform profile is evaluated as a quadratic one
+with c = 0 (its b + 0 z is +0.0 at z >= 0); `simulate` on trap_n10 of FRAME_PROGRAM, whose
 logged <sx> and <sy> after detuned, phased pulses depend on the frame the
 simulator evolves in; `simulate` on trap_n10 of SUBSET_PROGRAM, whose
 measurements of permuted ion subsets (`measure z 7, 3 ,1` last, so in the
@@ -53,7 +55,7 @@ trap_n10 and `--param comment` (`sweep`).
 Byte identity holds per host. numpy's SIMD dispatch and OpenBLAS's kernel
 choice reach the last bits: on an AVX-512 host,
 NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" (numpy without its
-AVX-512 loops) changes 16 of the 368 lines and OPENBLAS_CORETYPE=Haswell 14,
+AVX-512 loops) changes 16 of the 375 lines and OPENBLAS_CORETYPE=Haswell 14,
 while OPENBLAS_NUM_THREADS=1 changes none. Diff listings from one host.
 This script is not a test module and pytest does not collect it.
 """
@@ -204,6 +206,9 @@ def _commands(work: Path) -> list[tuple[str, list[str]]]:
     (work / "trap_b0.json").write_text(json.dumps(zero_j), encoding="utf-8")
     commands.append(("echo_zero_j", ["simulate", "--config", "trap_b0.json", "--program", "echo.pp",
                                      "--out", "{out}/run.json"]))
+    zero_j["field"]["uniform"]["b"] = "-0T/m"
+    (work / "trap_b_neg0.json").write_text(json.dumps(zero_j), encoding="utf-8")
+    commands.append(("couplings_negative_zero_b", ["couplings", "--config", "trap_b_neg0.json", "--out-dir", "{out}"]))
     (work / "time_overflow.pp").write_text("ions 2\ndelay 1e308s\ndelay 1e308s\nmeasure z all\n", encoding="utf-8")
     commands.append(("error_time_overflow", ["simulate", "--config", "trap_b0.json", "--program",
                                              "time_overflow.pp", "--out", "{out}/run.json"]))

@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -105,6 +107,12 @@ def test_three_ions_analytic():
     assert abs(u[2] - expected) < 1e-10
 
 
+@pytest.mark.parametrize("n", [0, 51])
+def test_equilibrium_rejects_ion_count_out_of_range(n):
+    with pytest.raises(ValueError, match=rf"^ion count must be in \[1, 50\], got {n}$"):
+        solve_equilibrium(n)
+
+
 @pytest.mark.parametrize("n", range(1, 51))
 def test_equilibrium_residual_sorted_centered(n):
     u = solve_equilibrium(n)
@@ -196,6 +204,10 @@ def test_length_scale_mass_power_law():
 
 def test_min_spacing_n10_near_7um(chain10):
     assert chain10.min_spacing_m() == pytest.approx(7e-6, rel=0.05)
+
+
+def test_min_spacing_of_one_ion_is_infinite():
+    assert solve_chain(validate_config(standard_raw(n=1))).min_spacing_m() == math.inf
 
 
 def test_spacing_scaling_law():
@@ -350,6 +362,11 @@ def test_mode_signs_match_other_lapack_driver():
         _, s = normal_modes(a)
         _, vectors = scipy.linalg.eigh(a, driver="evr")
         assert np.max(np.abs(s - sign_fixed(vectors.T))) < 1e-9, n
+
+
+def test_normal_modes_rejects_non_square():
+    with pytest.raises(ValueError, match="^dynamical matrix must be square$"):
+        normal_modes(np.zeros((2, 3)))
 
 
 def test_normal_modes_rejects_asymmetric():

@@ -1,5 +1,7 @@
 import json
+import random
 import re
+import struct
 
 import pytest
 
@@ -8,14 +10,13 @@ from gradchain.config import (
     ConfigError,
     MissingFieldError,
     OutOfRangeError,
-    QuadraticField,
+    PolynomialField,
     SampledField,
-    UniformGradientField,
     UnknownKeyError,
     load_config,
     validate_config,
 )
-from gradchain.constants import SPECIES_REGISTRY
+from gradchain.constants import SPECIES_REGISTRY, Species
 
 
 def test_standard_config():
@@ -25,15 +26,13 @@ def test_standard_config():
     # mass is 171 u exactly
     assert cfg.species.mass == pytest.approx(171.0 * AMU, rel=1e-12)
     assert cfg.species.mass == pytest.approx(2.8395e-25, rel=1e-4)
-    assert isinstance(cfg.field, UniformGradientField)
-    assert cfg.field.b == 10.0
-    assert cfg.field.b0 == 0.0
+    assert cfg.field == PolynomialField((0.0, 10.0))
 
 
 def test_defaults():
     raw = {"species": "Yb171", "N": 2, "nu1": "100kHz", "field": {"uniform": {"b": "10T/m"}}}
     cfg = validate_config(raw)
-    assert cfg.field.b0 == 0.0  # B0 defaults to zero
+    assert cfg.field.coefficients == (0.0, 10.0)  # B0 defaults to zero
     # the wavevector, resolved at validation, is omega0 / c of the microwave transition
     assert cfg.drive_wavevector == pytest.approx(2 * 3.141592653589793 * 12.6e9 / 299792458.0, rel=1e-12)
 
@@ -49,6 +48,15 @@ def test_registry_species():
     assert yb.transition_frequency_hz == 12.6e9
     assert yb.moment_state0 == 0.0
     assert yb.moment_state1 == 1.0
+
+
+@pytest.mark.parametrize("mass, frequency, message", [
+    (0.0, 12.6e9, "mass must be positive"),
+    (171.0 * AMU, -12.6e9, "transition frequency must be positive"),
+], ids=["mass", "frequency"])
+def test_species_rejects_non_positive_mass_and_frequency(mass, frequency, message):
+    with pytest.raises(ValueError, match=f"^species Xx: {message}$"):
+        Species("Xx", mass, frequency, moment_state0=0.0, moment_state1=1.0)
 
 
 def test_out_of_range_ion_count():
@@ -166,10 +174,26 @@ def test_quadratic_field():
     raw = standard_raw()
     raw["field"] = {"quadratic": {"B0": 0.0, "b": "5T/m", "c": 1000.0}}
     cfg = validate_config(raw)
-    assert isinstance(cfg.field, QuadraticField)
+    assert cfg.field == PolynomialField((0.0, 5.0, 1000.0))
     assert cfg.field.gradient_at(0.0) == 5.0
     assert cfg.field.gradient_at(1e-3) == pytest.approx(5.0 + 2.0, rel=1e-12)
     assert cfg.field.field_at(2e-3) == pytest.approx(5.0 * 2e-3 + 1000.0 * 4e-6, rel=1e-12)
+
+
+def test_polynomial_field_evaluates_the_closed_forms_bitwise():
+    # every sign of zero in every slot: a uniform field padded with c = 0 turns a -0.0 gradient into +0.0 at z >= 0
+    rng = random.Random(25)
+
+    def draw(scale):
+        return rng.choice((0.0, -0.0, scale * rng.uniform(-1.0, 1.0)))
+
+    for _ in range(400):
+        b0, b, c, z = draw(1e-3), draw(50.0), draw(1e6), draw(1e-4)  # T, T/m, T/m^2, m
+        uniform = validate_config(standard_raw() | {"field": {"uniform": {"B0": b0, "b": b}}}).field
+        assert struct.pack("<2d", uniform.field_at(z), uniform.gradient_at(z)) == struct.pack("<2d", b0 + b * z, b)
+        quadratic = validate_config(standard_raw() | {"field": {"quadratic": {"B0": b0, "b": b, "c": c}}}).field
+        assert (struct.pack("<2d", quadratic.field_at(z), quadratic.gradient_at(z))
+                == struct.pack("<2d", b0 + (b + c * z) * z, b + 2.0 * c * z))
 
 
 def test_sampled_field_interpolation():

@@ -10,7 +10,7 @@ import pytest
 from conftest import AMU, C_LIGHT, TWO_PI
 from gradchain import pulse as pulse_mod
 from gradchain.chain import solve_chain
-from gradchain.config import QuadraticField, TrapConfig, load_config, validate_config
+from gradchain.config import PolynomialField, TrapConfig, load_config, validate_config
 from gradchain.constants import Species
 from gradchain.coupling import build_report
 from gradchain.pulse import (
@@ -453,7 +453,7 @@ def mu0_quadratic_run(n, initial, fock_levels):
     and with the dressed carrier's Rabi rate, exp(-sum_j eps[j, n]^2 / 2) of the bare one, at each duration.
     """
     species = Species("mu0_test", 171.0 * AMU, 12.6e9, moment_state0=0.3, moment_state1=1.0)
-    config = TrapConfig(species, n, 1e5, QuadraticField(b0=0.0, b=10.0, c=2e5), TWO_PI * 12.6e9 / C_LIGHT)
+    config = TrapConfig(species, n, 1e5, PolynomialField((0.0, 10.0, 2e5)), TWO_PI * 12.6e9 / C_LIGHT)
     chain = solve_chain(config)
     report = build_report(config, chain)
     assert 0.02 < report.validity <= 0.03

@@ -113,6 +113,8 @@ def test_initialize_bad_labels():
         initialize(2, "0x")
     with pytest.raises(ValueError, match="^register of 17 qubits exceeds the supported maximum of 16$"):
         initialize(17, "0" * 17)
+    with pytest.raises(ValueError, match="^need at least one qubit, got 0$"):
+        initialize(0, "")
 
 
 # diagonal energies -----------------------------------------------------------
@@ -184,7 +186,9 @@ def test_kernels_match_index_array_oracles_bitwise(j_nonzero, seed):
 
 @pytest.mark.parametrize("j_nonzero", [False, True])
 def test_kernels_match_index_array_oracles_bitwise_16_qubits(j_nonzero):
-    check_kernels_bitwise(np.random.default_rng(16), 16, j_nonzero)
+    # from 15 qubits (16,384 blocks) numpy's temporary elision reorders _block_unitary's products
+    for n in (15, 16):
+        check_kernels_bitwise(np.random.default_rng(n), n, j_nonzero)
 
 
 # free evolution ----------------------------------------------------------------
@@ -334,6 +338,12 @@ def test_apply_pulse_rejects_negative_rabi_and_duration(rabi, duration, message)
     with pytest.raises(ValueError, match=f"^{message}$"):
         apply_pulse(state, rates, 1, rabi, 0.0, 0.0, duration)
     assert np.array_equal(state, initialize(2, "10"))
+
+
+def test_apply_pulse_rejects_a_table_of_another_register():
+    rates = diagonal_rates(SpinHamiltonian(np.zeros((3, 3))))  # 8 entries for a 4-amplitude state
+    with pytest.raises(ValueError, match="^state size does not match the energy table$"):
+        apply_pulse(initialize(2, "10"), rates, 1, 1.0, 0.0, 0.0, 1.0)
 
 
 # expectation values ---------------------------------------------------------------
