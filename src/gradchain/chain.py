@@ -62,8 +62,6 @@ class ChainSolution:
     mode_matrix: np.ndarray             # S, orthogonal, rows = modes
     mode_frequencies: np.ndarray        # nu_j = nu1 * lambda_j, rad/s
     ground_state_extents: np.ndarray    # dz_j = sqrt(hbar / 2 m nu_j), m
-    mass: float                         # kg
-    nu1: float                          # rad/s
 
     SIGN_CONVENTION = "largest-magnitude mode entry positive, ties to lowest ion index"
 
@@ -80,7 +78,8 @@ class ChainSolution:
             return math.inf
         return float(np.min(np.diff(self.positions)) * self.length_scale)
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, config: TrapConfig) -> dict:
+        """chain.json's document, all but the CLI's generated_at; `config` is the one the chain was solved for."""
         return {
             "ion_count": self.ion_count,
             "length_scale_m": self.length_scale,
@@ -90,8 +89,8 @@ class ChainSolution:
             "mode_frequencies_hz": (self.mode_frequencies / (2.0 * math.pi)).tolist(),
             "mode_matrix": self.mode_matrix.tolist(),
             "ground_state_extents_m": self.ground_state_extents.tolist(),
-            "axial_frequency_hz": self.nu1 / (2.0 * math.pi),
-            "mass_kg": self.mass,
+            "axial_frequency_hz": config.nu1 / (2.0 * math.pi),
+            "mass_kg": config.species.mass,
             "sign_convention": self.SIGN_CONVENTION,
         }
 
@@ -241,6 +240,4 @@ def solve_chain(config: TrapConfig) -> ChainSolution:
         mode_matrix=s,
         mode_frequencies=nu,
         ground_state_extents=extents,
-        mass=config.species.mass,
-        nu1=config.nu1,
     )

@@ -161,7 +161,7 @@ def cmd_chain(args) -> int:
     config = load_config(args.config)
     solution = chain_mod.solve_chain(config)
     if args.out:
-        _write_text({Path(args.out): _json_text(solution.to_json_dict(), not args.no_timestamp)})
+        _write_text({Path(args.out): _json_text(solution.to_json_dict(config), not args.no_timestamp)})
 
     print(f"ion chain: {config.species.name}, N={config.ion_count}, "
           f"nu1/2pi = {_fmt(config.axial_frequency_hz)} Hz")
@@ -199,9 +199,6 @@ def cmd_couplings(args) -> int:
 
 def cmd_spectrum(args) -> int:
     config = load_config(args.config)
-    if not 1 <= args.ion <= config.ion_count:
-        print(f"error: ion index {args.ion} out of range [1, {config.ion_count}]", file=sys.stderr)
-        return EXIT_INPUT
     solution = chain_mod.solve_chain(config)
     report = coupling_mod.build_report(config, solution)
     lines = coupling_mod.sideband_spectrum(solution, report, args.ion)

@@ -222,7 +222,7 @@ def sideband_spectrum(chain: ChainSolution, report: CouplingReport, ion: int) ->
     transition exists. Sorted by offset. Ion indices are 1-based.
     """
     if not 1 <= ion <= chain.ion_count:
-        raise ValueError(f"ion index must be in [1, {chain.ion_count}], got {ion}")
+        raise ValueError(f"ion index {ion} out of range [1, {chain.ion_count}]")
     idx = ion - 1
     carrier = report.shifts[idx]
     lines = [SpectralLine(float(carrier), 1.0, "carrier")]

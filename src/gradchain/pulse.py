@@ -271,8 +271,7 @@ def parse(source: str) -> PulseProgram:
 class RunRecord:
     """Everything one program execution produced."""
 
-    n_qubits: int
-    initial_label: str
+    initial_label: str         # one character per qubit
     seed: int
     shots: int
     expectation_log: list[dict]
@@ -287,7 +286,7 @@ class RunRecord:
         The final state is a (2^n, 2) float array of [real, imag] rows.
         """
         return {
-            "n_qubits": self.n_qubits,
+            "n_qubits": len(self.initial_label),
             "initial": self.initial_label,
             "seed": self.seed,
             "shots": self.shots,
@@ -374,5 +373,5 @@ def interpret(program: PulseProgram, coupling: np.ndarray, initial: str, seed: i
 
     histogram = (measurements[-1]["counts"] if measurements
                  else marginal_counts(state, tuple(range(1, n + 1)), rng, shots))
-    return RunRecord(n_qubits=n, initial_label=initial, seed=seed, shots=shots, expectation_log=log,
+    return RunRecord(initial_label=initial, seed=seed, shots=shots, expectation_log=log,
                      measurements=measurements, histogram=histogram, final_state=state, total_time_s=t)

@@ -31,7 +31,7 @@ from gradchain.chain import ChainSolution
 from gradchain.config import TrapConfig
 from gradchain.constants import CONSTANTS
 from gradchain.pulse import Delay, ExpectationLog, Pulse, PulseProgram
-from gradchain.spins import SpinHamiltonian, _block_unitary
+from gradchain.spins import _block_unitary
 
 MAX_ORACLE_QUBITS = 6
 
@@ -46,19 +46,19 @@ class Drive(NamedTuple):
     duration: float  # s, >= 0
 
 
-def j_matrix_bruteforce_oracle(grads: np.ndarray, chain: ChainSolution) -> np.ndarray:
+def j_matrix_bruteforce_oracle(grads: np.ndarray, chain: ChainSolution, mass: float) -> np.ndarray:
     """Independent J computation by expanding the squared mode-displacement sum.
 
     Expands [sum_n grad_n S[j, n] sigma_z_n]^2 per mode j over sigma_z
-    products with the mode prefactor hbar / (2 m nu_j^2) and collects the
-    pairwise coefficients; sigma_z^2 diagonal terms are constants and are
-    discarded. Exists purely as a check path for j_matrix.
+    products with the mode prefactor hbar / (2 m nu_j^2), m = `mass` in kg,
+    and collects the pairwise coefficients; sigma_z^2 diagonal terms are
+    constants and are discarded. Exists purely as a check path for j_matrix.
     """
     grads = np.asarray(grads, dtype=float)
     n_ions = chain.ion_count
     j = np.zeros((n_ions, n_ions))
     for mode in range(n_ions):
-        prefactor = CONSTANTS.hbar / (2.0 * chain.mass * chain.mode_frequencies[mode] ** 2)
+        prefactor = CONSTANTS.hbar / (2.0 * mass * chain.mode_frequencies[mode] ** 2)
         row = chain.mode_matrix[mode]
         for n in range(n_ions):
             for l in range(n_ions):
@@ -191,6 +191,22 @@ def equilibrium_oracle(n: int, digits: int = 50) -> list:
         return sorted(root[m] for m in range(n))
 
 
+def dynamical_matrix_oracle(u: list) -> mpmath.matrix:
+    """The dynamical matrix at positions u (mpf values, chain units), at mpmath's working precision.
+
+    A[n, l] = -2 |u_n - u_l|^-3 off the diagonal; each diagonal entry is 1
+    less its row's off-diagonal sum, the trap plus the Coulomb curvature.
+    """
+    n = len(u)
+    a = mpmath.matrix(n, n)
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                a[i, j] = -2 / abs(u[i] - u[j]) ** 3
+        a[i, i] = 1 - sum(a[i, j] for j in range(n) if j != i)
+    return a
+
+
 # dense-matrix verification path -------------------------------------------
 
 _SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)  # sigma_z|1> = +|1>
@@ -226,15 +242,16 @@ def _expm_scaled_series(a: np.ndarray) -> np.ndarray:
 
 
 def evolve_oracle(
-    state: np.ndarray, h: SpinHamiltonian, drives: list[Drive], t: float
+    state: np.ndarray, coupling: np.ndarray, drives: list[Drive], t: float
 ) -> np.ndarray:
     """Dense-matrix evolution used only to validate the fast paths.
 
-    Builds the full RWA Hamiltonian from explicit Pauli operators (in the
-    rotating frame of the single drive, if any) and exponentiates it.
+    Builds the full RWA Hamiltonian of the J matrix `coupling` (rad/s) from
+    explicit Pauli operators (in the rotating frame of the single drive, if
+    any) and exponentiates it.
     Returns a new state; the input is untouched.
     """
-    n = len(h.coupling)
+    n = len(coupling)
     if n > MAX_ORACLE_QUBITS:
         raise OracleTooLargeError(n)
     if len(drives) > 1:
@@ -245,7 +262,7 @@ def evolve_oracle(
     z_ops = [_operator_on(_SIGMA_Z, ion, n) for ion in range(1, n + 1)]
     for a in range(n):
         for b in range(a + 1, n):
-            ham -= 0.5 * h.coupling[a, b] * (z_ops[a] @ z_ops[b])
+            ham -= 0.5 * coupling[a, b] * (z_ops[a] @ z_ops[b])
 
     rotating_ion = None
     if drives:
@@ -376,12 +393,12 @@ def label_tally(draws, ions) -> dict[str, int]:
 
 # index-array kernels, bitwise references for gradchain.spins -----------------
 
-def diagonal_rates_oracle(h: SpinHamiltonian) -> np.ndarray:
-    """E(b)/hbar for every basis state from the full sign table, rad/s."""
-    n = len(h.coupling)
+def diagonal_rates_oracle(coupling: np.ndarray) -> np.ndarray:
+    """E(b)/hbar in rad/s for every basis state of the J matrix `coupling` (rad/s), from the full sign table."""
+    n = len(coupling)
     b = np.arange(1 << n, dtype=np.int64)
     s = 2.0 * ((b[:, None] >> np.arange(n)[None, :]) & 1) - 1.0
-    return 0.0 - 0.25 * np.einsum("bn,nl,bl->b", s, h.coupling, s)
+    return 0.0 - 0.25 * np.einsum("bn,nl,bl->b", s, coupling, s)
 
 
 def _pair_indices(n: int, ion: int) -> tuple[np.ndarray, np.ndarray]:
@@ -393,17 +410,17 @@ def _pair_indices(n: int, ion: int) -> tuple[np.ndarray, np.ndarray]:
     return b0, b0 | mask
 
 
-def free_evolution_oracle(state: np.ndarray, h: SpinHamiltonian, t: float) -> np.ndarray:
+def free_evolution_oracle(state: np.ndarray, coupling: np.ndarray, t: float) -> np.ndarray:
     """Diagonal evolution with one exponential per basis state, in place."""
-    state *= np.exp(-1j * diagonal_rates_oracle(h) * t)
+    state *= np.exp(-1j * diagonal_rates_oracle(coupling) * t)
     return state
 
 
-def apply_pulse_oracle(state: np.ndarray, h: SpinHamiltonian, ion: int, rabi: float, tone: float, phase: float,
+def apply_pulse_oracle(state: np.ndarray, coupling: np.ndarray, ion: int, rabi: float, tone: float, phase: float,
                        duration: float) -> np.ndarray:
     """One single-tone pulse with its 2x2 blocks gathered and scattered by index arrays, in place."""
-    rates = diagonal_rates_oracle(h)
-    b0, b1 = _pair_indices(len(h.coupling), ion)
+    rates = diagonal_rates_oracle(coupling)
+    b0, b1 = _pair_indices(len(coupling), ion)
     delta = rates[b1] - rates[b0] - tone
     u00, u01, u10, u11 = _block_unitary(delta, rabi, phase, duration)
     a0 = state[b0]

@@ -48,7 +48,9 @@ unknown species (`chain`), ions outside a sampled field profile
 (`couplings`), `--initial 1x` and a 17-ion register (`simulate`), a unit
 on the curvature `c` (`chain`), a `nu1` that is the JSON integer 10^400
 (`couplings`), a gradient `b` given twice in one object (`couplings`,
-error_duplicate_key), `--ion x` (`spectrum`), `--shots` of 10^14 and `--seed -1`
+error_duplicate_key), `--ion x` and `--ion 3` on trap.json (`spectrum`, the
+latter error_spectrum_ion: its stderr line comes from the one ion check,
+`coupling.sideband_spectrum`'s), `--shots` of 10^14 and `--seed -1`
 (`simulate`, the latter error_seed_negative), and the sweep
 bounds `1_00_000` and `nan`, `--steps ３`, `--steps` of 10^12, `delta_shift[1_0]` on
 trap_n10 and `--param comment` (`sweep`).

@@ -93,7 +93,7 @@ def test_criterion_04_j_oracle_equivalence():
             cfg = validate_config(standard_raw(n=n) | {"field": field})
             grads = omega_gradients(cfg, chain)
             fast = j_matrix(epsilon_matrix(grads, chain), chain)
-            slow = j_matrix_bruteforce_oracle(grads, chain)
+            slow = j_matrix_bruteforce_oracle(grads, chain, YB_MASS)
             scale = float(np.max(np.abs(fast)))
             if scale > 0:
                 worst = max(worst, float(np.max(np.abs(fast - slow))) / scale)
@@ -148,8 +148,7 @@ def test_criterion_08_dynamics_oracle():
         j = rng.uniform(-1e3, 1e3, (n, n)) * TWO_PI
         j = 0.5 * (j + j.T)
         np.fill_diagonal(j, 0.0)
-        h = SpinHamiltonian(j)
-        rates = diagonal_rates(h)
+        rates = diagonal_rates(SpinHamiltonian(j))
         amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         state = amps / np.linalg.norm(amps)
 
@@ -157,7 +156,7 @@ def test_criterion_08_dynamics_oracle():
             t = float(rng.uniform(0, 2e-3))
             fast = state.copy()
             free_evolution(fast, rates, t)
-            dense = evolve_oracle(state, h, [], t)
+            dense = evolve_oracle(state, j, [], t)
         else:
             pulse = Drive(
                 int(rng.integers(1, n + 1)),
@@ -168,7 +167,7 @@ def test_criterion_08_dynamics_oracle():
             )
             fast = state.copy()
             apply_pulse(fast, rates, *pulse)
-            dense = evolve_oracle(state, h, [pulse], pulse.duration)
+            dense = evolve_oracle(state, j, [pulse], pulse.duration)
         deficit = 1.0 - abs(np.vdot(fast, dense))
         worst = max(worst, deficit)
     elapsed = time.perf_counter() - started

@@ -1,11 +1,13 @@
+import json
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import E_CHARGE, EPS0, HBAR, TWO_PI, YB_MASS, standard_raw
+from conftest import E_CHARGE, EPS0, HBAR, MU_B, TWO_PI, YB_MASS, standard_raw
 from gradchain import chain as chain_mod
 from gradchain.chain import (
     NoConvergenceError,
@@ -18,7 +20,12 @@ from gradchain.chain import (
     stationarity_residual,
 )
 from gradchain.config import validate_config
-from oracles import equilibrium_oracle
+from oracles import dynamical_matrix_oracle, equilibrium_oracle
+
+GOLDEN = Path(__file__).parent / "golden"
+CONFIGS = Path(__file__).parents[1] / "configs"
+# lambda^2 and the upper triangle of A^-1 in Coulomb units, by ion count, as 25-digit strings
+GOLDEN_CHAIN = json.loads((GOLDEN / "chain_coulomb_units.json").read_text(encoding="utf-8"))
 
 
 def dimensionless_potential(u):
@@ -47,14 +54,7 @@ def sign_fixed(rows):
 def mpmath_modes(n, digits=50):
     """Modes of the 50-digit dynamical matrix at the 50-digit equilibrium."""
     with mpmath.workdps(digits):
-        u = equilibrium_oracle(n, digits)
-        a = mpmath.matrix(n, n)
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    a[i, j] = -2 / abs(u[i] - u[j]) ** 3
-            a[i, i] = 1 - sum(a[i, j] for j in range(n) if j != i)
-        eigenvalues, vectors = mpmath.eigsy(a)
+        eigenvalues, vectors = mpmath.eigsy(dynamical_matrix_oracle(equilibrium_oracle(n, digits)))
         lam2 = np.array([float(x) for x in eigenvalues])
         rows = np.array(vectors.T.tolist(), dtype=float)
     order = np.argsort(lam2)
@@ -301,6 +301,29 @@ def test_modes_match_dense_diagonalization(n):
         assert np.max(np.abs(s - s_mp)) < 1e-12
 
 
+def test_modes_match_coulomb_unit_golden():
+    """lambda^2, A^-1 = S^T diag(1/lambda^2) S and trap_n10's max J against tests/make_chain_golden.py's 25 digits."""
+    # worst seen: lambda^2 4.2e-14 relative (N = 50), A^-1 1.0e-14 of max |A^-1| (N = 50), max J 8.9e-16
+    for size, golden in GOLDEN_CHAIN.items():
+        n = int(size)
+        lam2, s = normal_modes(dynamical_matrix(solve_equilibrium(n)))
+        want = np.array([float(x) for x in golden["lambda_squared"]])
+        assert np.max(np.abs(lam2 - want) / want) < 1e-13, n
+        inverse = np.array([float(x) for x in golden["inverse_upper"]])
+        assert np.max(np.abs(((s.T / lam2) @ s)[np.triu_indices(n)] - inverse)) < 3e-14 * np.max(np.abs(inverse)), n
+
+    # configs/trap_n10.json: J_nl = (hbar / 2 m nu1^2) g_n g_l (A^-1)_nl, g = mu_B b / hbar for Yb171
+    trap = json.loads((CONFIGS / "trap_n10.json").read_text(encoding="utf-8"))
+    assert (trap["species"], trap["N"], trap["nu1"]) == ("Yb171", 10, "100kHz")
+    assert trap["field"] == {"uniform": {"b": "10T/m"}}
+    rows, cols = np.triu_indices(10)
+    upper = np.array([float(x) for x in GOLDEN_CHAIN["10"]["inverse_upper"]])
+    grad = MU_B * 10.0 / HBAR
+    max_j_hz = HBAR / (2.0 * YB_MASS * (TWO_PI * 1e5) ** 2) * grad**2 * np.max(upper[rows != cols]) / TWO_PI
+    golden_j = float((GOLDEN / "n10_max_j_hz.txt").read_text().strip())
+    assert max_j_hz == pytest.approx(golden_j, rel=5e-15, abs=0.0)
+
+
 def test_mode_sign_convention():
     # in a harmonic trap every mode is symmetric or antisymmetric, so every
     # row has |S[j, n]| = |S[j, N+1-n]|: the tie rule decides every sign
@@ -393,9 +416,11 @@ def test_ground_state_extent_17nm(chain2):
     assert chain2.ground_state_extents[0] == pytest.approx(17.2e-9, rel=0.01)
 
 
-def test_chain_json_dict(chain10):
-    doc = chain10.to_json_dict()
+def test_chain_json_dict(config10, chain10):
+    doc = chain10.to_json_dict(config10)
     assert doc["ion_count"] == 10
+    assert doc["axial_frequency_hz"] == pytest.approx(1e5, rel=1e-15)
+    assert doc["mass_kg"] == YB_MASS
     assert len(doc["positions_m"]) == 10
     assert doc["positions_m"][0] == pytest.approx(
         doc["positions_dimensionless"][0] * doc["length_scale_m"], rel=1e-15

@@ -137,7 +137,7 @@ def test_spectrum_lines(trap2, tmp_path):
 def test_spectrum_bad_ion(trap2, tmp_path, capsys):
     code = main(["spectrum", "--config", trap2, "--ion", "7", "--out", str(tmp_path / "x.csv")])
     assert code == 2
-    assert "ion index" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: ion index 7 out of range [1, 2]\n"
 
 
 def test_spectrum_plot_data(trap2, tmp_path):
@@ -833,7 +833,7 @@ def test_write_json_small_runs(tmp_path, case):
     [1.0 + 0.0j, complex(math.nan, 1.0), complex(math.inf, -math.inf), 0.0j],  # json spells NaN, Infinity
 ])
 def test_write_json_float_spellings(tmp_path, amplitudes):
-    record = RunRecord(n_qubits=2, initial_label="00", seed=0, shots=0, expectation_log=[], measurements=[],
+    record = RunRecord(initial_label="00", seed=0, shots=0, expectation_log=[], measurements=[],
                        histogram={}, final_state=np.array(amplitudes), total_time_s=0.0)
     doc = {"final_state": record.to_json_dict()["final_state"], "counts": {}, "empty": []}
     out = tmp_path / "state.json"

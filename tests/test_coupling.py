@@ -142,13 +142,13 @@ def test_n10_max_j_within_order_of_magnitude(report10):
 
 def test_oracle_equivalence_three_ions_positive():
     cfg, chain = make(n=3)
-    j = j_matrix_bruteforce_oracle(omega_gradients(cfg, chain), chain)
+    j = j_matrix_bruteforce_oracle(omega_gradients(cfg, chain), chain, YB_MASS)
     assert j[0, 1] > 0 and j[0, 2] > 0 and j[1, 2] > 0
 
 
 def test_oracle_single_ion_empty():
     cfg, chain = make(n=1)
-    assert np.all(j_matrix_bruteforce_oracle(omega_gradients(cfg, chain), chain) == 0.0)
+    assert np.all(j_matrix_bruteforce_oracle(omega_gradients(cfg, chain), chain, YB_MASS) == 0.0)
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -158,7 +158,7 @@ def test_oracle_equivalence_random_profiles(n):
     for _ in range(6):
         grads = rng.uniform(-1e12, 1e12, n)
         a = j_matrix(epsilon_matrix(grads, chain), chain)
-        b = j_matrix_bruteforce_oracle(grads, chain)
+        b = j_matrix_bruteforce_oracle(grads, chain, YB_MASS)
         scale = np.max(np.abs(a))
         assert np.max(np.abs(a - b)) <= 1e-12 * scale
         assert np.allclose(a, a.T, atol=0)
@@ -332,8 +332,9 @@ def test_spectrum_zero_gradient_carrier_only():
 
 
 def test_spectrum_rejects_bad_ion(config2, chain2, report2):
-    with pytest.raises(ValueError):
-        sideband_spectrum(chain2, report2, 3)
+    for ion in (0, 3):
+        with pytest.raises(ValueError, match=rf"^ion index {ion} out of range \[1, 2\]$"):
+            sideband_spectrum(chain2, report2, ion)
 
 
 # report ------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 
 import gradchain
 from gradchain.chain import ChainSolution
+from gradchain.pulse import interpret, parse
 
 SRC = Path(gradchain.__file__).resolve().parents[1]
 CONFIGS = SRC.parent / "configs"
@@ -66,10 +67,18 @@ def test_all_is_what_callers_import_from_the_root():
     assert set(gradchain.__all__) == set().union(*map(root_imports, sources))
 
 
-def test_records_keep_one_copy_of_each_value(config2, report2):
+def test_records_keep_one_copy_of_each_value(config2, chain2, report2):
     assert not hasattr(config2, "mass")
     assert not hasattr(report2, "sign_convention")
     assert report2.to_json_dict()["sign_convention"] == ChainSolution.SIGN_CONVENTION
+    # the chain's mass and axial frequency are the config's, and a run's qubit count is its label's length
+    assert not hasattr(chain2, "mass") and not hasattr(chain2, "nu1")
+    chain_doc = chain2.to_json_dict(config2)
+    assert chain_doc["axial_frequency_hz"] == pytest.approx(config2.axial_frequency_hz, rel=1e-15)
+    assert chain_doc["mass_kg"] == config2.species.mass
+    record = interpret(parse("ions 2\n"), report2.j_matrix, "01", seed=0, shots=0)
+    assert not hasattr(record, "n_qubits")
+    assert record.to_json_dict()["n_qubits"] == 2
 
 
 def test_readme_library_tour_runs():
