@@ -21,7 +21,7 @@ import math
 import os
 import sys
 import time
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from datetime import datetime, timezone
 from itertools import chain, repeat
 from pathlib import Path
@@ -157,6 +157,11 @@ def _matrix_text(matrix: np.ndarray, row_label: str) -> list[str]:
     return _table_text(header, [[str(r), *map(_fmt, row)] for r, row in enumerate(matrix, start=1)])
 
 
+def _report(config: TrapConfig) -> coupling_mod.CouplingReport:
+    """The coupling report of a config, from its solved chain."""
+    return coupling_mod.build_report(config, chain_mod.solve_chain(config))
+
+
 def cmd_chain(args) -> int:
     config = load_config(args.config)
     solution = chain_mod.solve_chain(config)
@@ -180,8 +185,7 @@ def cmd_chain(args) -> int:
 
 def cmd_couplings(args) -> int:
     config = load_config(args.config)
-    solution = chain_mod.solve_chain(config)
-    report = coupling_mod.build_report(config, solution)
+    report = _report(config)
     out_dir = Path(args.out_dir)
 
     two_pi = 2.0 * math.pi
@@ -226,8 +230,7 @@ def cmd_simulate(args) -> int:
         print(f"error: {args.program}:{exc}", file=sys.stderr)
         return EXIT_PROGRAM
 
-    solution = chain_mod.solve_chain(config)
-    report = coupling_mod.build_report(config, solution)
+    report = _report(config)
     initial = args.initial if args.initial is not None else "0" * config.ion_count
     started = time.perf_counter()
     try:
@@ -255,7 +258,12 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-_SWEEP_QUANTITIES = ("max_J", "epsilon", "min_spacing")
+# name -> the quantity at one sweep point's config; delta_shift[j] is read by _sweep_quantity
+_SWEEP_QUANTITIES = {
+    "max_J": lambda config: float(np.max(np.abs(_report(config).j_matrix))) / (2.0 * math.pi),
+    "epsilon": lambda config: _report(config).validity,
+    "min_spacing": lambda config: chain_mod.solve_chain(config).min_spacing_m(),  # builds no report
+}
 MAX_SWEEP_STEPS = 10**5  # every point's CSV row (~210 B) is held until the table is written: ~21 MB at the bound
 
 
@@ -269,7 +277,7 @@ def _sweep_values(start: float, stop: float, steps: int, scale: str) -> np.ndarr
         raise ValueError("sweep endpoints must differ")
     if scale not in ("linear", "log"):
         raise ValueError(f"scale must be linear or log, got {scale!r}")
-    if scale == "log" and start * stop <= 0.0:
+    if scale == "log" and not (min(start, stop) > 0.0 or max(start, stop) < 0.0):  # not start * stop: it underflows
         raise ValueError("log sweeps need nonzero endpoints of the same sign")
     if scale == "linear" and not math.isfinite(stop - start):
         raise ValueError("linear sweep range stop - start overflows")
@@ -278,12 +286,12 @@ def _sweep_values(start: float, stop: float, steps: int, scale: str) -> np.ndarr
     return np.linspace(start, stop, steps)
 
 
-def _sweep_ion(quantity: str, ion_count: int) -> int:
-    """Check a sweep quantity against the base config; the ion j of delta_shift[j], 0 for the others."""
+def _sweep_quantity(quantity: str, ion_count: int) -> Callable[[TrapConfig], float]:
+    """Check a sweep quantity against the base config; the function that gives its value at a point's config."""
     if quantity == "min_spacing" and ion_count < 2:
         raise ValueError(f"sweep quantity min_spacing needs at least 2 ions, config has N={ion_count}")
     if quantity in _SWEEP_QUANTITIES:
-        return 0
+        return _SWEEP_QUANTITIES[quantity]
     try:
         if not (quantity.startswith("delta_shift[") and quantity.endswith("]")):
             raise ValueError
@@ -293,19 +301,7 @@ def _sweep_ion(quantity: str, ion_count: int) -> int:
                          f"(supported: {', '.join(_SWEEP_QUANTITIES)}, delta_shift[j])") from None
     if not 1 <= ion <= ion_count:
         raise ValueError(f"sweep quantity {quantity!r}: ion index {ion} out of range [1, {ion_count}]")
-    return ion
-
-
-def _sweep_value(quantity: str, ion: int, config: TrapConfig) -> float:
-    solution = chain_mod.solve_chain(config)
-    if quantity == "min_spacing":
-        return solution.min_spacing_m()
-    report = coupling_mod.build_report(config, solution)
-    if quantity == "max_J":
-        return float(np.max(np.abs(report.j_matrix))) / (2.0 * math.pi)
-    if quantity == "epsilon":
-        return report.validity
-    return float(report.shifts[ion - 1]) / (2.0 * math.pi)
+    return lambda config: float(_report(config).shifts[ion - 1]) / (2.0 * math.pi)
 
 
 def _with_value(raw: dict, dotted: str, value) -> dict:
@@ -344,14 +340,14 @@ def _parse_sweep_bound(text: str, raw: dict, parameter: str) -> float:
 
 def cmd_sweep(args) -> int:
     raw = read_document(args.config)
-    ion = _sweep_ion(args.quantity, validate_config(raw).ion_count)  # fail early on a bad base config or quantity
+    evaluate = _sweep_quantity(args.quantity, validate_config(raw).ion_count)  # fail early on a bad config or quantity
     values = _sweep_values(_parse_sweep_bound(getattr(args, "from"), raw, args.param),
                            _parse_sweep_bound(args.to, raw, args.param), args.steps, args.scale)
 
     rows = []
     for value in values:
         point = validate_config(_with_value(raw, args.param, float(value)))
-        rows.append([_fmt(value), _fmt(_sweep_value(args.quantity, ion, point))])
+        rows.append([_fmt(value), _fmt(evaluate(point))])
     _write_text(_table_files(Path(args.out), [args.param, args.quantity], rows, args.emit_plot_data))
     print(f"swept {args.param} over {args.steps} points -> {args.quantity}")
     return EXIT_OK

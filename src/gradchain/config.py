@@ -17,7 +17,7 @@ from collections.abc import Collection
 from dataclasses import dataclass
 
 from .constants import CONSTANTS, SPECIES_REGISTRY, Species
-from .units import FREQUENCY, QuantityError, read_value
+from .units import FIELD, FREQUENCY, GRADIENT, LENGTH, QuantityError, read_value
 
 MAX_IONS = 50
 
@@ -148,8 +148,8 @@ def _check_keys(doc: dict, allowed: Collection[str], prefix: str = "") -> None:
 
 # variant -> its keys in coefficient order with their dimensions; B0 defaults to 0 T, the rest are required
 _ANALYTIC_FIELDS = {
-    "uniform": {"B0": "field", "b": "gradient"},
-    "quadratic": {"B0": "field", "b": "gradient", "c": "curvature in T/m^2"},  # no unit carries c
+    "uniform": {"B0": FIELD, "b": GRADIENT},
+    "quadratic": {"B0": FIELD, "b": GRADIENT, "c": "curvature in T/m^2"},  # no unit carries c
 }
 
 
@@ -179,8 +179,8 @@ def _parse_field(raw, path: str = "field") -> FieldProfile:
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise OutOfRangeError(f"{path}.sampled.points[{i}]", "expected a [z, B] pair")
             parsed.append((
-                _quantity(pair[0], f"{path}.sampled.points[{i}].z", "length"),
-                _quantity(pair[1], f"{path}.sampled.points[{i}].B", "field"),
+                _quantity(pair[0], f"{path}.sampled.points[{i}].z", LENGTH),
+                _quantity(pair[1], f"{path}.sampled.points[{i}].B", FIELD),
             ))
         return SampledField(points=tuple(parsed))
     raise UnknownKeyError(f"{path}.{variant}", {"uniform", "quadratic", "sampled"})

@@ -3,7 +3,8 @@ import pytest
 
 from gradchain.chain import solve_chain
 from gradchain.cli import _json_pieces
-from gradchain.config import validate_config
+from gradchain.config import PolynomialField, TrapConfig, validate_config
+from gradchain.constants import Species
 from gradchain.coupling import build_report
 
 # Reference constants, duplicated as literals on purpose: test expectations
@@ -17,6 +18,12 @@ C_LIGHT = 299792458.0
 TWO_PI = 2.0 * np.pi
 
 YB_MASS = 171.0 * AMU
+
+
+def mu0_quadratic_config(n, moments=(0.3, 1.0)):
+    """n ions of Yb171's mass and splitting, level moments (mu0, mu1) = `moments`, in B = 10 z + 2e5 z^2 at 100 kHz."""
+    species = Species("mu0_test", 171.0 * AMU, 12.6e9, moment_state0=moments[0], moment_state1=moments[1])
+    return TrapConfig(species, n, 1e5, PolynomialField((0.0, 10.0, 2e5)), TWO_PI * 12.6e9 / C_LIGHT)
 
 
 def json_text(node) -> str:

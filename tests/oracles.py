@@ -26,6 +26,8 @@ from typing import NamedTuple
 
 import mpmath
 import numpy as np
+from scipy import sparse
+from scipy.linalg import eigh
 
 from gradchain.chain import ChainSolution
 from gradchain.config import TrapConfig
@@ -68,7 +70,8 @@ def j_matrix_bruteforce_oracle(grads: np.ndarray, chain: ChainSolution, mass: fl
     return j
 
 
-def carrier_shift_oracle(config: TrapConfig, chain: ChainSolution, fock_levels: int = 12) -> np.ndarray:
+def carrier_shift_oracle(config: TrapConfig, chain: ChainSolution, fock_levels: int = 12,
+                         curvature: bool = False) -> np.ndarray:
     """Centre of each ion's conditional resonance lines, rad/s from its qubit frequency, by diagonalization.
 
     H/hbar = sum_j [w0_j |0><0|_j + w1_j |1><1|_j] + sum_n nu_n a_n^dagger a_n,
@@ -82,20 +85,48 @@ def carrier_shift_oracle(config: TrapConfig, chain: ChainSolution, fock_levels: 
     configuration of the others is the energy with ion j in |1> less the
     energy with it in |0>; the midpoint of its lowest and highest line is
     returned. Visits all 2^N configurations, so keep N small.
+
+    With `curvature`, w_s is exact for a field B = B0 + b z + c z^2: each
+    level also takes mu_s mu_B c q_j^2 / hbar. Those terms couple the modes,
+    so each configuration's ground energy is the lowest eigenvalue of the
+    whole multimode Hamiltonian in fock_levels^N Fock states.
     """
     n = chain.ion_count
+    moments = (config.species.moment_state0, config.species.moment_state1)
     slopes = [[mu * CONSTANTS.bohr_magneton * config.field.gradient_at(z) / CONSTANTS.hbar
                for z in chain.positions_m]
-              for mu in (config.species.moment_state0, config.species.moment_state1)]  # [level][ion]
+              for mu in moments]  # [level][ion]
     lower = np.diag(np.sqrt(np.arange(1.0, fock_levels)), 1)  # a in the Fock basis
     number = np.diag(np.arange(float(fock_levels)))
+    if curvature:
+        coefficients = config.field.coefficients  # a PolynomialField, lowest order first
+        assert len(coefficients) <= 3, "the q^2 term is exact only up to a quadratic field"
+        c = coefficients[2] if len(coefficients) == 3 else 0.0
+        bends = [mu * CONSTANTS.bohr_magneton * c / CONSTANTS.hbar for mu in moments]  # [level]
+
+        def on_mode(op, mode):
+            out = sparse.identity(1)
+            for m in range(n):
+                out = sparse.kron(out, op if m == mode else sparse.identity(fock_levels), format="csr")
+            return out
+
+        motion = sum(nu * on_mode(number, m) for m, nu in enumerate(chain.mode_frequencies))
+        positions = [on_mode(lower + lower.T, m) for m in range(n)]
+        q = [sum(chain.ground_state_extents[m] * chain.mode_matrix[m, ion] * positions[m] for m in range(n))
+             for ion in range(n)]
+        q_squared = [qj @ qj for qj in q]
     energy = []
     for bits in range(1 << n):
+        levels = [(bits >> ion) & 1 for ion in range(n)]
+        if curvature:
+            ham = motion + sum(slopes[s][ion] * q[ion] + bends[s] * q_squared[ion] for ion, s in enumerate(levels))
+            energy.append(eigh(ham.toarray(), eigvals_only=True, subset_by_index=(0, 0))[0])
+            continue
         total = 0.0
         for mode in range(n):
             nu = chain.mode_frequencies[mode]
             force = chain.ground_state_extents[mode] * sum(
-                slopes[(bits >> ion) & 1][ion] * chain.mode_matrix[mode, ion] for ion in range(n))
+                slopes[levels[ion]][ion] * chain.mode_matrix[mode, ion] for ion in range(n))
             total += nu * np.linalg.eigvalsh(number + force / nu * (lower + lower.T))[0]
         energy.append(total)
     centres = []

@@ -16,7 +16,9 @@ ion (the last with --emit-plot-data) and a 7-point log sweep of `max_J`
 over `nu1`, on each shipped config; a 5-point linear sweep of `max_J`
 over `field.uniform.b` on trap.json with --emit-plot-data; a 5-point
 linear sweep of the carrier shift `delta_shift[1]` over
-`field.quadratic.b` on trap_quadratic.json; `simulate` of
+`field.quadratic.b` on trap_quadratic.json; 4-point linear sweeps of
+`epsilon` and of `min_spacing` over `nu1` on trap_n10.json, so that every
+sweep quantity is covered; `simulate` of
 cnot, ramsey and echo with CLI defaults, with `--seed 5 --shots 3000`
 and with `--shots 0`, and echo with --emit-plot-data; echo on trap.json with its gradient set to
 0 T/m, where J = 0 and every energy is a signed zero (`spins.diagonal_rates` writes +0.0
@@ -57,7 +59,7 @@ trap_n10 and `--param comment` (`sweep`).
 Byte identity holds per host. numpy's SIMD dispatch and OpenBLAS's kernel
 choice reach the last bits: on an AVX-512 host,
 NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" (numpy without its
-AVX-512 loops) changes 16 of the 375 lines and OPENBLAS_CORETYPE=Haswell 14,
+AVX-512 loops) changes 16 of the 385 lines and OPENBLAS_CORETYPE=Haswell 14,
 while OPENBLAS_NUM_THREADS=1 changes none. Diff listings from one host.
 This script is not a test module and pytest does not collect it.
 """
@@ -193,6 +195,10 @@ def _commands(work: Path) -> list[tuple[str, list[str]]]:
     commands.append(("quadratic_sweep_shift", ["sweep", "--config", "trap_quadratic.json", "--param",
                                                "field.quadratic.b", "--from", "1T/m", "--to", "20T/m", "--steps",
                                                "5", "--quantity", "delta_shift[1]", "--out", "{out}/sweep.csv"]))
+    for quantity in ("epsilon", "min_spacing"):
+        commands.append((f"n10_sweep_{quantity}", ["sweep", "--config", "trap_n10.json", "--param", "nu1", "--from",
+                                                   "50kHz", "--to", "200kHz", "--steps", "4", "--quantity", quantity,
+                                                   "--out", "{out}/sweep.csv"]))
     for program in PROGRAMS:
         stem = program.removesuffix(".pp")
         base = ["simulate", "--config", "trap.json", "--program", program, "--out", "{out}/run.json"]

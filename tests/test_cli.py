@@ -582,6 +582,85 @@ def test_sweep_spec_validation():
         _sweep_values(-1.7e308, 1.7e308, 3, "linear")  # linspace would step by inf
 
 
+@pytest.mark.parametrize("start, stop", [(0.0, 1.0), (-0.0, 1.0), (1.0, -0.0), (-1.0, 0.0)])
+def test_log_sweep_rejects_a_zero_endpoint(start, stop):
+    with pytest.raises(ValueError, match=r"^log sweeps need nonzero endpoints of the same sign$"):
+        _sweep_values(start, stop, 3, "log")
+
+
+@pytest.mark.parametrize("start, stop", [(1e-200, 1e-180), (-1e-180, -1e-200), (5e-324, 1e-300)])
+def test_log_sweep_takes_endpoints_of_any_magnitude(start, stop):
+    # the product of the endpoints underflows to 0, but both are nonzero and of one sign
+    values = _sweep_values(start, stop, 3, "log")
+    assert values[0] == pytest.approx(start, rel=1e-12) and values[-1] == pytest.approx(stop, rel=1e-12)
+    assert np.all(np.sign(values) == math.copysign(1.0, start))
+
+
+def test_log_sweep_of_a_tiny_offset_field(trap2, tmp_path):
+    out = tmp_path / "s.csv"
+    code = main(["sweep", "--config", trap2, "--param", "field.uniform.B0", "--from", "1e-200", "--to", "1e-180",
+                 "--scale", "log", "--steps", "3", "--quantity", "max_J", "--out", str(out)])
+    assert code == 0
+    _, rows = read_csv(out)
+    assert [r[0] for r in rows] == ["1e-200", "1e-190", "1e-180"]
+    assert len({r[1] for r in rows}) == 1  # an offset field moves no coupling
+
+
+# quantity -> its value at one config, from the library
+SWEEP_QUANTITY_VALUES = {
+    "max_J": lambda config: float(np.max(np.abs(build_report(config, solve_chain(config)).j_matrix))) / TWO_PI,
+    "epsilon": lambda config: build_report(config, solve_chain(config)).validity,
+    "min_spacing": lambda config: solve_chain(config).min_spacing_m(),
+    "delta_shift[2]": lambda config: float(build_report(config, solve_chain(config)).shifts[1]) / TWO_PI,
+}
+
+
+@pytest.mark.parametrize("quantity", SWEEP_QUANTITY_VALUES)
+def test_sweep_rows_are_the_library_values(tmp_path, quantity):
+    # three ions in a quadratic field: every ion has its own gradient, so each quantity differs from the others
+    raw = standard_raw(n=3) | {"field": {"quadratic": {"b": "10T/m", "c": 2e5}}}
+    config = tmp_path / "trap3.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "s.csv"
+    code = main(["sweep", "--config", str(config), "--param", "nu1", "--from", "50kHz", "--to", "200kHz",
+                 "--steps", "4", "--quantity", quantity, "--out", str(out)])
+    assert code == 0
+    header, rows = read_csv(out)
+    assert header == ["nu1", quantity]
+    points = [5e4, 1e5, 1.5e5, 2e5]
+    assert rows == [[_fmt(nu), _fmt(SWEEP_QUANTITY_VALUES[quantity](validate_config(raw | {"nu1": nu})))]
+                    for nu in points]
+
+
+# two ions whose equilibrium (z = -/+ 12.7 um at 50 kHz, -/+ 8.0 um at 100 kHz) lies outside the sampled field
+OUTSIDE_PROFILE = standard_raw(n=2) | {"field": {"sampled": {"points": [["-1um", "0T"], ["1um", "1e-6T"]]}}}
+
+
+def test_sweep_min_spacing_builds_no_report(tmp_path):
+    config = tmp_path / "outside.json"
+    config.write_text(json.dumps(OUTSIDE_PROFILE), encoding="utf-8")
+    out = tmp_path / "s.csv"
+    code = main(["sweep", "--config", str(config), "--param", "nu1", "--from", "50kHz", "--to", "100kHz",
+                 "--steps", "2", "--quantity", "min_spacing", "--out", str(out)])
+    assert code == 0
+    _, rows = read_csv(out)
+    assert rows == [[_fmt(nu), _fmt(solve_chain(validate_config(OUTSIDE_PROFILE | {"nu1": nu})).min_spacing_m())]
+                    for nu in (5e4, 1e5)]
+
+
+@pytest.mark.parametrize("quantity", ["max_J", "epsilon", "delta_shift[1]"])
+def test_sweep_report_quantities_fail_outside_the_profile(tmp_path, capsys, quantity):
+    config = tmp_path / "outside.json"
+    config.write_text(json.dumps(OUTSIDE_PROFILE), encoding="utf-8")
+    out = tmp_path / "s.csv"
+    code = main(["sweep", "--config", str(config), "--param", "nu1", "--from", "50kHz", "--to", "100kHz",
+                 "--steps", "2", "--quantity", quantity, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: position z=") and "outside sampled profile range [-1e-06, 1e-06] m" in err
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("quantity, message", [
     ("bogus", "unknown sweep quantity 'bogus'"),

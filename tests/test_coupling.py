@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import C_LIGHT, HBAR, MU_B, TWO_PI, YB_MASS, standard_raw
+from conftest import C_LIGHT, HBAR, MU_B, TWO_PI, YB_MASS, mu0_quadratic_config, standard_raw
 from gradchain.chain import solve_chain
 from gradchain.config import ConfigError, load_config, validate_config
 from gradchain.coupling import (
@@ -259,6 +259,40 @@ def test_quadratic_profile_shifts_match_fock_oracle(moments):
     shifts = build_report(cfg, chain).shifts
     assert np.all(np.isfinite(shifts))
     assert shifts == pytest.approx(carrier_shift_oracle(cfg, chain), rel=1e-9, abs=0)
+
+
+CURVATURE_CONFIGS = {
+    "mu0_n2": lambda: mu0_quadratic_config(2),
+    "yb_moments_n2": lambda: mu0_quadratic_config(2, moments=(0.0, 1.0)),
+    "trap_quadratic": lambda: load_config(CONFIGS / "trap_quadratic.json"),
+}
+# the closed form in Hz; mu0_n2's is 0.7 of yb_moments_n2's, as its mu1 - mu0 is 0.7
+CURVATURE_CLOSED_FORM_HZ = {
+    "mu0_n2": [0.456729, 0.456729],
+    "yb_moments_n2": [0.652470, 0.652470],
+    "trap_quadratic": [0.522065, 0.437597, 0.437597, 0.522065],
+}
+
+
+@pytest.mark.parametrize("name", CURVATURE_CONFIGS)
+def test_field_curvature_moves_line_centres_by_the_closed_form(name):
+    # The c q^2 Zeeman term of B = B0 + b z + c z^2, which the report leaves out, moves ion n's line centre by
+    # its mean in the motional ground state, kappa_n sum_j S_jn^2 dz_j^2 with kappa_n = (mu1 - mu0) mu_B c / hbar.
+    # The exact lines differ from it at the next order in epsilon (doubling b to 20 T/m on mu0_n2 multiplies the gap
+    # by 3.5-4.8): 2.9e-3 and 5.3e-3 relative on mu0_n2 (epsilon = 0.022), 2.1e-3 and 3.8e-3 on yb_moments_n2,
+    # 1.6e-3 to 6.7e-3 on trap_quadratic, all above the closed form. The bound, 1e-2 relative, holds that gap.
+    cfg = CURVATURE_CONFIGS[name]()
+    chain = solve_chain(cfg)
+    c = cfg.field.coefficients[2]
+    kappa = (cfg.species.moment_state1 - cfg.species.moment_state0) * MU_B * c / HBAR
+    closed = kappa * np.sum(chain.mode_matrix**2 * chain.ground_state_extents[:, None] ** 2, axis=0)
+    assert closed / TWO_PI == pytest.approx(CURVATURE_CLOSED_FORM_HZ[name], rel=1e-5)
+    four, five = (carrier_shift_oracle(cfg, chain, fock, curvature=True) for fock in (4, 5))
+    # converged in the Fock cutoff: 2.2e-7 Hz on trap_quadratic; 5 and 7 levels agree to 3.6e-10 Hz there
+    assert np.max(np.abs(five - four)) / TWO_PI <= 1e-6
+    shift = five - carrier_shift_oracle(cfg, chain, 5)
+    assert np.all(shift > closed)
+    assert np.max(np.abs(shift / closed - 1.0)) <= 1e-2
 
 
 def test_uniform_gradient_shift_closed_form():

@@ -7,11 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import AMU, C_LIGHT, TWO_PI
+from conftest import TWO_PI, mu0_quadratic_config
 from gradchain import pulse as pulse_mod
 from gradchain.chain import solve_chain
-from gradchain.config import PolynomialField, TrapConfig, load_config, validate_config
-from gradchain.constants import Species
+from gradchain.config import load_config, validate_config
 from gradchain.coupling import build_report
 from gradchain.pulse import (
     Delay,
@@ -452,8 +451,7 @@ def mu0_quadratic_run(n, initial, fock_levels):
     smallest |J|. Returns the oracle's populations at each Fock cutoff, then interpret's with the bare drive
     and with the dressed carrier's Rabi rate, exp(-sum_j eps[j, n]^2 / 2) of the bare one, at each duration.
     """
-    species = Species("mu0_test", 171.0 * AMU, 12.6e9, moment_state0=0.3, moment_state1=1.0)
-    config = TrapConfig(species, n, 1e5, PolynomialField((0.0, 10.0, 2e5)), TWO_PI * 12.6e9 / C_LIGHT)
+    config = mu0_quadratic_config(n)
     chain = solve_chain(config)
     report = build_report(config, chain)
     assert 0.02 < report.validity <= 0.03
