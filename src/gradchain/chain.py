@@ -29,7 +29,7 @@ _SIGN_TIE_TOL = 1e-9
 
 
 class SolverError(RuntimeError):
-    """Base class for numerical failures in the chain solve."""
+    """A numerical failure: exit 3."""
 
 
 class NoConvergenceError(SolverError):

@@ -8,8 +8,8 @@ significant digits.
 
 Exit codes: 0 success; 2 input error, from ValueError (ConfigError and
 QuantityError included) or OSError; 3 numeric failure, from
-chain.SolverError, coupling.NonFiniteReportError or
-pulse.ProgramRuntimeError; 4 program parse error, from
+chain.SolverError (coupling.NonFiniteReportError and
+pulse.ProgramRuntimeError included); 4 program parse error, from
 pulse.PulseProgramError (a ValueError that cmd_simulate catches first).
 """
 
@@ -31,7 +31,7 @@ import numpy as np
 from . import chain as chain_mod
 from . import coupling as coupling_mod
 from . import pulse as pulse_mod  # a lazy module (gradchain/__init__.py): only cmd_simulate runs it
-from .config import ConfigError, TrapConfig, load_config, read_document, validate_config
+from .config import ConfigError, TrapConfig, load_config, read_document, read_text, validate_config
 from .units import QuantityError, read_integer, read_value
 
 EXIT_OK = 0
@@ -219,11 +219,7 @@ def cmd_simulate(args) -> int:
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
     config = load_config(args.config)
-    try:
-        source = Path(args.program).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read program {args.program}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    source = read_text(args.program)
     try:
         program = pulse_mod.parse(source)
     except pulse_mod.PulseProgramError as exc:
@@ -233,11 +229,7 @@ def cmd_simulate(args) -> int:
     report = _report(config)
     initial = args.initial if args.initial is not None else "0" * config.ion_count
     started = time.perf_counter()
-    try:
-        record = pulse_mod.interpret(program, report.j_matrix, initial, seed=args.seed, shots=args.shots)
-    except pulse_mod.ProgramRuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    record = pulse_mod.interpret(program, report.j_matrix, initial, seed=args.seed, shots=args.shots)
     wall_time_s = time.perf_counter() - started
 
     out = Path(args.out)
@@ -414,7 +406,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (chain_mod.SolverError, coupling_mod.NonFiniteReportError) as exc:
+    except chain_mod.SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (OSError, ValueError) as exc:

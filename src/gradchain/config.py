@@ -15,6 +15,7 @@ import math
 import sys
 from collections.abc import Collection
 from dataclasses import dataclass
+from pathlib import Path
 
 from .constants import CONSTANTS, SPECIES_REGISTRY, Species
 from .units import FIELD, FREQUENCY, GRADIENT, LENGTH, QuantityError, read_value
@@ -240,8 +241,16 @@ def validate_config(raw: dict) -> TrapConfig:
     )
 
 
+def read_text(path) -> str:
+    """An input file's text: UTF-8, a leading byte order mark dropped; other bytes are a ConfigError naming the path."""
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def read_document(path):
-    """Parse a config file's JSON; a file that is not UTF-8 JSON or repeats a key is a ConfigError naming the path."""
+    """A config file's JSON, from read_text; invalid JSON or a repeated key is a ConfigError naming the path."""
     def unique_keys(pairs: list[tuple[str, object]]) -> dict:
         doc = {}
         for key, value in pairs:
@@ -251,10 +260,7 @@ def read_document(path):
         return doc
 
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=unique_keys)
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+        return json.loads(read_text(path), object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
 

@@ -26,14 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSolution
+from .chain import ChainSolution, SolverError
 from .config import TrapConfig
 from .constants import CONSTANTS
 
 VALIDITY_THRESHOLD = 0.1
 
 
-class NonFiniteReportError(RuntimeError):
+class NonFiniteReportError(SolverError):
     """A coupling quantity overflowed to infinity or became NaN."""
 
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chain import SolverError
 from .units import ANGLE, FREQUENCY, TIME, QuantityError, read_integer, read_value
 from .spins import (
     SpinHamiltonian,
@@ -62,7 +63,7 @@ class PulseProgramError(ValueError):
         self.span = span
 
 
-class ProgramRuntimeError(RuntimeError):
+class ProgramRuntimeError(SolverError):
     """Simulator failure while executing an instruction; carries its span."""
 
     def __init__(self, message: str, span: SourceSpan):

@@ -20,7 +20,9 @@ linear sweep of the carrier shift `delta_shift[1]` over
 `epsilon` and of `min_spacing` over `nu1` on trap_n10.json, so that every
 sweep quantity is covered; `simulate` of
 cnot, ramsey and echo with CLI defaults, with `--seed 5 --shots 3000`
-and with `--shots 0`, and echo with --emit-plot-data; echo on trap.json with its gradient set to
+and with `--shots 0`, and echo with --emit-plot-data; cnot with CLI defaults once with a UTF-8
+byte order mark at the head of the program and once at the head of the config (cnot_program_bom,
+cnot_config_bom), whose digests are cnot_defaults'; echo on trap.json with its gradient set to
 0 T/m, where J = 0 and every energy is a signed zero (`spins.diagonal_rates` writes +0.0
 there by its `0.0 -`; plain negation, -0.0, gives the same outputs, so the bitwise kernel
 tests of test_spins.py pin that rule, not this run), and on the same config the exit-3 `line:col` of
@@ -52,15 +54,15 @@ on the curvature `c` (`chain`), a `nu1` that is the JSON integer 10^400
 (`couplings`), a gradient `b` given twice in one object (`couplings`,
 error_duplicate_key), `--ion x` and `--ion 3` on trap.json (`spectrum`, the
 latter error_spectrum_ion: its stderr line comes from the one ion check,
-`coupling.sideband_spectrum`'s), `--shots` of 10^14 and `--seed -1`
-(`simulate`, the latter error_seed_negative), and the sweep
+`coupling.sideband_spectrum`'s), `--shots` of 10^14, `--seed -1` and a program file
+that does not exist (`simulate`, error_seed_negative and error_missing_program), and the sweep
 bounds `1_00_000` and `nan`, `--steps ３`, `--steps` of 10^12, `delta_shift[1_0]` on
 trap_n10 and `--param comment` (`sweep`).
 Byte identity holds per host. numpy's SIMD dispatch and OpenBLAS's kernel
 choice reach the last bits: on an AVX-512 host,
 NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" (numpy without its
-AVX-512 loops) changes 16 of the 385 lines and OPENBLAS_CORETYPE=Haswell 14,
-while OPENBLAS_NUM_THREADS=1 changes none. Diff listings from one host.
+AVX-512 loops) changed 16 lines of a 385-line listing and OPENBLAS_CORETYPE=Haswell 14,
+while OPENBLAS_NUM_THREADS=1 changed none. Diff listings from one host.
 This script is not a test module and pytest does not collect it.
 """
 
@@ -209,6 +211,12 @@ def _commands(work: Path) -> list[tuple[str, list[str]]]:
         ]
     commands.append(("echo_plot", ["simulate", "--config", "trap.json", "--program", "echo.pp",
                                    "--out", "{out}/run.json", "--emit-plot-data"]))
+    for name in ("cnot.pp", "trap.json"):
+        (work / f"bom_{name}").write_bytes(b"\xef\xbb\xbf" + (work / name).read_bytes())
+    commands += [("cnot_program_bom", ["simulate", "--config", "trap.json", "--program", "bom_cnot.pp",
+                                       "--out", "{out}/run.json"]),
+                 ("cnot_config_bom", ["simulate", "--config", "bom_trap.json", "--program", "cnot.pp",
+                                      "--out", "{out}/run.json"])]
     zero_j = json.loads((work / "trap.json").read_text(encoding="utf-8"))
     zero_j["field"]["uniform"]["b"] = "0T/m"
     (work / "trap_b0.json").write_text(json.dumps(zero_j), encoding="utf-8")
@@ -247,6 +255,8 @@ def _commands(work: Path) -> list[tuple[str, list[str]]]:
                                        "--shots", "100000000000000", "--out", "{out}/run.json"]),
                  ("error_seed_negative", ["simulate", "--config", "trap.json", "--program", "cnot.pp",
                                           "--seed", "-1", "--out", "{out}/run.json"]),
+                 ("error_missing_program", ["simulate", "--config", "trap.json", "--program", "missing.pp",
+                                            "--out", "{out}/run.json"]),
                  ("error_initial", ["simulate", "--config", "trap.json", "--program", "cnot.pp", "--initial", "1x",
                                     "--out", "{out}/run.json"]),
                  ("error_spectrum_ion", ["spectrum", "--config", "trap.json", "--ion", "3",

@@ -205,8 +205,35 @@ def test_simulate_program_not_utf8_names_the_program(trap2, tmp_path, capsys):
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: cannot read program {program}: 'utf-8' codec can't decode byte 0xff")
+    assert captured.err.startswith(f"error: {program}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff")
     assert not out_dir.exists()
+
+
+def test_simulate_missing_program_exit2(trap2, tmp_path, capsys):
+    program = tmp_path / "missing.pp"
+    out_dir = tmp_path / "out"
+    code = main(["simulate", "--config", trap2, "--program", str(program),
+                 "--out", str(out_dir / "run.json"), "--no-timestamp"])
+    assert code == 2
+    assert capsys.readouterr() == ("", f"error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {str(program)!r}\n")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("flag", ["--config", "--program"])
+def test_simulate_ignores_a_byte_order_mark(trap2, tmp_path, flag):
+    program = tmp_path / "cnot.pp"
+    program.write_text(CNOT_PROGRAM, encoding="utf-8")
+    outputs = []
+    for tag in ("plain", "bom"):
+        if tag == "bom":
+            marked = {"--config": Path(trap2), "--program": program}[flag]
+            marked.write_bytes(b"\xef\xbb\xbf" + marked.read_bytes())
+        out_dir = tmp_path / tag
+        assert main(["simulate", "--config", trap2, "--program", str(program), "--seed", "5", "--shots", "32",
+                     "--out", str(out_dir / "run.json"), "--no-timestamp"]) == 0
+        outputs.append({path.name: path.read_bytes() for path in out_dir.iterdir()})
+    assert sorted(outputs[0]) == ["run.json", "run_hist.csv"]
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.filterwarnings("error")
@@ -525,6 +552,7 @@ def test_sweep_bad_param_path(trap2, tmp_path, capsys, monkeypatch):
     Path(trap2).write_text(json.dumps({**raw, "comment": "any text"}), encoding="utf-8")
     out = tmp_path / "s.csv"
     for param, message in [("field.zigzag.b", "sweep parameter path 'field.zigzag.b' not present in config"),
+                           ("field.uniform.nope", "sweep parameter path 'field.uniform.nope' not present in config"),
                            ("comment", "sweep parameter 'comment' is not a quantity")]:
         code = main(["sweep", "--config", trap2, "--param", param, "--from", "1", "--to", "2", "--steps", "2",
                      "--quantity", "max_J", "--out", str(out)])
@@ -594,6 +622,25 @@ def test_log_sweep_takes_endpoints_of_any_magnitude(start, stop):
     values = _sweep_values(start, stop, 3, "log")
     assert values[0] == pytest.approx(start, rel=1e-12) and values[-1] == pytest.approx(stop, rel=1e-12)
     assert np.all(np.sign(values) == math.copysign(1.0, start))
+
+
+def test_log_sweep_of_negative_gradients(trap2, tmp_path, capsys):
+    # argparse reads `--from -2T/m` as a flag with its argument missing; a negative bound is written `--from=-2T/m`
+    sweep = ["sweep", "--config", trap2, "--param", "field.uniform.b", "--scale", "log", "--steps", "3",
+             "--quantity", "max_J", "--no-timestamp"]
+    with pytest.raises(SystemExit) as exc:
+        main([*sweep, "--from", "-2T/m", "--to=-20T/m", "--out", str(tmp_path / "spaced.csv")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: argument --from: expected one argument\n")
+    tables = []
+    for sign in ("-", ""):
+        out = tmp_path / f"sweep{sign}.csv"
+        assert main([*sweep, f"--from={sign}2T/m", f"--to={sign}20T/m", "--out", str(out)]) == 0
+        tables.append(read_csv(out)[1])
+    negative, positive = tables
+    assert [row[0] for row in negative] == ["-" + row[0] for row in positive]
+    assert [row[1] for row in negative] == [row[1] for row in positive]  # J goes as b^2
+    assert not (tmp_path / "spaced.csv").exists()
 
 
 def test_log_sweep_of_a_tiny_offset_field(trap2, tmp_path):
