@@ -8,9 +8,9 @@ significant digits.
 
 Exit codes: 0 success; 2 input error, from ValueError (ConfigError and
 QuantityError included) or OSError; 3 numeric failure, from
-chain.SolverError (coupling.NonFiniteReportError and
-pulse.ProgramRuntimeError included); 4 program parse error, from
-pulse.PulseProgramError (a ValueError that cmd_simulate catches first).
+chain.SolverError (pulse.ProgramRuntimeError included); 4 program parse
+error, from pulse.PulseProgramError (a ValueError that cmd_simulate
+catches first).
 """
 
 from __future__ import annotations
@@ -106,7 +106,8 @@ def _write_text(files: dict[Path, Iterable[str]]) -> None:
     """Write one command's output files together: each is streamed to a temporary file, then all are renamed.
 
     Each file's pieces go to `.{name}.{pid}.tmp` beside it; only once every file is written is each renamed
-    onto its path. A failure while writing removes every temporary file and leaves every path as it was.
+    onto its path. A failure while writing removes every temporary file and leaves every path as it was; an
+    OSError that names a temporary file is raised again naming its output path, since the temporary is gone.
     """
     partials = {}
     try:
@@ -117,10 +118,12 @@ def _write_text(files: dict[Path, Iterable[str]]) -> None:
                 fh.writelines(pieces)
         for path, partial in partials.items():
             os.replace(partial, path)
-    except BaseException:
-        for partial in partials.values():
+    except BaseException as exc:
+        for path, partial in partials.items():
             partial.unlink(missing_ok=True)
-        raise
+            if isinstance(exc, OSError) and exc.filename in (partial, str(partial)):
+                exc = OSError(exc.errno, exc.strerror, str(path))
+        raise exc
 
 
 def _json_text(doc: dict, with_timestamp: bool, **timing: float) -> Iterator[str]:
@@ -267,8 +270,6 @@ def _sweep_values(start: float, stop: float, steps: int, scale: str) -> np.ndarr
         raise ValueError(f"sweep needs steps <= {MAX_SWEEP_STEPS}, got {steps}")
     if start == stop:
         raise ValueError("sweep endpoints must differ")
-    if scale not in ("linear", "log"):
-        raise ValueError(f"scale must be linear or log, got {scale!r}")
     if scale == "log" and not (min(start, stop) > 0.0 or max(start, stop) < 0.0):  # not start * stop: it underflows
         raise ValueError("log sweeps need nonzero endpoints of the same sign")
     if scale == "linear" and not math.isfinite(stop - start):
@@ -320,12 +321,6 @@ def _parse_sweep_bound(text: str, raw: dict, parameter: str) -> float:
         value = read_value(text)
     except QuantityError as exc:
         raise QuantityError(f"sweep bound: {exc}") from None
-    try:
-        validate_config(_with_value(raw, parameter, None))  # a field read as a quantity refuses null
-    except ConfigError:
-        pass
-    else:
-        raise ConfigError(f"sweep parameter {parameter!r} is not a quantity")
     validate_config(_with_value(raw, parameter, text))  # the field's own check rejects a unit of another dimension
     return value
 
@@ -333,6 +328,12 @@ def _parse_sweep_bound(text: str, raw: dict, parameter: str) -> float:
 def cmd_sweep(args) -> int:
     raw = read_document(args.config)
     evaluate = _sweep_quantity(args.quantity, validate_config(raw).ion_count)  # fail early on a bad config or quantity
+    try:
+        validate_config(_with_value(raw, args.param, None))  # a field read as a quantity refuses null
+    except ConfigError:
+        pass
+    else:
+        raise ConfigError(f"sweep parameter {args.param!r} is not a quantity")
     values = _sweep_values(_parse_sweep_bound(getattr(args, "from"), raw, args.param),
                            _parse_sweep_bound(args.to, raw, args.param), args.steps, args.scale)
 

@@ -33,10 +33,6 @@ from .constants import CONSTANTS
 VALIDITY_THRESHOLD = 0.1
 
 
-class NonFiniteReportError(SolverError):
-    """A coupling quantity overflowed to infinity or became NaN."""
-
-
 @dataclass(frozen=True)
 class CouplingReport:
     """All gradient-induced quantities for one chain configuration.
@@ -177,8 +173,8 @@ def exact_phases(chain: ChainSolution, eta_bare: np.ndarray, eps: np.ndarray) ->
 def build_report(config: TrapConfig, chain: ChainSolution) -> CouplingReport:
     """Assemble every gradient-induced quantity into one report.
 
-    Raises NonFiniteReportError if any of them is not finite, as for a
-    field gradient too large for double precision.
+    Raises SolverError if any of them is not finite, as for a field
+    gradient too large for double precision.
     """
     with np.errstate(all="ignore"):  # the check below reports overflow and NaN
         grads = omega_gradients(config, chain)
@@ -200,7 +196,7 @@ def build_report(config: TrapConfig, chain: ChainSolution) -> CouplingReport:
     bad = [name for name, value in vars(report).items()
            if isinstance(value, (np.ndarray, float)) and not np.isfinite(value).all()]
     if bad:
-        raise NonFiniteReportError(f"coupling quantities are not finite: {', '.join(bad)}")
+        raise SolverError(f"coupling quantities are not finite: {', '.join(bad)}")
     return report
 
 

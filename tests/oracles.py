@@ -71,7 +71,7 @@ def j_matrix_bruteforce_oracle(grads: np.ndarray, chain: ChainSolution, mass: fl
 
 
 def carrier_shift_oracle(config: TrapConfig, chain: ChainSolution, fock_levels: int = 12,
-                         curvature: bool = False) -> np.ndarray:
+                         curvature: bool = False, level: int = 0) -> np.ndarray:
     """Centre of each ion's conditional resonance lines, rad/s from its qubit frequency, by diagonalization.
 
     H/hbar = sum_j [w0_j |0><0|_j + w1_j |1><1|_j] + sum_n nu_n a_n^dagger a_n,
@@ -88,8 +88,10 @@ def carrier_shift_oracle(config: TrapConfig, chain: ChainSolution, fock_levels: 
 
     With `curvature`, w_s is exact for a field B = B0 + b z + c z^2: each
     level also takes mu_s mu_B c q_j^2 / hbar. Those terms couple the modes,
-    so each configuration's ground energy is the lowest eigenvalue of the
-    whole multimode Hamiltonian in fock_levels^N Fock states.
+    so each configuration's energy is an eigenvalue of the whole multimode
+    Hamiltonian in fock_levels^N Fock states: the lowest, or with `level`
+    the one at that index from the bottom, so that the lines are those of
+    an excited motional state.
     """
     n = chain.ion_count
     moments = (config.species.moment_state0, config.species.moment_state1)
@@ -120,7 +122,7 @@ def carrier_shift_oracle(config: TrapConfig, chain: ChainSolution, fock_levels: 
         levels = [(bits >> ion) & 1 for ion in range(n)]
         if curvature:
             ham = motion + sum(slopes[s][ion] * q[ion] + bends[s] * q_squared[ion] for ion, s in enumerate(levels))
-            energy.append(eigh(ham.toarray(), eigvals_only=True, subset_by_index=(0, 0))[0])
+            energy.append(eigh(ham.toarray(), eigvals_only=True, subset_by_index=(level, level))[0])
             continue
         total = 0.0
         for mode in range(n):

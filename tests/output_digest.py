@@ -52,7 +52,9 @@ unknown species (`chain`), ions outside a sampled field profile
 (`couplings`), `--initial 1x` and a 17-ion register (`simulate`), a unit
 on the curvature `c` (`chain`), a `nu1` that is the JSON integer 10^400
 (`couplings`), a gradient `b` given twice in one object (`couplings`,
-error_duplicate_key), `--ion x` and `--ion 3` on trap.json (`spectrum`, the
+error_duplicate_key), an `--out` that is a directory the script has
+already made (`chain`, error_out_is_directory, whose stderr names that
+path and no temporary file), `--ion x` and `--ion 3` on trap.json (`spectrum`, the
 latter error_spectrum_ion: its stderr line comes from the one ion check,
 `coupling.sideband_spectrum`'s), `--shots` of 10^14, `--seed -1` and a program file
 that does not exist (`simulate`, error_seed_negative and error_missing_program), and the sweep
@@ -61,7 +63,7 @@ trap_n10 and `--param comment` (`sweep`).
 Byte identity holds per host. numpy's SIMD dispatch and OpenBLAS's kernel
 choice reach the last bits: on an AVX-512 host,
 NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" (numpy without its
-AVX-512 loops) changed 16 lines of a 385-line listing and OPENBLAS_CORETYPE=Haswell 14,
+AVX-512 loops) changed 16 lines of a 405-line listing and OPENBLAS_CORETYPE=Haswell 14,
 while OPENBLAS_NUM_THREADS=1 changed none. Diff listings from one host.
 This script is not a test module and pytest does not collect it.
 """
@@ -249,6 +251,7 @@ def _commands(work: Path) -> list[tuple[str, list[str]]]:
     (work / "error_duplicate_key.json").write_text(DUPLICATE_KEY_CONFIG, encoding="utf-8")
     commands.append(("error_duplicate_key", ["couplings", "--config", "error_duplicate_key.json",
                                              "--out-dir", "{out}/coup"]))
+    commands.append(("error_out_is_directory", ["chain", "--config", "trap.json", "--out", "{out}"]))
     commands += [("error_shots", ["simulate", "--config", "trap.json", "--program", "cnot.pp", "--shots", "-5",
                                   "--out", "{out}/run.json"]),
                  ("error_shots_huge", ["simulate", "--config", "trap.json", "--program", "cnot.pp",

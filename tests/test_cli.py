@@ -561,6 +561,27 @@ def test_sweep_bad_param_path(trap2, tmp_path, capsys, monkeypatch):
         assert not out.exists()
 
 
+def test_sweep_parameter_is_checked_before_its_bounds(trap2, tmp_path, capsys):
+    # with a malformed bound as well, the parameter's error is the one reported
+    raw = json.loads(Path(trap2).read_text(encoding="utf-8"))
+    Path(trap2).write_text(json.dumps({**raw, "comment": "any text"}), encoding="utf-8")
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--config", trap2, "--param", "comment", "--from", "nan", "--to", "2", "--steps", "2",
+                 "--quantity", "max_J", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: sweep parameter 'comment' is not a quantity\n"
+    assert not out.exists()
+
+
+def test_sweep_scale_is_checked_by_argparse(trap2, tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", trap2, "--param", "nu1", "--from", "50kHz", "--to", "100kHz", "--steps", "3",
+              "--scale", "cubic", "--quantity", "max_J", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "error: argument --scale: invalid choice: 'cubic'" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["trap2.json"]
+
+
 def test_sweep_rows_in_parameter_order(trap2, tmp_path):
     out = tmp_path / "sweep.csv"
     code = main(["sweep", "--config", trap2, "--param", "field.uniform.b",
@@ -604,8 +625,6 @@ def test_sweep_spec_validation():
         _sweep_values(1.0, 1.0, 3, "linear")
     with pytest.raises(ValueError):
         _sweep_values(-1.0, 1.0, 3, "log")
-    with pytest.raises(ValueError):
-        _sweep_values(1.0, 2.0, 3, "cubic")
     with pytest.raises(ValueError):
         _sweep_values(-1.7e308, 1.7e308, 3, "linear")  # linspace would step by inf
 
@@ -1066,3 +1085,28 @@ def test_failed_write_leaves_the_whole_earlier_set(tmp_path, monkeypatch, capsys
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
     assert {p.name: p.read_bytes() for p in Path("out").iterdir()} == earlier
+
+
+def test_failed_rename_names_the_output_path(trap2, tmp_path, monkeypatch, capsys):
+    # the output path is a directory: the rename fails, and its error names the path, not the removed temporary
+    monkeypatch.chdir(tmp_path)
+    Path("out").mkdir()
+    errors = []
+    for _ in range(2):
+        assert main(["chain", "--config", trap2, "--out", "out", "--no-timestamp"]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: 'out'\n"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["out", "trap2.json"]
+
+
+def test_failed_open_names_the_output_path(trap2, tmp_path, monkeypatch, capsys):
+    def refuses_temporaries(path, *args, **kwargs):
+        if Path(path).name.startswith(".chain.json."):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+        return open(path, *args, **kwargs)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(gradchain.cli, "open", refuses_temporaries, raising=False)
+    assert main(["chain", "--config", trap2, "--out", "out/chain.json", "--no-timestamp"]) == 2
+    assert capsys.readouterr().err == f"error: [Errno {errno.EACCES}] {os.strerror(errno.EACCES)}: 'out/chain.json'\n"
+    assert list(Path("out").iterdir()) == []

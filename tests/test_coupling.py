@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import C_LIGHT, HBAR, MU_B, TWO_PI, YB_MASS, mu0_quadratic_config, standard_raw
-from gradchain.chain import solve_chain
+from gradchain.chain import SolverError, solve_chain
 from gradchain.config import ConfigError, load_config, validate_config
 from gradchain.coupling import (
     build_report,
@@ -206,6 +206,14 @@ def test_validity_strong_gradient_flagged():
     assert not report.harmonic_approximation_valid
 
 
+@pytest.mark.filterwarnings("error")
+def test_report_with_a_non_finite_quantity_raises_solver_error():
+    # J overflows at 1e300 T/m; the CLI answers the error with exit 3
+    cfg, chain = make(n=2, b="1e300T/m")
+    with pytest.raises(SolverError, match=r"^coupling quantities are not finite: "):
+        build_report(cfg, chain)
+
+
 # effective Lamb-Dicke -----------------------------------------------------------
 
 def test_eta_bare_microwave_tiny(config10, chain10, report10):
@@ -293,6 +301,30 @@ def test_field_curvature_moves_line_centres_by_the_closed_form(name):
     shift = five - carrier_shift_oracle(cfg, chain, 5)
     assert np.all(shift > closed)
     assert np.max(np.abs(shift / closed - 1.0)) <= 1e-2
+
+
+def test_each_phonon_moves_the_line_centres_under_curvature():
+    # In Fock state n_j the mean of q_n^2 is sum_j (2 n_j + 1) S_jn^2 dz_j^2, so under curvature each phonon in
+    # mode j moves ion n's line centre by 2 kappa_n S_jn^2 dz_j^2. Eigenvalue 1 of each spin configuration holds
+    # one centre-of-mass phonon, since the stretch mode sits at sqrt(3) nu1 < 2 nu1. Diagonalized: 0.579103 Hz
+    # against the closed form's 0.579109 Hz (1.1e-5 relative), the same to eight digits at 10 and 14 Fock levels.
+    cfg = mu0_quadratic_config(2)
+    chain = solve_chain(cfg)
+    kappa = (cfg.species.moment_state1 - cfg.species.moment_state0) * MU_B * cfg.field.coefficients[2] / HBAR
+    closed = 2.0 * kappa * chain.mode_matrix[0] ** 2 * chain.ground_state_extents[0] ** 2
+    ten, fourteen = (carrier_shift_oracle(cfg, chain, fock, curvature=True, level=1)
+                     - carrier_shift_oracle(cfg, chain, fock, curvature=True) for fock in (10, 14))
+    assert np.max(np.abs(fourteen - ten)) / TWO_PI <= 1e-7
+    assert fourteen == pytest.approx(closed, rel=1e-4)
+
+
+def test_phonon_number_does_not_move_the_line_centres_in_a_uniform_gradient():
+    # a displaced oscillator keeps its level spacing: seen 9e-11 Hz, rounding in the eigenvalues
+    cfg = validate_config(standard_raw(n=2))
+    chain = solve_chain(cfg)
+    shift = (carrier_shift_oracle(cfg, chain, 10, curvature=True, level=1)
+             - carrier_shift_oracle(cfg, chain, 10, curvature=True))
+    assert np.max(np.abs(shift)) / TWO_PI <= 1e-6
 
 
 def test_uniform_gradient_shift_closed_form():
