@@ -250,7 +250,8 @@ def read_text(path) -> str:
 
 
 def read_document(path):
-    """A config file's JSON, from read_text; invalid JSON or a repeated key is a ConfigError naming the path."""
+    """A config file's JSON, from read_text, or a ConfigError naming the path: invalid JSON, a repeated key,
+    nesting past the recursion limit or an integer past int's digit limit."""
     def unique_keys(pairs: list[tuple[str, object]]) -> dict:
         doc = {}
         for key, value in pairs:
@@ -261,8 +262,12 @@ def read_document(path):
 
     try:
         return json.loads(read_text(path), object_pairs_hook=unique_keys)
+    except ConfigError:
+        raise  # not UTF-8 or a repeated key; it names the path already
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    except (RecursionError, ValueError) as exc:
+        raise ConfigError(f"{path}: JSON past the parser's limits: {exc}") from exc
 
 
 def load_config(path) -> TrapConfig:

@@ -114,67 +114,73 @@ _PULSE_KEYS = ("ion", "rabi", "detune", "phase", "area", "dur")
 _REQUIRED_PULSE_KEYS = ("ion", "rabi", "detune", "phase")
 
 
-def _tokens(line: str) -> list[tuple[str, int]]:
-    """(token, 1-based column) pairs; comments stripped."""
-    hash_pos = line.find("#")
-    if hash_pos >= 0:
-        line = line[:hash_pos]
-    return [(m.group(0), m.start() + 1) for m in _TOKEN_RE.finditer(line)]
+def _tokens(line: str, line_no: int) -> list[tuple[str, SourceSpan]]:
+    """(token, span of its first character) pairs of line `line_no`; a `#` comment is dropped."""
+    return [(m.group(0), SourceSpan(line_no, m.start() + 1)) for m in _TOKEN_RE.finditer(line.partition("#")[0])]
 
 
-def _read(reader, text: str, arg: str, span: SourceSpan):
-    """reader(text, arg), a gradchain.units reader; its QuantityError becomes a PulseProgramError at `span`."""
+def _read(reader, text: str, span: SourceSpan, arg: str, nonnegative: str = ""):
+    """reader(text, arg) of gradchain.units; its QuantityError becomes a PulseProgramError at `span`,
+    as does a value below zero if `nonnegative` names it: "<nonnegative> must be non-negative"."""
     try:
-        return reader(text, arg)
+        value = reader(text, arg)
     except QuantityError as exc:
         raise PulseProgramError(str(exc), span) from exc
+    if nonnegative and value < 0:
+        raise PulseProgramError(f"{nonnegative} must be non-negative", span)
+    return value
 
 
-def _parse_ion_set(tokens: list[tuple[str, int]], line_no: int, n_ions: int) -> tuple[int, ...]:
+def _ion(text: str, span: SourceSpan, n_ions: int) -> int:
+    """A pulse's `ion=` or one ion-list entry: an ion index, 1 to n_ions."""
+    ion = _read(read_integer, text, span, "integer ion index")
+    if not 1 <= ion <= n_ions:
+        raise PulseProgramError(f"ion index {ion} out of range [1, {n_ions}]", span)
+    return ion
+
+
+def _parse_ion_set(tokens: list[tuple[str, SourceSpan]], n_ions: int) -> tuple[int, ...]:
     """The ion list of a measure or log line, tokens[2:] of it; 'all' is every ion, 1 to n_ions.
 
     Whitespace may stand next to a comma, never in its place: two tokens
     with no comma between them are an error at the second.
     """
+    last, last_span = tokens[-1]
     if len(tokens) < 3:
-        last, col = tokens[-1]
-        raise PulseProgramError("expected an ion list or 'all'", SourceSpan(line_no, col + len(last)))
-    for (before, _), (tok, col) in zip(tokens[2:], tokens[3:]):
+        raise PulseProgramError("expected an ion list or 'all'", SourceSpan(last_span.line, last_span.col + len(last)))
+    for (before, _), (tok, span) in zip(tokens[2:], tokens[3:]):
         if not (before.endswith(",") or tok.startswith(",")):
-            raise PulseProgramError(f"expected ',' between ion list entries, got {tok!r}", SourceSpan(line_no, col))
-    chars = [(ch, col + i) for tok, col in tokens[2:] for i, ch in enumerate(tok)]
+            raise PulseProgramError(f"expected ',' between ion list entries, got {tok!r}", span)
+    chars = [(ch, span.col + i) for tok, span in tokens[2:] for i, ch in enumerate(tok)]
     joined = "".join(ch for ch, _ in chars)
     if joined == "all":
         return tuple(range(1, n_ions + 1))
     ions = []
     start = 0  # index of an entry's first character in `joined`; an empty last entry is past the end
     for part in joined.split(","):
-        span = SourceSpan(line_no, chars[start][1] if start < len(chars) else chars[-1][1] + 1)
+        span = SourceSpan(last_span.line, chars[start][1] if start < len(chars) else chars[-1][1] + 1)
         start += len(part) + 1
-        ion = _read(read_integer, part, "integer ion index", span)
-        if not 1 <= ion <= n_ions:
-            raise PulseProgramError(f"ion index {ion} out of range [1, {n_ions}]", span)
+        ion = _ion(part, span, n_ions)
         if ion in ions:
             raise PulseProgramError(f"ion {ion} listed twice", span)
         ions.append(ion)
     return tuple(ions)
 
 
-def _parse_pulse(tokens: list[tuple[str, int]], span: SourceSpan, n_ions: int) -> Pulse:
+def _parse_pulse(tokens: list[tuple[str, SourceSpan]], n_ions: int) -> Pulse:
+    span = tokens[0][1]
     fields: dict[str, tuple[str, SourceSpan]] = {}
-    for tok, col in tokens[1:]:
-        key_span = SourceSpan(span.line, col)
+    for tok, key_span in tokens[1:]:
         if "=" not in tok:
             raise PulseProgramError(f"expected key=value, got {tok!r}", key_span)
         key, _, value = tok.partition("=")
-        value_span = SourceSpan(span.line, col + len(key) + 1)
         if key not in _PULSE_KEYS:
             raise PulseProgramError(f"unknown pulse field {key!r}", key_span)
         if key in fields:
             raise PulseProgramError(f"duplicate pulse field {key!r}", key_span)
         if key in ("area", "dur") and ("area" in fields or "dur" in fields):
             raise PulseProgramError("pulse takes either area or dur, not both", key_span)
-        fields[key] = (value, value_span)
+        fields[key] = (value, SourceSpan(key_span.line, key_span.col + len(key) + 1))
 
     for key in _REQUIRED_PULSE_KEYS:
         if key not in fields:
@@ -182,33 +188,23 @@ def _parse_pulse(tokens: list[tuple[str, int]], span: SourceSpan, n_ions: int) -
     if "area" not in fields and "dur" not in fields:
         raise PulseProgramError("pulse needs either area or dur", span)
 
-    ion_text, ion_span = fields["ion"]
-    ion = _read(read_integer, ion_text, "integer ion index", ion_span)
-    if not 1 <= ion <= n_ions:
-        raise PulseProgramError(f"ion index {ion} out of range [1, {n_ions}]", ion_span)
-
-    rabi = _read(read_value, fields["rabi"][0], FREQUENCY, fields["rabi"][1])
-    if rabi < 0:
-        raise PulseProgramError("rabi must be non-negative", fields["rabi"][1])
-    detune = _read(read_value, fields["detune"][0], FREQUENCY, fields["detune"][1])
-    phase = _read(read_value, fields["phase"][0], ANGLE, fields["phase"][1])
+    ion = _ion(*fields["ion"], n_ions)
+    rabi = _read(read_value, *fields["rabi"], FREQUENCY, "rabi")
+    detune = _read(read_value, *fields["detune"], FREQUENCY)
+    phase = _read(read_value, *fields["phase"], ANGLE)
 
     if "area" in fields:
         area_text, area_span = fields["area"]
         if not area_text.endswith("pi"):
             raise PulseProgramError("pulse areas take only the 'pi' suffix", area_span)
-        area = _read(read_value, area_text, ANGLE, area_span) / math.pi  # in units of pi; the duration rounds from it
-        if area < 0:
-            raise PulseProgramError("area must be non-negative", area_span)
+        area = _read(read_value, area_text, area_span, ANGLE, "area") / math.pi  # in pi; the duration rounds from it
         if rabi == 0.0:
             raise PulseProgramError("area-specified pulse needs rabi > 0", fields["rabi"][1])
         duration = area * math.pi / (2.0 * math.pi * rabi)
         if not math.isfinite(duration):
             raise PulseProgramError(f"pulse duration {duration!r} s is not finite", fields["rabi"][1])
     else:
-        duration = _read(read_value, fields["dur"][0], TIME, fields["dur"][1])
-        if duration < 0:
-            raise PulseProgramError("dur must be non-negative", fields["dur"][1])
+        duration = _read(read_value, *fields["dur"], TIME, "dur")
     return Pulse(ion, rabi, detune, phase, duration, span)
 
 
@@ -218,48 +214,38 @@ def parse(source: str) -> PulseProgram:
     instructions: list[Instruction] = []
 
     for line_no, line in enumerate(source.splitlines(), start=1):
-        tokens = _tokens(line)
+        tokens = _tokens(line, line_no)
         if not tokens:
             continue
-        keyword, kw_col = tokens[0]
-        kw_span = SourceSpan(line_no, kw_col)
+        keyword, kw_span = tokens[0]
 
         if keyword == "ions":
             if n_ions is not None:
                 raise PulseProgramError("duplicate 'ions' header", kw_span)  # a header after an instruction too
             if len(tokens) != 2:
                 raise PulseProgramError("usage: ions <count>", kw_span)
-            count_tok, count_col = tokens[1]
-            count_span = SourceSpan(line_no, count_col)
-            n_ions = _read(read_integer, count_tok, "integer ion count", count_span)
+            n_ions = _read(read_integer, *tokens[1], "integer ion count")
             if n_ions < 1:
-                raise PulseProgramError(f"ion count must be positive, got {n_ions}", count_span)
+                raise PulseProgramError(f"ion count must be positive, got {n_ions}", tokens[1][1])
             continue
 
         if n_ions is None:
             raise PulseProgramError("program must start with an 'ions <count>' header", kw_span)
 
         if keyword == "pulse":
-            instructions.append(_parse_pulse(tokens, kw_span, n_ions))
+            instructions.append(_parse_pulse(tokens, n_ions))
         elif keyword == "delay":
             if len(tokens) != 2:
                 raise PulseProgramError("usage: delay <duration>", kw_span)
-            tok, col = tokens[1]
-            value_span = SourceSpan(line_no, col)
-            duration = _read(read_value, tok, TIME, value_span)
-            if duration < 0:
-                raise PulseProgramError("delay must be non-negative", value_span)
-            instructions.append(Delay(duration, kw_span))
+            instructions.append(Delay(_read(read_value, *tokens[1], TIME, "delay"), kw_span))
         elif keyword == "measure":
             if len(tokens) < 2 or tokens[1][0] != "z":
                 raise PulseProgramError("only z-basis measurement is supported: measure z <ions|all>", kw_span)
-            ions = _parse_ion_set(tokens, line_no, n_ions)
-            instructions.append(MeasureZ(ions, kw_span))
+            instructions.append(MeasureZ(_parse_ion_set(tokens, n_ions), kw_span))
         elif keyword == "log":
             if len(tokens) < 2 or tokens[1][0] not in ("sx", "sy", "sz"):
                 raise PulseProgramError("usage: log <sx|sy|sz> <ions|all>", kw_span)
-            ions = _parse_ion_set(tokens, line_no, n_ions)
-            instructions.append(ExpectationLog(tokens[1][0], ions, kw_span))
+            instructions.append(ExpectationLog(tokens[1][0], _parse_ion_set(tokens, n_ions), kw_span))
         else:
             raise PulseProgramError(f"unknown keyword {keyword!r}", kw_span)
 

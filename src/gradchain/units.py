@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 
 FREQUENCY = "frequency"
 TIME = "time"
@@ -82,7 +83,11 @@ def read_value(text: str, dimension: str | None = None) -> float:
 
 
 def read_integer(text: str, what: str = "integer") -> int:
-    """`text` as an int if it is all of the `integer` rule; `what` names the value in the error."""
+    """`text` as an int if it is all of the `integer` rule and within int's digit limit; `what` names it in errors."""
     if not INTEGER_RE.fullmatch(text):
         raise QuantityError(f"expected an {what}, got {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise QuantityError(f"expected an {what} of at most {sys.get_int_max_str_digits()} digits, "
+                            f"got {len(text.lstrip('+-'))} digits") from None

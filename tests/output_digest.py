@@ -46,14 +46,16 @@ out of range, a repeated entry, none at all, two entries with no comma
 between them in `measure z 1 2`, `all` split into `a ll`), a delay value
 (an unknown unit, `5kHz`, `1e400`), a missing field, a negative pulse
 area, an area whose duration at `rabi=1e-320Hz` overflows, an empty
-program, an unknown keyword, a second `ions` header and `area=` with
-`dur=` (ERROR_PROGRAMS); and the exit-2 input errors of an
+program, an unknown keyword, a second `ions` header, `area=` with
+`dur=` and an `ions` count of 5,000 digits, past int's digit limit
+(ERROR_PROGRAMS, error_program_digits); and the exit-2 input errors of an
 unknown species (`chain`), ions outside a sampled field profile
 (`couplings`), `--initial 1x` and a 17-ion register (`simulate`), a unit
 on the curvature `c` (`chain`), a `nu1` that is the JSON integer 10^400
 (`couplings`), a gradient `b` given twice in one object (`couplings`,
-error_duplicate_key), an `--out` that is a directory the script has
-already made (`chain`, error_out_is_directory, whose stderr names that
+error_duplicate_key), a `nu1` nested 100,000 arrays deep, past the
+recursion limit (`chain`, error_config_nesting), an `--out` that is a
+directory the script has already made (`chain`, error_out_is_directory, whose stderr names that
 path and no temporary file), `--ion x` and `--ion 3` on trap.json (`spectrum`, the
 latter error_spectrum_ion: its stderr line comes from the one ion check,
 `coupling.sideband_spectrum`'s), `--shots` of 10^14, `--seed -1` and a program file
@@ -125,6 +127,7 @@ ERROR_PROGRAMS = {
     "delay_unit": "ions 2\ndelay 5kHz\n",
     "delay_non_finite": "ions 2\ndelay 1e400\n",
     "area_overflow": "ions 2\npulse ion=1 rabi=1e-320Hz detune=0 phase=0 area=1pi\n",
+    "program_digits": f"ions {'9' * 5000}\n",
 }
 # failing runs on a config of their own: the config and the command each runs
 ERROR_CONFIGS = {
@@ -145,6 +148,9 @@ ERROR_CONFIGS = {
 # a config whose gradient is given twice; json alone would keep the last, 0 T/m, and report J = 0
 DUPLICATE_KEY_CONFIG = ('{"species": "Yb171", "N": 2, "nu1": "100kHz", '
                         '"field": {"uniform": {"b": "20T/m", "b": "0T/m"}}}')
+# a config whose nu1 nests 100,000 arrays, past the recursion limit of json.loads; json.dumps cannot write it
+NESTED_CONFIG = ('{"species": "Yb171", "N": 2, "nu1": ' + "[" * 100_000 + "]" * 100_000
+                 + ', "field": {"uniform": {"b": "10T/m"}}}')
 # one config twice, its numbers as JSON numbers and as strings; the two runs write the same files
 NUMERIC = {
     "numbers": {"species": "Yb171", "N": 3, "nu1": 100000, "field": {"quadratic": {"b": 10, "c": 2e5}},
@@ -251,6 +257,9 @@ def _commands(work: Path) -> list[tuple[str, list[str]]]:
     (work / "error_duplicate_key.json").write_text(DUPLICATE_KEY_CONFIG, encoding="utf-8")
     commands.append(("error_duplicate_key", ["couplings", "--config", "error_duplicate_key.json",
                                              "--out-dir", "{out}/coup"]))
+    (work / "error_config_nesting.json").write_text(NESTED_CONFIG, encoding="utf-8")
+    commands.append(("error_config_nesting", ["chain", "--config", "error_config_nesting.json",
+                                              "--out", "{out}/chain.json"]))
     commands.append(("error_out_is_directory", ["chain", "--config", "trap.json", "--out", "{out}"]))
     commands += [("error_shots", ["simulate", "--config", "trap.json", "--program", "cnot.pp", "--shots", "-5",
                                   "--out", "{out}/run.json"]),

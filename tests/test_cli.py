@@ -294,6 +294,10 @@ def repeated_key_text(old: str, new: str) -> str:
     return text.replace(old, new)
 
 
+# one digit past int's digit limit: 4301 digits unless PYTHONINTMAXSTRDIGITS sets another limit
+LONG_INTEGER = "9" * (sys.get_int_max_str_digits() + 1)
+DIGITS_ERROR = f"of at most {len(LONG_INTEGER) - 1} digits, got {len(LONG_INTEGER)} digits"
+
 # case -> (config fields over standard_raw(n=2) or a config's whole text, command, program, exit code, stderr line)
 FAILING_RUNS = {
     "unknown_species": ({"species": "Xx999"}, ["chain", "--out", "out/chain.json"], CNOT_PROGRAM, 2,
@@ -319,6 +323,10 @@ FAILING_RUNS = {
     "empty_program": ({}, ["simulate"], "", 4, "p.pp:1:1: program is empty"),
     "unknown_keyword": ({}, ["simulate"], "ions 2\nwiggle 5\n", 4, "p.pp:2:1: unknown keyword 'wiggle'"),
     "duplicate_header": ({}, ["simulate"], "ions 2\nions 2\n", 4, "p.pp:2:1: duplicate 'ions' header"),
+    "ion_count_digits": ({}, ["simulate"], f"ions {LONG_INTEGER}\n", 4,
+                         f"p.pp:1:6: expected an integer ion count {DIGITS_ERROR}"),
+    "ion_index_digits": ({}, ["simulate"], f"ions 2\nmeasure z {LONG_INTEGER}\n", 4,
+                         f"p.pp:2:11: expected an integer ion index {DIGITS_ERROR}"),
     "area_and_dur": ({}, ["simulate"], "ions 2\npulse ion=1 rabi=1kHz detune=0 phase=0 area=1pi dur=1ms\n", 4,
                      "p.pp:2:49: pulse takes either area or dur, not both"),
     # pi / (2 pi rabi) overflows at a subnormal rabi: a parse error at the rabi value, not an exit-3 sequence time
@@ -783,6 +791,15 @@ def test_integer_flags_take_the_integer_rule(trap2, tmp_path, monkeypatch, capsy
     assert sorted(p.name for p in tmp_path.iterdir()) == ["p.pp", "trap2.json"]
 
 
+def test_over_long_integer_flag_is_an_argparse_error(trap2, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--config", trap2, "--ion", LONG_INTEGER, "--out", "s.csv"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: argument --ion: expected an integer {DIGITS_ERROR}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["trap2.json"]
+
+
 def test_numeric_strings_in_a_config_are_si(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     outputs = []
@@ -800,6 +817,11 @@ def test_numeric_strings_in_a_config_are_si(tmp_path, monkeypatch):
 @pytest.mark.parametrize("content, detail", [
     (b'{"N": 2, x}', "invalid JSON"),
     (b'{"comment": "\xff"}', "not UTF-8"),
+    # valid JSON that json.loads cannot read: nesting past the recursion limit, an integer past int's digit limit
+    pytest.param(b'{"N": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", "JSON past the parser's limits",
+                 id="deep_nesting"),
+    pytest.param(b'{"N": ' + LONG_INTEGER.encode() + b"}", "JSON past the parser's limits",
+                 id="long_integer"),
 ])
 def test_malformed_config_error_names_the_path(tmp_path, capsys, command, content, detail):
     config = tmp_path / "bad.json"
@@ -809,6 +831,7 @@ def test_malformed_config_error_names_the_path(tmp_path, capsys, command, conten
                       "--steps", "2", "--quantity", "max_J", "--out", str(tmp_path / "s.csv")]}[command]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"error: {config}: {detail}")
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
 
 
 @pytest.mark.parametrize("command", [

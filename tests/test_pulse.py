@@ -249,6 +249,7 @@ PARSE_ERRORS = {
     "ions 2\ndelay 1ms\nions 3": "3:1: duplicate 'ions' header",
     "ions 2\ndelay": "2:1: usage: delay <duration>",
     "ions 2\ndelay 1ms 2ms": "2:1: usage: delay <duration>",
+    "ions 2\ndelay -1ms": "2:7: delay must be non-negative",
     "ions 2\nmeasure": "2:1: only z-basis measurement is supported: measure z <ions|all>",
     "ions 2\nmeasure x 1": "2:1: only z-basis measurement is supported: measure z <ions|all>",
     "ions 2\nlog": "2:1: usage: log <sx|sy|sz> <ions|all>",

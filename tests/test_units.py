@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import pytest
 
@@ -115,3 +116,11 @@ def test_read_integer_takes_only_the_integer_rule():
     for text in ["1_0", " 2", "2 ", "\uff12", "\u0662", "2.0", "", "+"]:
         with pytest.raises(QuantityError, match=re.escape(f"expected an integer, got {text!r}")):
             read_integer(text)
+
+
+def test_read_integer_past_the_digit_limit_is_a_quantity_error():
+    limit = sys.get_int_max_str_digits()  # 4300 unless PYTHONINTMAXSTRDIGITS sets another
+    assert read_integer("-" + "9" * limit) == -(10**limit - 1)
+    message = f"expected an integer ion count of at most {limit} digits, got {limit + 1} digits"
+    with pytest.raises(QuantityError, match=re.escape(message)):
+        read_integer("+" + "0" * (limit + 1), "integer ion count")
