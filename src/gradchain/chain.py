@@ -79,7 +79,7 @@ class ChainSolution:
         return float(np.min(np.diff(self.positions)) * self.length_scale)
 
     def to_json_dict(self, config: TrapConfig) -> dict:
-        """chain.json's document, all but the CLI's generated_at; `config` is the one the chain was solved for."""
+        """chain.json's document; `config` is the one the chain was solved for."""
         return {
             "ion_count": self.ion_count,
             "length_scale_m": self.length_scale,

@@ -1,8 +1,7 @@
 """Command-line front end: chain, couplings, spectrum, simulate, sweep.
 
-Every command is a pure function of its input files, flags and seed.
-Outputs are byte-reproducible; JSON files carry one ISO-8601 timestamp
-field (and simulate a wall-time field) that --no-timestamp suppresses.
+Every command is a pure function of its input files, flags and seed, so its
+outputs are byte-reproducible; --no-timestamp is accepted and has no effect.
 Frequencies in all outputs are ordinary Hz; CSV numbers use 12
 significant digits.
 
@@ -20,9 +19,7 @@ import json
 import math
 import os
 import sys
-import time
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from datetime import datetime, timezone
 from itertools import chain, repeat
 from pathlib import Path
 
@@ -32,7 +29,7 @@ from . import chain as chain_mod
 from . import coupling as coupling_mod
 from . import pulse as pulse_mod  # a lazy module (gradchain/__init__.py): only cmd_simulate runs it
 from .config import ConfigError, TrapConfig, load_config, read_document, read_text, validate_config
-from .units import QuantityError, read_integer, read_value
+from .units import INTEGER_RE, QuantityError, read_integer, read_value
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -126,13 +123,8 @@ def _write_text(files: dict[Path, Iterable[str]]) -> None:
         raise exc
 
 
-def _json_text(doc: dict, with_timestamp: bool, **timing: float) -> Iterator[str]:
-    """doc, in pieces, as json.dumps(doc, indent=2, sort_keys=True) + newline gives it, ndarrays as their tolist().
-
-    `generated_at` and the `timing` fields join the document only `with_timestamp`.
-    """
-    if with_timestamp:
-        doc = {**doc, "generated_at": datetime.now(timezone.utc).isoformat(), **timing}
+def _json_text(doc: dict) -> Iterator[str]:
+    """doc, in pieces, as json.dumps(doc, indent=2, sort_keys=True) + newline gives it, ndarrays as their tolist()."""
     return chain(_json_pieces(doc), ["\n"])
 
 
@@ -169,7 +161,7 @@ def cmd_chain(args) -> int:
     config = load_config(args.config)
     solution = chain_mod.solve_chain(config)
     if args.out:
-        _write_text({Path(args.out): _json_text(solution.to_json_dict(config), not args.no_timestamp)})
+        _write_text({Path(args.out): _json_text(solution.to_json_dict(config))})
 
     print(f"ion chain: {config.species.name}, N={config.ion_count}, "
           f"nu1/2pi = {_fmt(config.axial_frequency_hz)} Hz")
@@ -194,7 +186,7 @@ def cmd_couplings(args) -> int:
     two_pi = 2.0 * math.pi
     _write_text({out_dir / "j_matrix.csv": _matrix_text(report.j_matrix / two_pi, "ion"),
                  out_dir / "epsilon_matrix.csv": _matrix_text(report.epsilon_matrix, "mode"),
-                 out_dir / "report.json": _json_text(report.to_json_dict(), not args.no_timestamp)})
+                 out_dir / "report.json": _json_text(report.to_json_dict())})
 
     verdict = "valid" if report.harmonic_approximation_valid else "NOT valid"
     print(f"validity epsilon = {report.validity:.6g} "
@@ -231,13 +223,11 @@ def cmd_simulate(args) -> int:
 
     report = _report(config)
     initial = args.initial if args.initial is not None else "0" * config.ion_count
-    started = time.perf_counter()
     record = pulse_mod.interpret(program, report.j_matrix, initial, seed=args.seed, shots=args.shots)
-    wall_time_s = time.perf_counter() - started
 
     out = Path(args.out)
     histogram = [[outcome, str(count)] for outcome, count in record.histogram.items()]
-    files = {out: _json_text(record.to_json_dict(), not args.no_timestamp, wall_time_s=wall_time_s),
+    files = {out: _json_text(record.to_json_dict()),
              out.with_name(out.stem + "_hist.csv"): _table_text(["outcome", "count"], histogram)}
     if record.expectation_log:
         log_path = out.with_name(out.stem + "_log.csv")
@@ -285,13 +275,14 @@ def _sweep_quantity(quantity: str, ion_count: int) -> Callable[[TrapConfig], flo
         raise ValueError(f"sweep quantity min_spacing needs at least 2 ions, config has N={ion_count}")
     if quantity in _SWEEP_QUANTITIES:
         return _SWEEP_QUANTITIES[quantity]
-    try:
-        if not (quantity.startswith("delta_shift[") and quantity.endswith("]")):
-            raise ValueError
-        ion = read_integer(quantity[len("delta_shift["):-1])
-    except ValueError:
+    index = quantity[len("delta_shift["):-1]
+    if not (quantity.startswith("delta_shift[") and quantity.endswith("]") and INTEGER_RE.fullmatch(index)):
         raise ValueError(f"unknown sweep quantity {quantity!r} "
-                         f"(supported: {', '.join(_SWEEP_QUANTITIES)}, delta_shift[j])") from None
+                         f"(supported: {', '.join(_SWEEP_QUANTITIES)}, delta_shift[j])")
+    try:
+        ion = read_integer(index, "ion index")
+    except QuantityError as exc:  # past int's digit limit; the digits are not echoed
+        raise QuantityError(f"sweep quantity delta_shift[j]: {exc}") from None
     if not 1 <= ion <= ion_count:
         raise ValueError(f"sweep quantity {quantity!r}: ion index {ion} out of range [1, {ion_count}]")
     return lambda config: float(_report(config).shifts[ion - 1]) / (2.0 * math.pi)
@@ -363,8 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="trap config JSON file")
-    common.add_argument("--no-timestamp", action="store_true",
-                        help="omit timestamp/wall-time fields for byte-reproducible output")
+    common.add_argument("--no-timestamp", action="store_true", help="no effect: outputs are always byte-reproducible")
     plot_data = argparse.ArgumentParser(add_help=False)
     plot_data.add_argument("--emit-plot-data", action="store_true",
                            help="also write gnuplot-ready two-column .dat files")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .constants import CONSTANTS, SPECIES_REGISTRY, Species
-from .units import FIELD, FREQUENCY, GRADIENT, LENGTH, QuantityError, read_value
+from .units import FIELD, FREQUENCY, GRADIENT, LENGTH, QuantityError, read_integer, read_value
 
 MAX_IONS = 50
 
@@ -261,7 +261,7 @@ def read_document(path):
         return doc
 
     try:
-        return json.loads(read_text(path), object_pairs_hook=unique_keys)
+        return json.loads(read_text(path), object_pairs_hook=unique_keys, parse_int=read_integer)
     except ConfigError:
         raise  # not UTF-8 or a repeated key; it names the path already
     except json.JSONDecodeError as exc:

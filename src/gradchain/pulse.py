@@ -268,7 +268,7 @@ class RunRecord:
     total_time_s: float        # simulated sequence time
 
     def to_json_dict(self) -> dict:
-        """run.json's document, all but the CLI's generated_at and wall_time_s.
+        """run.json's document.
 
         The final state is a (2^n, 2) float array of [real, imag] rows.
         """

@@ -3,7 +3,9 @@
 Every command runs as a fresh `python -m gradchain ... --no-timestamp`
 process against the package in this checkout's `src/`, with the shipped
 configs and programs copied into a temporary directory, so no output
-depends on where the checkout lives. For each command the script prints
+depends on where the checkout lives. The flag changes no output; it keeps
+listings from older commits, whose JSON held a timestamp without it,
+comparable. For each command the script prints
 the digests of its stdout, its stderr, its exit code and every file it
 wrote. Run it at two commits and diff the two listings:
 
@@ -54,18 +56,20 @@ unknown species (`chain`), ions outside a sampled field profile
 on the curvature `c` (`chain`), a `nu1` that is the JSON integer 10^400
 (`couplings`), a gradient `b` given twice in one object (`couplings`,
 error_duplicate_key), a `nu1` nested 100,000 arrays deep, past the
-recursion limit (`chain`, error_config_nesting), an `--out` that is a
+recursion limit (`chain`, error_config_nesting), a `nu1` that is a JSON integer of 5,000 digits,
+past int's digit limit (`chain`, error_config_digits), an `--out` that is a
 directory the script has already made (`chain`, error_out_is_directory, whose stderr names that
 path and no temporary file), `--ion x` and `--ion 3` on trap.json (`spectrum`, the
 latter error_spectrum_ion: its stderr line comes from the one ion check,
 `coupling.sideband_spectrum`'s), `--shots` of 10^14, `--seed -1` and a program file
 that does not exist (`simulate`, error_seed_negative and error_missing_program), and the sweep
 bounds `1_00_000` and `nan`, `--steps ３`, `--steps` of 10^12, `delta_shift[1_0]` on
-trap_n10 and `--param comment` (`sweep`).
+trap_n10, `delta_shift[j]` with an index of 5,000 digits (error_sweep_index_digits) and
+`--param comment` (`sweep`).
 Byte identity holds per host. numpy's SIMD dispatch and OpenBLAS's kernel
 choice reach the last bits: on an AVX-512 host,
 NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" (numpy without its
-AVX-512 loops) changed 16 lines of a 405-line listing and OPENBLAS_CORETYPE=Haswell 14,
+AVX-512 loops) changed 16 lines of a 421-line listing and OPENBLAS_CORETYPE=Haswell 14,
 while OPENBLAS_NUM_THREADS=1 changed none. Diff listings from one host.
 This script is not a test module and pytest does not collect it.
 """
@@ -151,6 +155,8 @@ DUPLICATE_KEY_CONFIG = ('{"species": "Yb171", "N": 2, "nu1": "100kHz", '
 # a config whose nu1 nests 100,000 arrays, past the recursion limit of json.loads; json.dumps cannot write it
 NESTED_CONFIG = ('{"species": "Yb171", "N": 2, "nu1": ' + "[" * 100_000 + "]" * 100_000
                  + ', "field": {"uniform": {"b": "10T/m"}}}')
+# a config whose nu1 is an integer of 5,000 digits, past int's digit limit; json.dumps cannot write it
+DIGITS_CONFIG = ('{"species": "Yb171", "N": 2, "nu1": ' + "9" * 5000 + ', "field": {"uniform": {"b": "10T/m"}}}')
 # one config twice, its numbers as JSON numbers and as strings; the two runs write the same files
 NUMERIC = {
     "numbers": {"species": "Yb171", "N": 3, "nu1": 100000, "field": {"quadratic": {"b": 10, "c": 2e5}},
@@ -260,6 +266,9 @@ def _commands(work: Path) -> list[tuple[str, list[str]]]:
     (work / "error_config_nesting.json").write_text(NESTED_CONFIG, encoding="utf-8")
     commands.append(("error_config_nesting", ["chain", "--config", "error_config_nesting.json",
                                               "--out", "{out}/chain.json"]))
+    (work / "error_config_digits.json").write_text(DIGITS_CONFIG, encoding="utf-8")
+    commands.append(("error_config_digits", ["chain", "--config", "error_config_digits.json",
+                                             "--out", "{out}/chain.json"]))
     commands.append(("error_out_is_directory", ["chain", "--config", "trap.json", "--out", "{out}"]))
     commands += [("error_shots", ["simulate", "--config", "trap.json", "--program", "cnot.pp", "--shots", "-5",
                                   "--out", "{out}/run.json"]),
@@ -284,6 +293,9 @@ def _commands(work: Path) -> list[tuple[str, list[str]]]:
                  ("error_sweep_ion_index", ["sweep", "--config", "trap_n10.json", "--param", "nu1", "--from", "50kHz",
                                             "--to", "100kHz", "--steps", "3", "--quantity", "delta_shift[1_0]",
                                             "--out", "{out}/sweep.csv"]),
+                 ("error_sweep_index_digits", ["sweep", "--config", "trap.json", "--param", "nu1", "--from", "50kHz",
+                                               "--to", "100kHz", "--steps", "3", "--quantity",
+                                               f"delta_shift[{'9' * 5000}]", "--out", "{out}/sweep.csv"]),
                  ("error_sweep_comment", ["sweep", "--config", "trap.json", "--param", "comment", "--from", "1",
                                           "--to", "2", "--steps", "2", "--quantity", "max_J",
                                           "--out", "{out}/sweep.csv"])]

@@ -242,18 +242,16 @@ def test_criterion_10_cli_determinism(tmp_path):
         base = tmp_path / tag
         base.mkdir()
         commands = [
-            ["chain", "--config", str(config_path), "--out", str(base / "chain.json"),
-             "--no-timestamp"],
-            ["couplings", "--config", str(config_path), "--out-dir", str(base / "coup"),
-             "--no-timestamp"],
+            ["chain", "--config", str(config_path), "--out", str(base / "chain.json")],
+            ["couplings", "--config", str(config_path), "--out-dir", str(base / "coup")],
             ["spectrum", "--config", str(config_path), "--ion", "1",
-             "--out", str(base / "spec.csv"), "--no-timestamp"],
+             "--out", str(base / "spec.csv")],
             ["simulate", "--config", str(config_path), "--program", str(program_path),
              "--initial", "10", "--seed", "9", "--shots", "50",
-             "--out", str(base / "run.json"), "--no-timestamp"],
+             "--out", str(base / "run.json")],
             ["sweep", "--config", str(config_path), "--param", "field.uniform.b",
              "--from", "1", "--to", "30", "--steps", "4", "--quantity", "max_J",
-             "--out", str(base / "sweep.csv"), "--no-timestamp"],
+             "--out", str(base / "sweep.csv")],
         ]
         for cmd in commands:
             assert main(cmd) == 0
@@ -263,5 +261,4 @@ def test_criterion_10_cli_determinism(tmp_path):
         }
 
     assert run_all("one") == run_all("two")
-    verdict(10, "all five CLI commands byte-identical across consecutive runs "
-                "with --no-timestamp")
+    verdict(10, "all five CLI commands byte-identical across consecutive runs")

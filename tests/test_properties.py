@@ -247,7 +247,7 @@ def test_cli_exit_codes_on_generated_configs(raw, data):
             command = argv[0]
             stderr = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-                code = main([*argv, "--config", str(config), "--no-timestamp"])  # an exception fails the test
+                code = main([*argv, "--config", str(config)])  # an exception fails the test
             assert code in ((0, 2, 3, 4) if command == "simulate" else (0, 2, 3)), argv
             assert "Traceback" not in stderr.getvalue()
             written = [p for p in (base / command).rglob("*") if p.is_file()]
@@ -278,7 +278,7 @@ measure z all
 
 
 def run_json_text(config, chain) -> str:
-    """The run.json text (as written under --no-timestamp) of N10_PROGRAM on this chain."""
+    """The run.json text the CLI writes for N10_PROGRAM on this chain."""
     record = interpret(N10_PROGRAM, build_report(config, chain).j_matrix, "0101100000", seed=7, shots=500)
     return json_text(record.to_json_dict())
 

@@ -535,4 +535,4 @@ def test_run_record_serialization(report2):
     assert doc["initial"] == "10"
     assert len(doc["final_state"]["amplitudes"]) == 4
     assert "basis_convention" in doc["final_state"]
-    assert "wall_time_s" not in doc and "generated_at" not in doc  # the CLI's to add
+    assert "wall_time_s" not in doc and "generated_at" not in doc  # run.json holds no timing and no timestamp
