@@ -881,8 +881,9 @@ def test_all_commands_byte_identical(trap2, tmp_path):
     assert run_all("second") == flagged
 
 
-@pytest.mark.parametrize("flags", [[], ["--no-timestamp"]], ids=["default", "no-timestamp"])
-def test_json_outputs_hold_no_timestamp_or_wall_time(trap2, tmp_path, flags):
+@pytest.mark.parametrize("flags", [[], ["--no-timestamp"]], ids=["timestamp", "no-timestamp"])
+def test_simulate_wall_time_only_without_flag(trap2, tmp_path, flags):
+    """With the flag and without it, no JSON output holds a timestamp or a wall time."""
     program = tmp_path / "cnot.pp"
     program.write_text(CNOT_PROGRAM, encoding="utf-8")
     assert main(["chain", "--config", trap2, "--out", str(tmp_path / "chain.json"), *flags]) == 0
