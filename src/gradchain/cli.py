@@ -160,8 +160,8 @@ def _report(config: TrapConfig) -> coupling_mod.CouplingReport:
 def cmd_chain(args) -> int:
     config = load_config(args.config)
     solution = chain_mod.solve_chain(config)
-    if args.out:
-        _write_text({Path(args.out): _json_text(solution.to_json_dict(config))})
+    if args.out is not None:
+        _write_text({args.out: _json_text(solution.to_json_dict(config))})
 
     print(f"ion chain: {config.species.name}, N={config.ion_count}, "
           f"nu1/2pi = {_fmt(config.axial_frequency_hz)} Hz")
@@ -203,7 +203,7 @@ def cmd_spectrum(args) -> int:
     lines = coupling_mod.sideband_spectrum(solution, report, args.ion)
 
     rows = [[_fmt(line.offset / (2.0 * math.pi)), _fmt(line.amplitude), line.label] for line in lines]
-    _write_text(_table_files(Path(args.out), ["offset_hz", "amplitude", "label"], rows, args.emit_plot_data))
+    _write_text(_table_files(args.out, ["offset_hz", "amplitude", "label"], rows, args.emit_plot_data))
     print(f"wrote {len(lines)} spectral lines for ion {args.ion}")
     return EXIT_OK
 
@@ -225,7 +225,7 @@ def cmd_simulate(args) -> int:
     initial = args.initial if args.initial is not None else "0" * config.ion_count
     record = pulse_mod.interpret(program, report.j_matrix, initial, seed=args.seed, shots=args.shots)
 
-    out = Path(args.out)
+    out = args.out
     histogram = [[outcome, str(count)] for outcome, count in record.histogram.items()]
     files = {out: _json_text(record.to_json_dict()),
              out.with_name(out.stem + "_hist.csv"): _table_text(["outcome", "count"], histogram)}
@@ -332,7 +332,7 @@ def cmd_sweep(args) -> int:
     for value in values:
         point = validate_config(_with_value(raw, args.param, float(value)))
         rows.append([_fmt(value), _fmt(evaluate(point))])
-    _write_text(_table_files(Path(args.out), [args.param, args.quantity], rows, args.emit_plot_data))
+    _write_text(_table_files(args.out, [args.param, args.quantity], rows, args.emit_plot_data))
     print(f"swept {args.param} over {args.steps} points -> {args.quantity}")
     return EXIT_OK
 
@@ -343,6 +343,14 @@ def _integer(text: str) -> int:
         return read_integer(text)
     except QuantityError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _file_path(text: str) -> Path:
+    """argparse type of --out: a Path that names a file; "", ".", "/" and ".." name none, and argparse reports them."""
+    path = Path(text)
+    if path.name in ("", ".."):
+        raise argparse.ArgumentTypeError(f"expected a file path, got {text!r}")
+    return path
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -360,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="also write gnuplot-ready two-column .dat files")
 
     p = sub.add_parser("chain", parents=[common], help="solve equilibrium geometry and normal modes")
-    p.add_argument("--out", help="write ChainSolution JSON here")
+    p.add_argument("--out", type=_file_path, help="write ChainSolution JSON here")
     p.set_defaults(func=cmd_chain)
 
     p = sub.add_parser("couplings", parents=[common], help="compute J/epsilon matrices, shifts, validity")
@@ -369,7 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", parents=[common, plot_data], help="microwave sideband stick spectrum of one ion")
     p.add_argument("--ion", type=_integer, required=True)
-    p.add_argument("--out", required=True, help="CSV output path")
+    p.add_argument("--out", type=_file_path, required=True, help="CSV output path")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("simulate", parents=[common, plot_data], help="run a pulse program")
@@ -377,7 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--initial", default=None, help="initial basis label, default all zeros")
     p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--shots", type=_integer, default=100)
-    p.add_argument("--out", required=True, help="RunRecord JSON path")
+    p.add_argument("--out", type=_file_path, required=True, help="RunRecord JSON path")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", parents=[common, plot_data], help="sweep one config parameter, tabulate one quantity")
@@ -388,7 +396,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", choices=("linear", "log"), default="linear")
     p.add_argument("--quantity", required=True,
                    help="max_J | epsilon | min_spacing | delta_shift[j]")
-    p.add_argument("--out", required=True, help="CSV output path")
+    p.add_argument("--out", type=_file_path, required=True, help="CSV output path")
     p.set_defaults(func=cmd_sweep)
     return parser
 

@@ -24,22 +24,18 @@ MAX_IONS = 50
 
 
 class ConfigError(ValueError):
-    """Base class for configuration validation failures."""
+    """A config that cannot be read or validated.
 
-
-class MissingFieldError(ConfigError):
-    def __init__(self, path: str):
-        super().__init__(f"missing required field: {path}")
+    Raised as itself for a foreign or a missing key, an unknown species and
+    a position outside a sampled profile, and by the file readers
+    (read_text, read_document); OutOfRangeError, for a value that is wrong
+    where it stands, is its one subclass.
+    """
 
 
 class OutOfRangeError(ConfigError):
     def __init__(self, path: str, detail: str):
         super().__init__(f"field {path}: {detail}")
-
-
-class UnknownKeyError(ConfigError):
-    def __init__(self, path: str, allowed):
-        super().__init__(f"unknown key: {path} (allowed: {', '.join(sorted(allowed))})")
 
 
 def _horner(coefficients: tuple[float, ...], z: float) -> float:
@@ -141,10 +137,21 @@ def _quantity(raw, path: str, dimension: str) -> float:
     raise OutOfRangeError(path, f"expected a quantity, got {type(raw).__name__}")
 
 
-def _check_keys(doc: dict, allowed: Collection[str], prefix: str = "") -> None:
-    for key in doc:
-        if key not in allowed:
-            raise UnknownKeyError(prefix + key, allowed)
+def _object(raw, path: str, keys: Collection[str], required: Collection[str] = ()) -> dict:
+    """`raw`, checked as the JSON object at `path`: its type, then any key not in `keys`, then each of `required`.
+
+    The `path` "" is the document itself, whose type validate_config checks first, with a message of its own.
+    """
+    prefix = path and path + "."
+    if not isinstance(raw, dict):
+        raise OutOfRangeError(path, "expected an object")
+    for key in raw:
+        if key not in keys:
+            raise ConfigError(f"unknown key: {prefix}{key} (allowed: {', '.join(sorted(keys))})")
+    for key in required:
+        if key not in raw:
+            raise ConfigError(f"missing required field: {prefix}{key}")
+    return raw
 
 
 # variant -> its keys in coefficient order with their dimensions; B0 defaults to 0 T, the rest are required
@@ -157,34 +164,25 @@ _ANALYTIC_FIELDS = {
 def _parse_field(raw, path: str = "field") -> FieldProfile:
     if not isinstance(raw, dict) or len(raw) != 1:
         raise OutOfRangeError(path, "expected exactly one of: uniform, quadratic, sampled")
-    (variant, body), = raw.items()
-    if not isinstance(body, dict):
-        raise OutOfRangeError(f"{path}.{variant}", "expected an object")
+    (variant, body), = _object(raw, path, (*_ANALYTIC_FIELDS, "sampled")).items()
+    path = f"{path}.{variant}"
     if variant in _ANALYTIC_FIELDS:
         dimensions = _ANALYTIC_FIELDS[variant]
-        _check_keys(body, dimensions, f"{path}.{variant}.")
-        for key in dimensions:
-            if key != "B0" and key not in body:
-                raise MissingFieldError(f"{path}.{variant}.{key}")
-        return PolynomialField(tuple(_quantity(body.get(key, 0.0), f"{path}.{variant}.{key}", dimension)
+        body = _object(body, path, dimensions, [key for key in dimensions if key != "B0"])
+        return PolynomialField(tuple(_quantity(body.get(key, 0.0), f"{path}.{key}", dimension)
                                      for key, dimension in dimensions.items()))
-    if variant == "sampled":
-        _check_keys(body, {"points"}, f"{path}.sampled.")
-        if "points" not in body:
-            raise MissingFieldError(f"{path}.sampled.points")
-        pts = body["points"]
-        if not isinstance(pts, list):
-            raise OutOfRangeError(f"{path}.sampled.points", "expected a list of [z, B] pairs")
-        parsed = []
-        for i, pair in enumerate(pts):
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise OutOfRangeError(f"{path}.sampled.points[{i}]", "expected a [z, B] pair")
-            parsed.append((
-                _quantity(pair[0], f"{path}.sampled.points[{i}].z", LENGTH),
-                _quantity(pair[1], f"{path}.sampled.points[{i}].B", FIELD),
-            ))
-        return SampledField(points=tuple(parsed))
-    raise UnknownKeyError(f"{path}.{variant}", {"uniform", "quadratic", "sampled"})
+    pts = _object(body, path, ("points",), ("points",))["points"]
+    if not isinstance(pts, list):
+        raise OutOfRangeError(f"{path}.points", "expected a list of [z, B] pairs")
+    parsed = []
+    for i, pair in enumerate(pts):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise OutOfRangeError(f"{path}.points[{i}]", "expected a [z, B] pair")
+        parsed.append((
+            _quantity(pair[0], f"{path}.points[{i}].z", LENGTH),
+            _quantity(pair[1], f"{path}.points[{i}].B", FIELD),
+        ))
+    return SampledField(points=tuple(parsed))
 
 
 def validate_config(raw: dict) -> TrapConfig:
@@ -195,11 +193,8 @@ def validate_config(raw: dict) -> TrapConfig:
     """
     if not isinstance(raw, dict):
         raise OutOfRangeError("<root>", "config document must be a JSON object")
-    _check_keys(raw, {"species", "N", "nu1", "field", "drive_wavevector", "comment"})
-
-    for key in ("species", "N", "nu1", "field"):
-        if key not in raw:
-            raise MissingFieldError(key)
+    _object(raw, "", ("species", "N", "nu1", "field", "drive_wavevector", "comment"),
+            required=("species", "N", "nu1", "field"))
 
     name = raw["species"]
     if not isinstance(name, str):
@@ -223,10 +218,8 @@ def validate_config(raw: dict) -> TrapConfig:
     k = species.omega0 / CONSTANTS.speed_of_light
     dw = raw.get("drive_wavevector", FROM_TRANSITION)
     if isinstance(dw, dict):
-        _check_keys(dw, {"explicit"}, "drive_wavevector.")
-        if "explicit" not in dw:
-            raise MissingFieldError("drive_wavevector.explicit")
-        k = _quantity(dw["explicit"], "drive_wavevector.explicit", "wavevector in rad/m")
+        explicit = _object(dw, "drive_wavevector", ("explicit",), ("explicit",))["explicit"]
+        k = _quantity(explicit, "drive_wavevector.explicit", "wavevector in rad/m")
         if k <= 0:
             raise OutOfRangeError("drive_wavevector.explicit", f"wavevector must be positive, got {k}")
     elif dw != FROM_TRANSITION:

@@ -57,9 +57,11 @@ on the curvature `c` (`chain`), a `nu1` that is the JSON integer 10^400
 (`couplings`), a gradient `b` given twice in one object (`couplings`,
 error_duplicate_key), a `nu1` nested 100,000 arrays deep, past the
 recursion limit (`chain`, error_config_nesting), a `nu1` that is a JSON integer of 5,000 digits,
-past int's digit limit (`chain`, error_config_digits), an `--out` that is a
-directory the script has already made (`chain`, error_out_is_directory, whose stderr names that
-path and no temporary file), `--ion x` and `--ion 3` on trap.json (`spectrum`, the
+past int's digit limit (`chain`, error_config_digits), a field variant `cubic` whose body is a
+number (`chain`, error_unknown_variant: the unknown name is reported before the body is read), an
+`--out` that is a directory the script has already made (`chain`, error_out_is_directory, whose
+stderr names that path and no temporary file), an empty `--out` (`spectrum`, error_out_empty,
+argparse's usage error), `--ion x` and `--ion 3` on trap.json (`spectrum`, the
 latter error_spectrum_ion: its stderr line comes from the one ion check,
 `coupling.sideband_spectrum`'s), `--shots` of 10^14, `--seed -1` and a program file
 that does not exist (`simulate`, error_seed_negative and error_missing_program), and the sweep
@@ -148,6 +150,8 @@ ERROR_CONFIGS = {
                        ["chain", "--out", "{out}/chain.json"]),
     "huge_integer": ({"species": "Yb171", "N": 2, "nu1": 10**400, "field": {"uniform": {"b": "10T/m"}}},
                      ["couplings", "--out-dir", "{out}/coup"]),
+    "unknown_variant": ({"species": "Yb171", "N": 2, "nu1": "100kHz", "field": {"cubic": 10.0}},
+                        ["chain", "--out", "{out}/chain.json"]),
 }
 # a config whose gradient is given twice; json alone would keep the last, 0 T/m, and report J = 0
 DUPLICATE_KEY_CONFIG = ('{"species": "Yb171", "N": 2, "nu1": "100kHz", '
@@ -270,6 +274,7 @@ def _commands(work: Path) -> list[tuple[str, list[str]]]:
     commands.append(("error_config_digits", ["chain", "--config", "error_config_digits.json",
                                              "--out", "{out}/chain.json"]))
     commands.append(("error_out_is_directory", ["chain", "--config", "trap.json", "--out", "{out}"]))
+    commands.append(("error_out_empty", ["spectrum", "--config", "trap.json", "--ion", "1", "--out", ""]))
     commands += [("error_shots", ["simulate", "--config", "trap.json", "--program", "cnot.pp", "--shots", "-5",
                                   "--out", "{out}/run.json"]),
                  ("error_shots_huge", ["simulate", "--config", "trap.json", "--program", "cnot.pp",

@@ -794,6 +794,24 @@ def test_integer_flags_take_the_integer_rule(trap2, tmp_path, monkeypatch, capsy
     assert sorted(p.name for p in tmp_path.iterdir()) == ["p.pp", "trap2.json"]
 
 
+@pytest.mark.parametrize("text", ["", ".", "sub/.."])
+@pytest.mark.parametrize("command", [
+    ["chain"],
+    ["spectrum", "--ion", "1"],
+    ["simulate", "--program", "p.pp"],
+    ["sweep", "--param", "nu1", "--from", "50kHz", "--to", "100kHz", "--steps", "2", "--quantity", "max_J"],
+], ids=lambda command: command[0])
+def test_out_must_name_a_file(trap2, tmp_path, monkeypatch, capsys, command, text):
+    # a path with no file name is argparse's error on --out, before anything runs or is written
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.pp").write_text(CNOT_PROGRAM, encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--config", trap2, "--out", text])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: argument --out: expected a file path, got {text!r}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.pp", "trap2.json"]
+
+
 def test_over_long_integer_flag_is_an_argparse_error(trap2, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:

@@ -8,11 +8,9 @@ import pytest
 from conftest import AMU, standard_raw
 from gradchain.config import (
     ConfigError,
-    MissingFieldError,
     OutOfRangeError,
     PolynomialField,
     SampledField,
-    UnknownKeyError,
     load_config,
     validate_config,
 )
@@ -79,17 +77,16 @@ def test_unknown_species():
 def test_missing_field_names_path():
     raw = standard_raw()
     del raw["nu1"]
-    with pytest.raises(MissingFieldError) as err:
+    with pytest.raises(ConfigError, match=r"^missing required field: nu1$"):
         validate_config(raw)
-    assert "nu1" in str(err.value)
 
 
 def test_unknown_key_rejected():
     raw = standard_raw()
     raw["nu2"] = "1kHz"
-    with pytest.raises(UnknownKeyError) as err:
+    with pytest.raises(ConfigError, match=r"^unknown key: nu2 \(allowed: N, comment, drive_wavevector, field, nu1, "
+                                          r"species\)$"):
         validate_config(raw)
-    assert "nu2" in str(err.value)
 
 
 @pytest.mark.parametrize("old, new, key", [
@@ -104,45 +101,64 @@ def test_repeated_key_rejected(tmp_path, old, new, key):
         load_config(path)
 
 
-# config entries -> the exact message of the ConfigError they raise, one for each branch of the field and
-# wavevector checks
+def _with(**entries) -> dict:
+    """standard_raw() with `entries` set at its top level."""
+    return standard_raw() | entries
+
+
+# config documents -> the exact message of the ConfigError they raise, one for each branch of the object, field
+# and wavevector checks
 CONFIG_ERRORS = {
-    "field_two_variants": ({"field": {"uniform": {"b": 1.0}, "quadratic": {"b": 1.0, "c": 0.0}}},
+    "root_not_object": ([], "field <root>: config document must be a JSON object"),
+    "root_foreign_key": (_with(trap="Paul"),
+                         "unknown key: trap (allowed: N, comment, drive_wavevector, field, nu1, species)"),
+    "root_missing_key": ({key: value for key, value in standard_raw().items() if key != "field"},
+                         "missing required field: field"),
+    "field_two_variants": (_with(field={"uniform": {"b": 1.0}, "quadratic": {"b": 1.0, "c": 0.0}}),
                            "field field: expected exactly one of: uniform, quadratic, sampled"),
-    "field_no_variant": ({"field": {}}, "field field: expected exactly one of: uniform, quadratic, sampled"),
-    "field_not_object": ({"field": "uniform"}, "field field: expected exactly one of: uniform, quadratic, sampled"),
-    "variant_body_not_object": ({"field": {"uniform": 10.0}}, "field field.uniform: expected an object"),
-    "uniform_missing_b": ({"field": {"uniform": {"B0": 0.0}}}, "missing required field: field.uniform.b"),
-    "quadratic_missing_c": ({"field": {"quadratic": {"b": 1.0}}}, "missing required field: field.quadratic.c"),
-    "sampled_missing_points": ({"field": {"sampled": {}}}, "missing required field: field.sampled.points"),
-    "sampled_points_not_list": ({"field": {"sampled": {"points": {"z": 0.0}}}},
+    "field_no_variant": (_with(field={}), "field field: expected exactly one of: uniform, quadratic, sampled"),
+    "field_not_object": (_with(field="uniform"), "field field: expected exactly one of: uniform, quadratic, sampled"),
+    "variant_body_not_object": (_with(field={"uniform": 10.0}), "field field.uniform: expected an object"),
+    "uniform_foreign_key": (_with(field={"uniform": {"b": 1.0, "c": 0.0}}),
+                            "unknown key: field.uniform.c (allowed: B0, b)"),
+    "uniform_missing_b": (_with(field={"uniform": {"B0": 0.0}}), "missing required field: field.uniform.b"),
+    "quadratic_missing_c": (_with(field={"quadratic": {"b": 1.0}}), "missing required field: field.quadratic.c"),
+    "sampled_foreign_key": (_with(field={"sampled": {"points": [[-1e-4, 0.0], [1e-4, 1e-3]], "order": 1}}),
+                            "unknown key: field.sampled.order (allowed: points)"),
+    "sampled_missing_points": (_with(field={"sampled": {}}), "missing required field: field.sampled.points"),
+    "sampled_points_not_list": (_with(field={"sampled": {"points": {"z": 0.0}}}),
                                 "field field.sampled.points: expected a list of [z, B] pairs"),
-    "sampled_pair_too_short": ({"field": {"sampled": {"points": [[-1e-4, 0.0], [1e-4]]}}},
+    "sampled_pair_too_short": (_with(field={"sampled": {"points": [[-1e-4, 0.0], [1e-4]]}}),
                                "field field.sampled.points[1]: expected a [z, B] pair"),
-    "sampled_pair_not_list": ({"field": {"sampled": {"points": [0.0, 1.0]}}},
+    "sampled_pair_not_list": (_with(field={"sampled": {"points": [0.0, 1.0]}}),
                               "field field.sampled.points[0]: expected a [z, B] pair"),
-    "unknown_variant": ({"field": {"cubic": {"b": 1.0}}},
+    "unknown_variant": (_with(field={"cubic": {"b": 1.0}}),
                         "unknown key: field.cubic (allowed: quadratic, sampled, uniform)"),
-    "wavevector_missing_explicit": ({"drive_wavevector": {}}, "missing required field: drive_wavevector.explicit"),
-    "wavevector_bad_string": ({"drive_wavevector": "optical"},
+    # the variant's name is checked before its body is read
+    "unknown_variant_not_object": (_with(field={"cubic": 10.0}),
+                                   "unknown key: field.cubic (allowed: quadratic, sampled, uniform)"),
+    "wavevector_foreign_key": (_with(drive_wavevector={"explicit": 1e7, "implicit": 1e7}),
+                               "unknown key: drive_wavevector.implicit (allowed: explicit)"),
+    "wavevector_missing_explicit": (_with(drive_wavevector={}), "missing required field: drive_wavevector.explicit"),
+    "wavevector_bad_string": (_with(drive_wavevector="optical"),
                               "field drive_wavevector: expected 'from_transition' or {'explicit': k}, got 'optical'"),
-    "wavevector_bare_number": ({"drive_wavevector": 1e7},
+    "wavevector_bare_number": (_with(drive_wavevector=1e7),
                                "field drive_wavevector: expected 'from_transition' or {'explicit': k}, got 10000000.0"),
 }
 
 
 @pytest.mark.parametrize("case", CONFIG_ERRORS)
 def test_config_error_message(case):
-    entries, message = CONFIG_ERRORS[case]
+    document, message = CONFIG_ERRORS[case]
     with pytest.raises(ConfigError) as err:
-        validate_config(standard_raw() | entries)
+        validate_config(document)
     assert str(err.value) == message
 
 
 def test_unknown_nested_key_rejected():
     raw = standard_raw()
     raw["field"]["uniform"]["b1"] = 1.0
-    with pytest.raises(UnknownKeyError):
+    with pytest.raises(ConfigError, match=r"^unknown key: field\.uniform\.b1 \(allowed: B0, b\)$"):
         validate_config(raw)
 
 
