@@ -306,6 +306,15 @@ def _with_value(raw: dict, dotted: str, value) -> dict:
     return doc
 
 
+def _accepts(raw: dict, parameter: str, value) -> bool:
+    """Whether the config document `raw` is valid with `value` at the dotted path `parameter`."""
+    try:
+        validate_config(_with_value(raw, parameter, value))
+    except ConfigError:
+        return False
+    return True
+
+
 def _parse_sweep_bound(text: str, raw: dict, parameter: str) -> float:
     """A sweep bound in SI: a number or quantity of units.read_value, if the swept field takes its text too."""
     try:
@@ -319,11 +328,7 @@ def _parse_sweep_bound(text: str, raw: dict, parameter: str) -> float:
 def cmd_sweep(args) -> int:
     raw = read_document(args.config)
     evaluate = _sweep_quantity(args.quantity, validate_config(raw).ion_count)  # fail early on a bad config or quantity
-    try:
-        validate_config(_with_value(raw, args.param, None))  # a field read as a quantity refuses null
-    except ConfigError:
-        pass
-    else:
+    if _accepts(raw, args.param, None) or not _accepts(raw, args.param, 1.0):  # a quantity refuses null, takes 1.0
         raise ConfigError(f"sweep parameter {args.param!r} is not a quantity")
     values = _sweep_values(_parse_sweep_bound(getattr(args, "from"), raw, args.param),
                            _parse_sweep_bound(args.to, raw, args.param), args.steps, args.scale)

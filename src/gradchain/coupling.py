@@ -82,116 +82,64 @@ class CouplingReport:
         }
 
 
-def omega_gradients(config: TrapConfig, chain: ChainSolution, moment: float | None = None) -> np.ndarray:
-    """Zeeman frequency gradient moment * mu_B * B'(z0_n) / hbar of each ion at its rest position, rad/(s m).
-
-    moment is in Bohr magnetons; the default, the differential moment
-    mu1 - mu0, gives the qubit's own gradient d(omega_n)/dz.
-    Raises ConfigError if an ion sits outside a sampled profile.
-    """
-    moment = config.species.differential_moment if moment is None else moment
-    grads = [config.field.gradient_at(z) for z in chain.positions_m]
-    return moment * CONSTANTS.bohr_magneton * np.asarray(grads) / CONSTANTS.hbar
-
-
-def qubit_frequencies(config: TrapConfig, chain: ChainSolution) -> np.ndarray:
-    """Position-shifted qubit splittings omega_n = omega0 + dmu mu_B B(z0_n) / hbar."""
-    moment = config.species.differential_moment * CONSTANTS.bohr_magneton
-    fields = np.asarray([config.field.field_at(z) for z in chain.positions_m])
-    return config.species.omega0 + moment * fields / CONSTANTS.hbar
-
-
-def epsilon_matrix(grads: np.ndarray, chain: ChainSolution) -> np.ndarray:
-    """Mode-ion coupling eps[j, n] = S[j, n] grad_n dz_j / nu_j."""
-    per_mode = chain.ground_state_extents / chain.mode_frequencies
-    return chain.mode_matrix * np.asarray(grads)[None, :] * per_mode[:, None]
-
-
-def j_matrix(eps: np.ndarray, chain: ChainSolution) -> np.ndarray:
-    """Pairwise qubit coupling J[n, l] = sum_j nu_j eps[j, n] eps[j, l], rad/s.
-
-    eps is epsilon_matrix(grads, chain). Symmetric with zero diagonal
-    (sigma_z^2 terms are constants and are dropped); invariant under sign
-    flips of any mode row since each term carries two same-mode factors.
-    """
-    j = np.einsum("j,jn,jl->nl", chain.mode_frequencies, eps, eps)
-    np.fill_diagonal(j, 0.0)
-    return j
-
-
-def carrier_shifts(eps_sum: np.ndarray, eps: np.ndarray, chain: ChainSolution) -> np.ndarray:
-    """Carrier shift Delta_n = -sum_l sum_j nu_j eps_sum[j, n] eps[j, l] of each ion, rad/s.
-
-    eps_sum is epsilon_matrix of the gradients of the moment sum mu0 + mu1,
-    not eps times (mu0 + mu1)/(mu1 - mu0), so mu0 = mu1 gives 0, not NaN.
-    With |s><s| = (1 + s sigma_z)/2, the polaron transformation that gives
-    J also leaves a term in sigma_z_n; Delta_n, twice its coefficient, is
-    the centre of ion n's conditional lines. Invariant under mode-row sign
-    flips, like J.
-    """
-    return -np.einsum("j,jn,jl->n", chain.mode_frequencies, eps_sum, eps)
-
-
-def validity_epsilon(config: TrapConfig, grads: np.ndarray) -> float:
-    """Harmonic-approximation smallness parameter max_j |grad_j| dz_1 / nu_1.
-
-    grads is omega_gradients(config, chain). Compares the gradient-induced
-    potential term over one ground-state extent with the mode quantum
-    hbar*nu1; the derived Hamiltonian holds while this is well below unity.
-    Against the full spin-phonon dynamics for two ions, the J-only spin model
-    is off in populations by ~eps^2: at VALIDITY_THRESHOLD = 0.1, up to 1.2e-4
-    for the shipped CNOT and Ramsey programs and 2.8e-3 for detuned, phased
-    pulses, mostly the carrier Rabi rate's exp(-sum_j eps[j, n]^2 / 2) (README).
-    """
-    dz1 = math.sqrt(CONSTANTS.hbar / (2.0 * config.species.mass * config.nu1))
-    return float(np.max(np.abs(grads)) * dz1 / config.nu1)
-
-
-def effective_lamb_dicke(chain: ChainSolution, eta_bare: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """Effective Lamb-Dicke parameters eta'[n, j] = |eta_n S[n, j] + i eps[n, j]|, [mode, ion].
-
-    Combines the bare photon-recoil coupling eta_n = dz_n k with the
-    gradient-induced one eps = epsilon_matrix(grads, chain); for microwave
-    drives the eps term dominates by orders of magnitude. The phase of the
-    sum is exact_phases.
-    """
-    bare_part = eta_bare[:, None] * chain.mode_matrix
-    return np.sqrt(bare_part**2 + eps**2)
-
-
-def exact_phases(chain: ChainSolution, eta_bare: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """Per-(mode, ion) drive phase phi = pi/2 - atan2(eta_n S[n, j], eps[n, j]), [mode, ion].
-
-    phi is the phase of the first-order sideband amplitude r = eps + i eta_n S = i eta' e^{-i phi}
-    (gradient displacement plus photon recoil): exactly pi/2 where S = eps = +0.0, -pi/2 where
-    S = +0.0, eps = -0.0, and not determined where both are rounding noise (|S| < 1e-13, in the
-    highest modes from N = 35; eigensolvers disagree on their signs at N >= 44).
-    """
-    return 0.5 * math.pi - np.arctan2(eta_bare[:, None] * chain.mode_matrix, eps)
-
-
 def build_report(config: TrapConfig, chain: ChainSolution) -> CouplingReport:
-    """Assemble every gradient-induced quantity into one report.
+    """Every gradient-induced quantity of one chain in its field, in one report.
 
-    Raises SolverError if any of them is not finite, as for a field
+    Each ion's field B(z0_n) and gradient B'(z0_n) are read once, at its rest
+    position; an ion outside a sampled profile raises ConfigError. J drops
+    its diagonal, whose sigma_z^2 terms are constants. The carrier shift
+    Delta_n is the centre of ion n's conditional lines: with |s><s| =
+    (1 + s sigma_z)/2 the polaron transformation that gives J also leaves a
+    term in sigma_z_n, and Delta_n is twice its coefficient. Its eps+ is
+    built from the gradients of the moment sum mu0 + mu1, not as eps times
+    (mu0 + mu1)/(mu1 - mu0), so mu0 = mu1 gives 0, not NaN. J and Delta do
+    not depend on the sign of any mode row: each of their terms carries two
+    factors of one mode.
+
+    validity, max_j |grad_j| dz_1 / nu_1, compares the gradient term over one
+    ground-state extent with the mode quantum hbar nu1; the derived
+    Hamiltonian holds while it is well below unity. Against the full
+    spin-phonon dynamics for two ions, the J-only spin model is off in
+    populations by ~eps^2: at VALIDITY_THRESHOLD = 0.1, up to 1.2e-4 for the
+    shipped CNOT and Ramsey programs and 2.8e-3 for detuned, phased pulses,
+    mostly the carrier Rabi rate's exp(-sum_j eps[j, n]^2 / 2) (README).
+
+    phases_exact, phi = pi/2 - atan2(eta_n S[n, j], eps[n, j]), is the phase
+    of the first-order sideband amplitude r = eps + i eta_n S = i eta' e^{-i phi}
+    (gradient displacement plus photon recoil): exactly pi/2 where S = eps =
+    +0.0, -pi/2 where S = +0.0, eps = -0.0, and not determined where both are
+    rounding noise (|S| < 1e-13, in the highest modes from N = 35;
+    eigensolvers disagree on their signs at N >= 44).
+
+    Raises SolverError if any quantity is not finite, as for a field
     gradient too large for double precision.
     """
-    with np.errstate(all="ignore"):  # the check below reports overflow and NaN
-        grads = omega_gradients(config, chain)
-        eps = epsilon_matrix(grads, chain)
-        species = config.species
-        eps_sum = epsilon_matrix(omega_gradients(config, chain, species.moment_state0 + species.moment_state1), chain)
+    species, hbar, mu_b = config.species, CONSTANTS.hbar, CONSTANTS.bohr_magneton
+    nu, modes = chain.mode_frequencies, chain.mode_matrix
+    with np.errstate(all="ignore"):  # the check below reports overflow and NaN, also where the field overflows
+        field_gradients = np.asarray([config.field.gradient_at(z) for z in chain.positions_m])
+        fields = np.asarray([config.field.field_at(z) for z in chain.positions_m])
+        moment = species.differential_moment * mu_b
+        grads = moment * field_gradients / hbar
+        grads_sum = (species.moment_state0 + species.moment_state1) * mu_b * field_gradients / hbar
+        per_mode = chain.ground_state_extents / nu
+        eps = modes * grads[None, :] * per_mode[:, None]
+        eps_sum = modes * grads_sum[None, :] * per_mode[:, None]
+        j = np.einsum("j,jn,jl->nl", nu, eps, eps)
+        np.fill_diagonal(j, 0.0)
         eta_bare = chain.ground_state_extents * config.drive_wavevector
+        bare_part = eta_bare[:, None] * modes
+        dz1 = math.sqrt(hbar / (2.0 * species.mass * config.nu1))
         report = CouplingReport(
             omega_gradients=grads,
             epsilon_matrix=eps,
-            j_matrix=j_matrix(eps, chain),
-            shifts=carrier_shifts(eps_sum, eps, chain),
+            j_matrix=j,
+            shifts=-np.einsum("j,jn,jl->n", nu, eps_sum, eps),
             eta_bare=eta_bare,
-            eta_eff=effective_lamb_dicke(chain, eta_bare, eps),
-            phases_exact=exact_phases(chain, eta_bare, eps),
-            validity=validity_epsilon(config, grads),
-            qubit_frequencies=qubit_frequencies(config, chain),
+            eta_eff=np.sqrt(bare_part**2 + eps**2),
+            phases_exact=0.5 * math.pi - np.arctan2(bare_part, eps),
+            validity=float(np.max(np.abs(grads)) * dz1 / config.nu1),
+            qubit_frequencies=species.omega0 + moment * fields / hbar,
         )
     bad = [name for name, value in vars(report).items()
            if isinstance(value, (np.ndarray, float)) and not np.isfinite(value).all()]

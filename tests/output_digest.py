@@ -31,7 +31,9 @@ tests of test_spins.py pin that rule, not this run), and on the same config the 
 two 1e308 s delays, whose sum overflows the sequence time while the state stays exact
 (error_time_overflow); `couplings` on trap.json with its gradient set to -0 T/m, whose -0.0
 gradients and -0 epsilon entries change if a uniform profile is evaluated as a quadratic one
-with c = 0 (its b + 0 z is +0.0 at z >= 0); `simulate` on trap_n10 of FRAME_PROGRAM, whose
+with c = 0 (its b + 0 z is +0.0 at z >= 0); `couplings` on a 4-ion config whose sampled profile
+gives the ions gradients of +10, 0, -15 and +5 T/m (couplings_sampled, SAMPLED_CONFIG), the one
+report built from a sampled field; `simulate` on trap_n10 of FRAME_PROGRAM, whose
 logged <sx> and <sy> after detuned, phased pulses depend on the frame the
 simulator evolves in; `simulate` on trap_n10 of SUBSET_PROGRAM, whose
 measurements of permuted ion subsets (`measure z 7, 3 ,1` last, so in the
@@ -66,8 +68,8 @@ latter error_spectrum_ion: its stderr line comes from the one ion check,
 `coupling.sideband_spectrum`'s), `--shots` of 10^14, `--seed -1` and a program file
 that does not exist (`simulate`, error_seed_negative and error_missing_program), and the sweep
 bounds `1_00_000` and `nan`, `--steps ３`, `--steps` of 10^12, `delta_shift[1_0]` on
-trap_n10, `delta_shift[j]` with an index of 5,000 digits (error_sweep_index_digits) and
-`--param comment` (`sweep`).
+trap_n10, `delta_shift[j]` with an index of 5,000 digits (error_sweep_index_digits),
+`--param comment` and `--param N` (`sweep`, error_sweep_param_n: neither is a quantity).
 Byte identity holds per host. numpy's SIMD dispatch and OpenBLAS's kernel
 choice reach the last bits: on an AVX-512 host,
 NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" (numpy without its
@@ -153,6 +155,10 @@ ERROR_CONFIGS = {
     "unknown_variant": ({"species": "Yb171", "N": 2, "nu1": "100kHz", "field": {"cubic": 10.0}},
                         ["chain", "--out", "{out}/chain.json"]),
 }
+# 4 ions at -18.3, -5.8, 5.8 and 18.3 um, each in a segment of its own: gradients 10, 0, -15 and 5 T/m
+SAMPLED_CONFIG = {"species": "Yb171", "N": 4, "nu1": "100kHz",
+                  "field": {"sampled": {"points": [["-20um", "0T"], ["-8um", "1.2e-4T"], ["0um", "1.2e-4T"],
+                                                   ["8um", "0T"], ["20um", "6e-5T"]]}}}
 # a config whose gradient is given twice; json alone would keep the last, 0 T/m, and report J = 0
 DUPLICATE_KEY_CONFIG = ('{"species": "Yb171", "N": 2, "nu1": "100kHz", '
                         '"field": {"uniform": {"b": "20T/m", "b": "0T/m"}}}')
@@ -243,6 +249,8 @@ def _commands(work: Path) -> list[tuple[str, list[str]]]:
     zero_j["field"]["uniform"]["b"] = "-0T/m"
     (work / "trap_b_neg0.json").write_text(json.dumps(zero_j), encoding="utf-8")
     commands.append(("couplings_negative_zero_b", ["couplings", "--config", "trap_b_neg0.json", "--out-dir", "{out}"]))
+    (work / "sampled.json").write_text(json.dumps(SAMPLED_CONFIG), encoding="utf-8")
+    commands.append(("couplings_sampled", ["couplings", "--config", "sampled.json", "--out-dir", "{out}"]))
     (work / "time_overflow.pp").write_text("ions 2\ndelay 1e308s\ndelay 1e308s\nmeasure z all\n", encoding="utf-8")
     commands.append(("error_time_overflow", ["simulate", "--config", "trap_b0.json", "--program",
                                              "time_overflow.pp", "--out", "{out}/run.json"]))
@@ -303,7 +311,9 @@ def _commands(work: Path) -> list[tuple[str, list[str]]]:
                                                f"delta_shift[{'9' * 5000}]", "--out", "{out}/sweep.csv"]),
                  ("error_sweep_comment", ["sweep", "--config", "trap.json", "--param", "comment", "--from", "1",
                                           "--to", "2", "--steps", "2", "--quantity", "max_J",
-                                          "--out", "{out}/sweep.csv"])]
+                                          "--out", "{out}/sweep.csv"]),
+                 ("error_sweep_param_n", ["sweep", "--config", "trap.json", "--param", "N", "--from", "2", "--to", "3",
+                                          "--steps", "2", "--quantity", "max_J", "--out", "{out}/sweep.csv"])]
     for name, config in NUMERIC.items():
         (work / f"{name}.json").write_text(json.dumps(config), encoding="utf-8")
         commands.append((f"{name}_couplings", ["couplings", "--config", f"{name}.json", "--out-dir", "{out}"]))

@@ -561,7 +561,8 @@ def test_sweep_bad_param_path(trap2, tmp_path, capsys, monkeypatch):
     out = tmp_path / "s.csv"
     for param, message in [("field.zigzag.b", "sweep parameter path 'field.zigzag.b' not present in config"),
                            ("field.uniform.nope", "sweep parameter path 'field.uniform.nope' not present in config"),
-                           ("comment", "sweep parameter 'comment' is not a quantity")]:
+                           *((param, f"sweep parameter {param!r} is not a quantity")
+                             for param in ("comment", "N", "species", "field", "field.uniform"))]:
         code = main(["sweep", "--config", trap2, "--param", param, "--from", "1", "--to", "2", "--steps", "2",
                      "--quantity", "max_J", "--out", str(out)])
         assert code == 2

@@ -7,17 +7,7 @@ import pytest
 from conftest import C_LIGHT, HBAR, MU_B, TWO_PI, YB_MASS, mu0_quadratic_config, standard_raw
 from gradchain.chain import SolverError, solve_chain
 from gradchain.config import ConfigError, load_config, validate_config
-from gradchain.coupling import (
-    build_report,
-    effective_lamb_dicke,
-    epsilon_matrix,
-    exact_phases,
-    j_matrix,
-    omega_gradients,
-    qubit_frequencies,
-    sideband_spectrum,
-    validity_epsilon,
-)
+from gradchain.coupling import build_report, sideband_spectrum
 from oracles import carrier_shift_oracle, j_matrix_bruteforce_oracle
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -35,19 +25,19 @@ def make(n=2, nu1="100kHz", b="10T/m", field=None):
 # omega gradients and qubit frequencies --------------------------------------
 
 def test_gradients_uniform_10tm(config2, chain2):
-    grads = omega_gradients(config2, chain2)
+    grads = build_report(config2, chain2).omega_gradients
     assert np.allclose(grads, GRAD_10TM, rtol=1e-12)
     assert grads[0] == pytest.approx(8.794e11, rel=1e-3)
 
 
 def test_gradients_zero_field():
     cfg, chain = make(n=3, b="0T/m")
-    assert np.all(omega_gradients(cfg, chain) == 0.0)
+    assert np.all(build_report(cfg, chain).omega_gradients == 0.0)
 
 
 def test_gradients_quadratic_vary_monotonically():
     cfg, chain = make(n=4, field={"quadratic": {"b": "10T/m", "c": 1e5}})
-    grads = omega_gradients(cfg, chain)
+    grads = build_report(cfg, chain).omega_gradients
     assert np.all(np.diff(grads) > 0)  # dB/dz = b + 2 c z rises along the chain
 
 
@@ -56,20 +46,20 @@ def test_gradients_sampled_profile_and_range():
     extent = float(np.max(np.abs(chain.positions_m)))
     wide = {"sampled": {"points": [[-2 * extent, 0.0], [2 * extent, 4 * extent * 10.0]]}}
     cfg_wide, chain_wide = make(n=2, field=wide)
-    assert np.allclose(omega_gradients(cfg_wide, chain_wide), GRAD_10TM, rtol=1e-12)
+    assert np.allclose(build_report(cfg_wide, chain_wide).omega_gradients, GRAD_10TM, rtol=1e-12)
     narrow = {"sampled": {"points": [[-0.1 * extent, 0.0], [0.1 * extent, 1e-6]]}}
     cfg_narrow, chain_narrow = make(n=2, field=narrow)
     with pytest.raises(ConfigError, match="outside sampled profile range"):
-        omega_gradients(cfg_narrow, chain_narrow)
+        build_report(cfg_narrow, chain_narrow)
 
 
 def test_qubit_frequencies_no_field():
     cfg, chain = make(n=3, b="0T/m")
-    assert np.allclose(qubit_frequencies(cfg, chain), TWO_PI * 12.6e9, rtol=1e-15)
+    assert np.allclose(build_report(cfg, chain).qubit_frequencies, TWO_PI * 12.6e9, rtol=1e-15)
 
 
 def test_qubit_frequencies_monotonic_and_spacing(config10, chain10):
-    omegas = qubit_frequencies(config10, chain10)
+    omegas = build_report(config10, chain10).qubit_frequencies
     splittings = np.diff(omegas)
     assert np.all(splittings > 0)
     # splitting between neighbors is gradient * local spacing
@@ -85,7 +75,7 @@ def test_qubit_frequencies_monotonic_and_spacing(config10, chain10):
 
 def test_epsilon_single_ion_value():
     cfg, chain = make(n=1)
-    eps = epsilon_matrix(omega_gradients(cfg, chain), chain)
+    eps = build_report(cfg, chain).epsilon_matrix
     nu1 = TWO_PI * 1e5
     dz1 = np.sqrt(HBAR / (2 * YB_MASS * nu1))
     assert eps[0, 0] == pytest.approx(GRAD_10TM * dz1 / nu1, rel=1e-12)
@@ -94,19 +84,19 @@ def test_epsilon_single_ion_value():
 
 def test_epsilon_zero_gradient():
     cfg, chain = make(n=4, b="0T/m")
-    assert np.all(epsilon_matrix(omega_gradients(cfg, chain), chain) == 0.0)
+    assert np.all(build_report(cfg, chain).epsilon_matrix == 0.0)
 
 
 def test_epsilon_com_symmetric(config2, chain2):
-    eps = epsilon_matrix(omega_gradients(config2, chain2), chain2)
+    eps = build_report(config2, chain2).epsilon_matrix
     assert abs(eps[0, 0]) == pytest.approx(abs(eps[0, 1]), rel=1e-12)
 
 
 def test_epsilon_linear_in_gradient():
     cfg_a, chain_a = make(n=3, b="10T/m")
     cfg_b, chain_b = make(n=3, b="10.0001T/m")
-    eps_a = epsilon_matrix(omega_gradients(cfg_a, chain_a), chain_a)
-    eps_b = epsilon_matrix(omega_gradients(cfg_b, chain_b), chain_b)
+    eps_a = build_report(cfg_a, chain_a).epsilon_matrix
+    eps_b = build_report(cfg_b, chain_b).epsilon_matrix
     slope = (eps_b - eps_a) / 1e-4
     assert np.allclose(slope, eps_a / 10.0, rtol=1e-6)
 
@@ -118,7 +108,7 @@ def test_two_ion_closed_form_grid():
     for b in (2.0, 10.0, 37.5):
         for nu1_hz in (5e4, 1e5, 4e5):
             cfg, chain = make(n=2, nu1=f"{nu1_hz!r}Hz", b=f"{b!r}T/m")
-            j = j_matrix(epsilon_matrix(omega_gradients(cfg, chain), chain), chain)
+            j = build_report(cfg, chain).j_matrix
             grad = MU_B * b / HBAR
             expected = HBAR * grad**2 / (6 * YB_MASS * (TWO_PI * nu1_hz) ** 2)
             assert j[0, 1] == pytest.approx(expected, rel=1e-10)
@@ -132,7 +122,7 @@ def test_two_ion_j_is_19_3_hz(report2):
 
 def test_j_zero_gradient():
     cfg, chain = make(n=5, b="0T/m")
-    assert np.all(j_matrix(epsilon_matrix(omega_gradients(cfg, chain), chain), chain) == 0.0)
+    assert np.all(build_report(cfg, chain).j_matrix == 0.0)
 
 
 def test_n10_max_j_within_order_of_magnitude(report10):
@@ -142,23 +132,28 @@ def test_n10_max_j_within_order_of_magnitude(report10):
 
 def test_oracle_equivalence_three_ions_positive():
     cfg, chain = make(n=3)
-    j = j_matrix_bruteforce_oracle(omega_gradients(cfg, chain), chain, YB_MASS)
+    j = j_matrix_bruteforce_oracle(build_report(cfg, chain).omega_gradients, chain, YB_MASS)
     assert j[0, 1] > 0 and j[0, 2] > 0 and j[1, 2] > 0
 
 
 def test_oracle_single_ion_empty():
     cfg, chain = make(n=1)
-    assert np.all(j_matrix_bruteforce_oracle(omega_gradients(cfg, chain), chain, YB_MASS) == 0.0)
+    assert np.all(j_matrix_bruteforce_oracle(build_report(cfg, chain).omega_gradients, chain, YB_MASS) == 0.0)
 
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_oracle_equivalence_random_profiles(n):
+    # a sampled profile with one segment per ion, whose slope, up to +-11 T/m, is that ion's field gradient
     rng = np.random.default_rng(100 + n)
     chain = solve_chain(validate_config(standard_raw(n=n)))
+    z = chain.positions_m
+    edges = np.concatenate([[2 * z[0]], (z[:-1] + z[1:]) / 2, [2 * z[-1]]])
     for _ in range(6):
-        grads = rng.uniform(-1e12, 1e12, n)
-        a = j_matrix(epsilon_matrix(grads, chain), chain)
-        b = j_matrix_bruteforce_oracle(grads, chain, YB_MASS)
+        fields = np.concatenate([[0.0], np.cumsum(rng.uniform(-11.4, 11.4, n) * np.diff(edges))])
+        field = {"sampled": {"points": [[float(e), float(f)] for e, f in zip(edges, fields)]}}
+        report = build_report(validate_config(standard_raw(n=n) | {"field": field}), chain)
+        a = report.j_matrix
+        b = j_matrix_bruteforce_oracle(report.omega_gradients, chain, YB_MASS)
         scale = np.max(np.abs(a))
         assert np.max(np.abs(a - b)) <= 1e-12 * scale
         assert np.allclose(a, a.T, atol=0)
@@ -166,37 +161,36 @@ def test_oracle_equivalence_random_profiles(n):
 
 def test_sign_flip_invariance():
     cfg, chain = make(n=4)
-    grads = omega_gradients(cfg, chain)
-    j_ref = j_matrix(epsilon_matrix(grads, chain), chain)
+    j_ref = build_report(cfg, chain).j_matrix
     for row in range(4):
         flipped_s = chain.mode_matrix.copy()
         flipped_s[row] *= -1.0
         flipped = replace(chain, mode_matrix=flipped_s)
-        assert np.array_equal(j_matrix(epsilon_matrix(grads, flipped), flipped), j_ref)
+        assert np.array_equal(build_report(cfg, flipped).j_matrix, j_ref)
 
 
 def test_j_scaling_laws():
     # J ~ b^2 and ~ nu1^-2: the mode spectrum and S are invariant, so the
     # whole matrix rescales; checked over the full 3x3 (b, nu1) grid
     base_cfg, base_chain = make(n=3)
-    base = j_matrix(epsilon_matrix(omega_gradients(base_cfg, base_chain), base_chain), base_chain)
+    base = build_report(base_cfg, base_chain).j_matrix
     for b_factor in (2.0, 5.0, 11.0):
         for nu_factor in (2.0, 5.0, 11.0):
             cfg, chain = make(n=3, b=f"{10.0 * b_factor!r}T/m", nu1=f"{1e5 * nu_factor!r}Hz")
-            j = j_matrix(epsilon_matrix(omega_gradients(cfg, chain), chain), chain)
+            j = build_report(cfg, chain).j_matrix
             assert np.allclose(j, base * b_factor**2 / nu_factor**2, rtol=1e-10)
 
 
 # validity ----------------------------------------------------------------------
 
 def test_validity_standard_case(config2, chain2, report2):
-    assert validity_epsilon(config2, omega_gradients(config2, chain2)) == pytest.approx(0.0241, rel=0.01)
+    assert build_report(config2, chain2).validity == pytest.approx(0.0241, rel=0.01)
     assert report2.harmonic_approximation_valid
 
 
 def test_validity_zero_gradient():
     cfg, chain = make(n=2, b="0T/m")
-    assert validity_epsilon(cfg, omega_gradients(cfg, chain)) == 0.0
+    assert build_report(cfg, chain).validity == 0.0
 
 
 def test_validity_strong_gradient_flagged():
@@ -208,10 +202,18 @@ def test_validity_strong_gradient_flagged():
 
 @pytest.mark.filterwarnings("error")
 def test_report_with_a_non_finite_quantity_raises_solver_error():
-    # J overflows at 1e300 T/m; the CLI answers the error with exit 3
-    cfg, chain = make(n=2, b="1e300T/m")
-    with pytest.raises(SolverError, match=r"^coupling quantities are not finite: "):
-        build_report(cfg, chain)
+    # J overflows at 1e300 T/m; the CLI answers the error with exit 3. At B0 = b = 1.7e308 the qubit frequencies
+    # overflow too. At B0 = b = the largest double, B0 + b z itself overflows at the ions right of the centre, and
+    # no warning escapes: the field is read where numpy's warnings are off.
+    gradient_terms = "omega_gradients, epsilon_matrix, j_matrix, shifts, eta_eff"
+    rows = [(2, "0", "1e300", f"{gradient_terms}, validity")]
+    for big in ("1.7e308", "1.7976931348623157e308"):
+        rows += [(2, big, big, f"{gradient_terms}, validity, qubit_frequencies"),
+                 (25, big, big, f"{gradient_terms}, phases_exact, validity, qubit_frequencies")]
+    for n, b0, b, names in rows:
+        cfg = validate_config(standard_raw(n=n, b=f"{b}T/m", b0=f"{b0}T"))
+        with pytest.raises(SolverError, match=rf"^coupling quantities are not finite: {names}$"):
+            build_report(cfg, solve_chain(cfg))
 
 
 # effective Lamb-Dicke -----------------------------------------------------------
@@ -226,8 +228,7 @@ def test_eta_bare_microwave_tiny(config10, chain10, report10):
 
 def test_zero_gradient_reductions():
     cfg, chain = make(n=3, b="0T/m")
-    eps = epsilon_matrix(omega_gradients(cfg, chain), chain)
-    eta_eff = effective_lamb_dicke(chain, chain.ground_state_extents * cfg.drive_wavevector, eps)
+    eta_eff = build_report(cfg, chain).eta_eff
     k = TWO_PI * 12.6e9 / C_LIGHT
     eta_bare = chain.ground_state_extents * k
     assert np.allclose(eta_eff, np.abs(eta_bare[:, None] * chain.mode_matrix), atol=0)
@@ -235,9 +236,9 @@ def test_zero_gradient_reductions():
 
 
 def test_eta_eff_modulus_identity(config10, chain10):
-    eps = epsilon_matrix(omega_gradients(config10, chain10), chain10)
+    report = build_report(config10, chain10)
+    eps, eta_eff = report.epsilon_matrix, report.eta_eff
     k = config10.drive_wavevector
-    eta_eff = effective_lamb_dicke(chain10, chain10.ground_state_extents * k, eps)
     bare = chain10.ground_state_extents[:, None] * chain10.mode_matrix
     assert np.allclose(eta_eff**2, (k * bare) ** 2 + eps**2, rtol=1e-12)
 
@@ -337,8 +338,8 @@ def test_uniform_gradient_shift_closed_form():
 
 
 def test_exact_phases_near_pi_half(config2, chain2):
-    eps = epsilon_matrix(omega_gradients(config2, chain2), chain2)
-    phases = exact_phases(chain2, chain2.ground_state_extents * config2.drive_wavevector, eps)
+    report = build_report(config2, chain2)
+    eps, phases = report.epsilon_matrix, report.phases_exact
     # microwave eta is ~1e-6 of eps, so the exact phase sits within ~1e-3 of
     # +pi/2 (eps > 0) or -pi/2 (eps < 0, where the mode row is negative)
     wrapped = np.angle(np.exp(1j * phases))
@@ -408,10 +409,10 @@ def test_spectrum_rejects_bad_ion(config2, chain2, report2):
 def test_quadratic_profile_gives_unequal_pair_couplings():
     # a position-dependent gradient makes J_nl differ between equivalent pairs
     cfg, chain = make(n=3, field={"quadratic": {"b": "10T/m", "c": 3e5}})
-    j = j_matrix(epsilon_matrix(omega_gradients(cfg, chain), chain), chain)
+    j = build_report(cfg, chain).j_matrix
     assert abs(j[0, 1] - j[1, 2]) > 0.05 * abs(j[0, 1])
     uniform_cfg, uniform_chain = make(n=3)
-    j_u = j_matrix(epsilon_matrix(omega_gradients(uniform_cfg, uniform_chain), uniform_chain), uniform_chain)
+    j_u = build_report(uniform_cfg, uniform_chain).j_matrix
     assert j_u[0, 1] == pytest.approx(j_u[1, 2], rel=1e-10)  # mirror symmetry
 
 
