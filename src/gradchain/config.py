@@ -9,13 +9,14 @@ typo in a physics config produces plausible-looking wrong numbers.
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 import sys
 from collections.abc import Collection
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .constants import CONSTANTS, SPECIES_REGISTRY, Species
 from .units import FIELD, FREQUENCY, GRADIENT, LENGTH, QuantityError, read_integer, read_value
@@ -38,8 +39,8 @@ class OutOfRangeError(ConfigError):
         super().__init__(f"field {path}: {detail}")
 
 
-def _horner(coefficients: tuple[float, ...], z: float) -> float:
-    value = coefficients[-1]
+def _horner(coefficients: tuple[float, ...], z: np.ndarray) -> np.ndarray:
+    value = np.full(z.shape, coefficients[-1])
     for a in reversed(coefficients[:-1]):
         value = a + value * z
     return value
@@ -51,12 +52,11 @@ class PolynomialField:
 
     coefficients: tuple[float, ...]
 
-    def field_at(self, z: float) -> float:
-        return _horner(self.coefficients, z)
-
-    def gradient_at(self, z: float) -> float:
+    def at(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """B and dB/dz at each position of the 1-D array `z` (m)."""
         # a uniform field's gradient is b itself, never b + 0 z: padding c = 0 would turn b = -0.0 into +0.0 at z >= 0
-        return _horner(tuple(k * a for k, a in enumerate(self.coefficients) if k), z)
+        derivative = tuple(k * a for k, a in enumerate(self.coefficients) if k)
+        return _horner(self.coefficients, z), _horner(derivative, z)
 
 
 @dataclass(frozen=True)
@@ -76,21 +76,17 @@ class SampledField:
         if any(b <= a for a, b in zip(zs, zs[1:])):
             raise OutOfRangeError("field.sampled.points", "z values must be strictly increasing")
 
-    def _segment(self, z: float) -> tuple[tuple[float, float], tuple[float, float]]:
-        zs = [p[0] for p in self.points]
-        if z < zs[0] or z > zs[-1]:
-            raise ConfigError(f"position z={z:.6g} m outside sampled profile range [{zs[0]:.6g}, {zs[-1]:.6g}] m")
+    def at(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """B and dB/dz at each position of the 1-D array `z` (m); ConfigError names the first outside the samples."""
+        zs, bs = np.array(self.points).T
+        outside = (z < zs[0]) | (z > zs[-1])
+        if outside.any():
+            raise ConfigError(f"position z={z[outside][0]:.6g} m outside sampled profile range "
+                              f"[{zs[0]:.6g}, {zs[-1]:.6g}] m")
         # right-hand segment on ties; the last point belongs to the final segment
-        end = min(bisect.bisect_right(zs, z), len(zs) - 1)
-        return self.points[end - 1], self.points[end]
-
-    def field_at(self, z: float) -> float:
-        (z0, b0), (z1, b1) = self._segment(z)
-        return b0 + (b1 - b0) * (z - z0) / (z1 - z0)
-
-    def gradient_at(self, z: float) -> float:
-        (z0, b0), (z1, b1) = self._segment(z)
-        return (b1 - b0) / (z1 - z0)
+        end = np.minimum(np.searchsorted(zs, z, side="right"), len(zs) - 1)
+        z0, b0, z1, b1 = zs[end - 1], bs[end - 1], zs[end], bs[end]
+        return b0 + (b1 - b0) * (z - z0) / (z1 - z0), (b1 - b0) / (z1 - z0)
 
 
 FieldProfile = PolynomialField | SampledField

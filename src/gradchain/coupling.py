@@ -85,16 +85,16 @@ class CouplingReport:
 def build_report(config: TrapConfig, chain: ChainSolution) -> CouplingReport:
     """Every gradient-induced quantity of one chain in its field, in one report.
 
-    Each ion's field B(z0_n) and gradient B'(z0_n) are read once, at its rest
-    position; an ion outside a sampled profile raises ConfigError. J drops
-    its diagonal, whose sigma_z^2 terms are constants. The carrier shift
-    Delta_n is the centre of ion n's conditional lines: with |s><s| =
-    (1 + s sigma_z)/2 the polaron transformation that gives J also leaves a
-    term in sigma_z_n, and Delta_n is twice its coefficient. Its eps+ is
-    built from the gradients of the moment sum mu0 + mu1, not as eps times
-    (mu0 + mu1)/(mu1 - mu0), so mu0 = mu1 gives 0, not NaN. J and Delta do
-    not depend on the sign of any mode row: each of their terms carries two
-    factors of one mode.
+    Every ion's field B(z0_n) and gradient B'(z0_n) come from one call of the
+    profile's `at` on the rest positions; an ion outside a sampled profile
+    raises ConfigError. J drops its diagonal, whose sigma_z^2 terms are
+    constants. The carrier shift Delta_n is the centre of ion n's conditional
+    lines: with |s><s| = (1 + s sigma_z)/2 the polaron transformation that
+    gives J also leaves a term in sigma_z_n, and Delta_n is twice its
+    coefficient. Its eps+ is built from the gradients of the moment sum
+    mu0 + mu1, not as eps times (mu0 + mu1)/(mu1 - mu0), so mu0 = mu1 gives 0,
+    not NaN. J and Delta do not depend on the sign of any mode row: each of
+    their terms carries two factors of one mode.
 
     validity, max_j |grad_j| dz_1 / nu_1, compares the gradient term over one
     ground-state extent with the mode quantum hbar nu1; the derived
@@ -117,8 +117,7 @@ def build_report(config: TrapConfig, chain: ChainSolution) -> CouplingReport:
     species, hbar, mu_b = config.species, CONSTANTS.hbar, CONSTANTS.bohr_magneton
     nu, modes = chain.mode_frequencies, chain.mode_matrix
     with np.errstate(all="ignore"):  # the check below reports overflow and NaN, also where the field overflows
-        field_gradients = np.asarray([config.field.gradient_at(z) for z in chain.positions_m])
-        fields = np.asarray([config.field.field_at(z) for z in chain.positions_m])
+        fields, field_gradients = config.field.at(chain.positions_m)
         moment = species.differential_moment * mu_b
         grads = moment * field_gradients / hbar
         grads_sum = (species.moment_state0 + species.moment_state1) * mu_b * field_gradients / hbar

@@ -35,8 +35,6 @@ from .spins import (
     expectation,
     free_evolution,
     initialize,
-    outcome_indices,
-    outcome_labels,
 )
 
 NORM_TOLERANCE = 1e-9  # largest |1 - ||psi||| accepted after each instruction
@@ -291,13 +289,23 @@ class RunRecord:
 def marginal_counts(
     state: np.ndarray, ions: tuple[int, ...], rng: np.random.Generator, shots: int
 ) -> dict[str, int]:
-    """Counts of `shots` z measurements of `ions`, by outcome label, in label order; unseen outcomes left out."""
+    """Counts of `shots` z measurements of `ions`, by outcome label, in label order; unseen outcomes left out.
+
+    A shot's outcome index holds the first listed ion in its most significant
+    bit, so indices count up in label order.
+    """
     probs = np.abs(state) ** 2
     probs = probs / probs.sum()
     draws = rng.choice(probs.size, size=shots, p=probs)
-    tally = np.bincount(outcome_indices(draws, ions))
+    outcomes = np.zeros_like(draws)
+    for ion in ions:
+        outcomes <<= 1
+        outcomes |= (draws >> (ion - 1)) & 1
+    tally = np.bincount(outcomes)
     seen = np.flatnonzero(tally)
-    return dict(zip(outcome_labels(seen, len(ions)), tally[seen].tolist()))
+    bits = (seen[:, None] >> np.arange(len(ions) - 1, -1, -1)) & 1
+    labels = (bits.astype(np.uint8) + ord("0")).view(f"S{len(ions)}").ravel().astype(str).tolist()
+    return dict(zip(labels, tally[seen].tolist()))
 
 
 def interpret(program: PulseProgram, coupling: np.ndarray, initial: str, seed: int, shots: int) -> RunRecord:

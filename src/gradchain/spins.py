@@ -4,9 +4,7 @@ The register is a plain complex ndarray of 2^n amplitudes, which the
 kernels below update in place and return. Basis convention: basis index b
 has qubit n in state |1> iff bit (n-1) of b is set, and sigma_z eigenvalues
 are s_n = +1 for |1>, -1 for |0>. Labels list qubit 1 first, so
-initialize(2, "10") puts qubit 1 in |1> (index 1). An outcome index over a
-list of ions holds the first ion in its most significant bit, so outcome
-indices count up in label order.
+initialize(2, "10") puts qubit 1 in |1> (index 1).
 
 The register evolves in each qubit's own carrier frame, where the
 Hamiltonian between pulses is diagonal and holds only the J couplings,
@@ -83,21 +81,6 @@ def initialize(n: int, basis_label: str) -> np.ndarray:
     state = np.zeros(1 << n, dtype=complex)
     state[index] = 1.0
     return state
-
-
-def outcome_labels(indices: np.ndarray, n: int) -> list[str]:
-    """n-character label of each outcome index, its most significant bit first."""
-    bits = (np.asarray(indices, dtype=np.int64)[:, None] >> np.arange(n - 1, -1, -1)) & 1
-    return (bits.astype(np.uint8) + ord("0")).view(f"S{n}").ravel().astype(str).tolist()
-
-
-def outcome_indices(basis: np.ndarray, ions: tuple[int, ...] | list[int]) -> np.ndarray:
-    """Marginal outcome index over `ions` of each basis index: qubit ions[0] is its most significant bit."""
-    out = np.zeros_like(basis)
-    for ion in ions:
-        out <<= 1
-        out |= (basis >> (ion - 1)) & 1
-    return out
 
 
 def _pairs(a: np.ndarray, ion: int) -> np.ndarray:

@@ -95,9 +95,8 @@ def carrier_shift_oracle(config: TrapConfig, chain: ChainSolution, fock_levels: 
     """
     n = chain.ion_count
     moments = (config.species.moment_state0, config.species.moment_state1)
-    slopes = [[mu * CONSTANTS.bohr_magneton * config.field.gradient_at(z) / CONSTANTS.hbar
-               for z in chain.positions_m]
-              for mu in moments]  # [level][ion]
+    gradients = config.field.at(chain.positions_m)[1]
+    slopes = [[mu * CONSTANTS.bohr_magneton * g / CONSTANTS.hbar for g in gradients] for mu in moments]  # [level][ion]
     lower = np.diag(np.sqrt(np.arange(1.0, fock_levels)), 1)  # a in the Fock basis
     number = np.diag(np.arange(float(fock_levels)))
     if curvature:
@@ -156,7 +155,7 @@ def spin_phonon_populations_oracle(config: TrapConfig, chain: ChainSolution, shi
     """
     n = chain.ion_count
     moments = np.array([config.species.moment_state0, config.species.moment_state1])
-    grads = np.array([config.field.gradient_at(z) for z in chain.positions_m])
+    grads = config.field.at(chain.positions_m)[1]
     slopes = moments[:, None] * CONSTANTS.bohr_magneton * grads[None, :] / CONSTANTS.hbar  # [level, ion]
     lower = np.diag(np.sqrt(np.arange(1.0, fock_levels)), 1)
 

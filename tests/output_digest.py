@@ -32,9 +32,10 @@ two 1e308 s delays, whose sum overflows the sequence time while the state stays 
 (error_time_overflow); `couplings` on trap.json with its gradient set to -0 T/m, whose -0.0
 gradients and -0 epsilon entries change if a uniform profile is evaluated as a quadratic one
 with c = 0 (its b + 0 z is +0.0 at z >= 0); `couplings` on a 4-ion config whose sampled profile
-gives the ions gradients of +10, 0, -15 and +5 T/m (couplings_sampled, SAMPLED_CONFIG), the one
-report built from a sampled field; `simulate` on trap_n10 of FRAME_PROGRAM, whose
-logged <sx> and <sy> after detuned, phased pulses depend on the frame the
+gives the ions gradients of +10, 0, -15 and +5 T/m (couplings_sampled, SAMPLED_CONFIG), and on
+trap_n10's chain in a 4,001-point sampled profile over +-40 um whose gradients take both signs
+(couplings_sampled_dense, DENSE_CONFIG), the reports built from a sampled field; `simulate` on
+trap_n10 of FRAME_PROGRAM, whose logged <sx> and <sy> after detuned, phased pulses depend on the frame the
 simulator evolves in; `simulate` on trap_n10 of SUBSET_PROGRAM, whose
 measurements of permuted ion subsets (`measure z 7, 3 ,1` last, so in the
 histogram) pin the order of outcome labels; two generated 16-ion, 80-op, 20000-shot programs
@@ -82,6 +83,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import random
 import shutil
@@ -159,6 +161,11 @@ ERROR_CONFIGS = {
 SAMPLED_CONFIG = {"species": "Yb171", "N": 4, "nu1": "100kHz",
                   "field": {"sampled": {"points": [["-20um", "0T"], ["-8um", "1.2e-4T"], ["0um", "1.2e-4T"],
                                                    ["8um", "0T"], ["20um", "6e-5T"]]}}}
+# trap_n10's 10 ions, within +-36.5 um, in 4,001 samples of B = 0.1 mT sin(z / 8 um) 20 nm apart: gradients from
+# -12.3 to +11.3 T/m
+DENSE_CONFIG = {"species": "Yb171", "N": 10, "nu1": "100kHz",
+                "field": {"sampled": {"points": [[z, 1e-4 * math.sin(z / 8e-6)]
+                                                 for z in ((k - 2000) * 2e-8 for k in range(4001))]}}}
 # a config whose gradient is given twice; json alone would keep the last, 0 T/m, and report J = 0
 DUPLICATE_KEY_CONFIG = ('{"species": "Yb171", "N": 2, "nu1": "100kHz", '
                         '"field": {"uniform": {"b": "20T/m", "b": "0T/m"}}}')
@@ -251,6 +258,9 @@ def _commands(work: Path) -> list[tuple[str, list[str]]]:
     commands.append(("couplings_negative_zero_b", ["couplings", "--config", "trap_b_neg0.json", "--out-dir", "{out}"]))
     (work / "sampled.json").write_text(json.dumps(SAMPLED_CONFIG), encoding="utf-8")
     commands.append(("couplings_sampled", ["couplings", "--config", "sampled.json", "--out-dir", "{out}"]))
+    (work / "sampled_dense.json").write_text(json.dumps(DENSE_CONFIG), encoding="utf-8")
+    commands.append(("couplings_sampled_dense", ["couplings", "--config", "sampled_dense.json",
+                                                 "--out-dir", "{out}"]))
     (work / "time_overflow.pp").write_text("ions 2\ndelay 1e308s\ndelay 1e308s\nmeasure z all\n", encoding="utf-8")
     commands.append(("error_time_overflow", ["simulate", "--config", "trap_b0.json", "--program",
                                              "time_overflow.pp", "--out", "{out}/run.json"]))

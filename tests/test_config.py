@@ -1,8 +1,11 @@
+import bisect
 import json
+import math
 import random
 import re
 import struct
 
+import numpy as np
 import pytest
 
 from conftest import AMU, standard_raw
@@ -144,6 +147,12 @@ CONFIG_ERRORS = {
                               "field drive_wavevector: expected 'from_transition' or {'explicit': k}, got 'optical'"),
     "wavevector_bare_number": (_with(drive_wavevector=1e7),
                                "field drive_wavevector: expected 'from_transition' or {'explicit': k}, got 10000000.0"),
+    # a JSON boolean is an int to Python; read as a number, `true` would be 1 Hz
+    "nu1_boolean": (_with(nu1=True), "field nu1: expected a quantity, got True"),
+    "uniform_b_boolean": (_with(field={"uniform": {"b": False}}),
+                          "field field.uniform.b: expected a quantity, got False"),
+    "sampled_z_boolean": (_with(field={"sampled": {"points": [[True, 0.0], [1e-4, 1e-3]]}}),
+                          "field field.sampled.points[0].z: expected a quantity, got True"),
 }
 
 
@@ -191,9 +200,14 @@ def test_quadratic_field():
     raw["field"] = {"quadratic": {"B0": 0.0, "b": "5T/m", "c": 1000.0}}
     cfg = validate_config(raw)
     assert cfg.field == PolynomialField((0.0, 5.0, 1000.0))
-    assert cfg.field.gradient_at(0.0) == 5.0
-    assert cfg.field.gradient_at(1e-3) == pytest.approx(5.0 + 2.0, rel=1e-12)
-    assert cfg.field.field_at(2e-3) == pytest.approx(5.0 * 2e-3 + 1000.0 * 4e-6, rel=1e-12)
+    fields, gradients = cfg.field.at(np.array([0.0, 1e-3, 2e-3]))
+    assert gradients[0] == 5.0
+    assert gradients[1] == pytest.approx(5.0 + 2.0, rel=1e-12)
+    assert fields[2] == pytest.approx(5.0 * 2e-3 + 1000.0 * 4e-6, rel=1e-12)
+
+
+def _pack(*values) -> bytes:
+    return struct.pack(f"<{len(values)}d", *values)
 
 
 def test_polynomial_field_evaluates_the_closed_forms_bitwise():
@@ -204,28 +218,75 @@ def test_polynomial_field_evaluates_the_closed_forms_bitwise():
         return rng.choice((0.0, -0.0, scale * rng.uniform(-1.0, 1.0)))
 
     for _ in range(400):
-        b0, b, c, z = draw(1e-3), draw(50.0), draw(1e6), draw(1e-4)  # T, T/m, T/m^2, m
+        b0, b, c = draw(1e-3), draw(50.0), draw(1e6)  # T, T/m, T/m^2
+        zs = [draw(1e-4) for _ in range(rng.randint(1, 5))]  # m
         uniform = validate_config(standard_raw() | {"field": {"uniform": {"B0": b0, "b": b}}}).field
-        assert struct.pack("<2d", uniform.field_at(z), uniform.gradient_at(z)) == struct.pack("<2d", b0 + b * z, b)
+        fields, gradients = uniform.at(np.array(zs))
+        assert _pack(*fields, *gradients) == _pack(*(b0 + b * z for z in zs), *(b for _ in zs))
         quadratic = validate_config(standard_raw() | {"field": {"quadratic": {"B0": b0, "b": b, "c": c}}}).field
-        assert (struct.pack("<2d", quadratic.field_at(z), quadratic.gradient_at(z))
-                == struct.pack("<2d", b0 + (b + c * z) * z, b + 2.0 * c * z))
+        fields, gradients = quadratic.at(np.array(zs))
+        assert (_pack(*fields, *gradients)
+                == _pack(*(b0 + (b + c * z) * z for z in zs), *(b + 2.0 * c * z for z in zs)))
+
+
+def test_sampled_field_evaluates_the_segments_bitwise():
+    # positions on interior knots take the right-hand segment, the last knot the final one, and a position beyond
+    # either end is refused with the lowest such z, even when ions lie beyond both ends
+    rng = random.Random(36)
+    seen = {"interior knot": 0, "first knot": 0, "last knot": 0, "below": 0, "above": 0, "both": 0, "-0.0": 0}
+
+    def draw(scale):
+        return rng.choice((0.0, -0.0, scale * rng.uniform(-1.0, 1.0)))
+
+    for _ in range(600):
+        grid = sorted(rng.sample(range(-20, 21), rng.randint(2, 8)))
+        knots = [k * 1e-5 if k else rng.choice((0.0, -0.0)) for k in grid]  # m
+        bs = [draw(1e-3) for _ in knots]  # T
+        lo, hi = knots[0], knots[-1]
+        pool = knots + [rng.uniform(lo, hi) for _ in range(4)]
+        below, above = rng.choice(((False, False), (False, False), (True, False), (False, True), (True, True)))
+        zs = sorted([rng.choice(pool) for _ in range(rng.randint(1, 8))]
+                    + [lo - rng.uniform(1e-7, 1e-5)] * below + [hi + rng.uniform(1e-7, 1e-5)] * above)
+        field = validate_config(standard_raw() | {"field": {"sampled": {"points": list(zip(knots, bs))}}}).field
+        outside = [z for z in zs if z < lo or z > hi]
+        if outside:
+            seen["below"] += outside[0] < lo
+            seen["above"] += outside[-1] > hi
+            seen["both"] += outside[0] < lo < hi < outside[-1]
+            message = f"position z={outside[0]:.6g} m outside sampled profile range [{lo:.6g}, {hi:.6g}] m"
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                field.at(np.array(zs))
+            continue
+        expected_fields, expected_gradients = [], []
+        for z in zs:
+            end = min(bisect.bisect_right(knots, z), len(knots) - 1)
+            z0, b0, z1, b1 = knots[end - 1], bs[end - 1], knots[end], bs[end]
+            expected_fields.append(b0 + (b1 - b0) * (z - z0) / (z1 - z0))
+            expected_gradients.append((b1 - b0) / (z1 - z0))
+            seen["interior knot"] += z in knots[1:-1]
+            seen["first knot"] += z == lo
+            seen["last knot"] += z == hi
+        seen["-0.0"] += any(math.copysign(1.0, b) < 0 and b == 0.0 for b in bs)
+        fields, gradients = field.at(np.array(zs))
+        assert _pack(*fields, *gradients) == _pack(*expected_fields, *expected_gradients)
+    assert min(seen.values()) >= 10, seen
 
 
 def test_sampled_field_interpolation():
     field = SampledField(points=((-1e-4, 0.0), (0.0, 1e-3), (1e-4, 3e-3)))
-    assert field.field_at(-5e-5) == pytest.approx(0.5e-3)
-    assert field.gradient_at(-5e-5) == pytest.approx(1e-3 / 1e-4)
+    fields, gradients = field.at(np.array([-5e-5, 0.0, 1e-4]))
+    assert fields[0] == pytest.approx(0.5e-3)
+    assert gradients[0] == pytest.approx(1e-3 / 1e-4)
     # a point exactly on an interior sample uses the right-hand segment
-    assert field.gradient_at(0.0) == pytest.approx(2e-3 / 1e-4)
+    assert gradients[1] == pytest.approx(2e-3 / 1e-4)
     # the last sample belongs to the final segment
-    assert field.gradient_at(1e-4) == pytest.approx(2e-3 / 1e-4)
+    assert gradients[2] == pytest.approx(2e-3 / 1e-4)
 
 
 def test_sampled_field_out_of_range():
     field = SampledField(points=((-1e-4, 0.0), (1e-4, 1e-3)))
     with pytest.raises(ConfigError, match=r"^position z=0\.0002 m outside sampled profile range \[-0\.0001, 0\.0001\] m$"):
-        field.field_at(2e-4)
+        field.at(np.array([0.0, 2e-4]))
 
 
 def test_sampled_field_needs_increasing_points():

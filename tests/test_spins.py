@@ -13,8 +13,6 @@ from gradchain.spins import (
     expectation,
     free_evolution,
     initialize,
-    outcome_indices,
-    outcome_labels,
 )
 from oracles import (
     Drive,
@@ -89,7 +87,9 @@ def test_initialize_convention():
     state = initialize(2, "10")
     assert state[1] == 1.0
     assert np.sum(np.abs(state)) == 1.0
-    assert outcome_labels(outcome_indices(np.array([1]), (1, 2)), 2) == ["10"]
+    # the first listed ion is the first label character
+    assert marginal_counts(state, (1, 2), np.random.default_rng(0), 5) == {"10": 5}
+    assert marginal_counts(state, (2, 1), np.random.default_rng(0), 5) == {"01": 5}
 
 
 def test_initialize_large_register():
@@ -428,9 +428,15 @@ def test_marginal_counts_pinned():
 
 def test_outcome_labels_match_format():
     rng = np.random.default_rng(5)
+    # a basis state measured on every ion in order reads back its own label, up to the largest register
     for n in range(1, 17):
-        ks = np.concatenate(([0, 1, (1 << n) - 1], rng.integers(0, 1 << n, 20)))
-        assert outcome_labels(ks, n) == [format(int(k), f"0{n}b") for k in ks]
+        for label in ("0" * n, "1" * n, *("".join(map(str, rng.integers(0, 2, n))) for _ in range(5))):
+            assert marginal_counts(initialize(n, label), tuple(range(1, n + 1)), rng, 3) == {label: 3}
+    # a uniform state shows every label, each outcome index's binary form, in label order
+    for n in range(1, 13):
+        state = np.full(1 << n, (1 << n) ** -0.5, dtype=complex)
+        counts = marginal_counts(state, tuple(range(n, 0, -1)), rng, 50 << n)
+        assert list(counts) == [format(k, f"0{n}b") for k in range(1 << n)]
 
 
 def test_marginal_counts_come_in_label_order():
