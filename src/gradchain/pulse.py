@@ -1,6 +1,6 @@
 """Line-oriented pulse-sequence DSL and its interpreter.
 
-Grammar (one instruction per line, `#` starts a comment):
+Grammar (one instruction per line, a line ends only at LF, CR LF or CR; `#` starts a comment):
 
     ions <int>
     pulse ion=<i> rabi=<qty> detune=<qty> phase=<qty> (area=<qty>|dur=<qty>)
@@ -29,6 +29,7 @@ import numpy as np
 from .chain import SolverError
 from .units import ANGLE, FREQUENCY, TIME, QuantityError, read_integer, read_value
 from .spins import (
+    OBSERVABLES,
     SpinHamiltonian,
     apply_pulse,
     diagonal_rates,
@@ -37,7 +38,7 @@ from .spins import (
     initialize,
 )
 
-NORM_TOLERANCE = 1e-9  # largest |1 - ||psi||| accepted after each instruction
+NORM_TOLERANCE = 1e-9  # largest |1 - ||psi||| accepted after each pulse or delay
 MAX_SHOTS = 10**7      # sampling peaks near 28 B a shot (int64 draws and outcome indices): ~280 MB at the bound
 BASIS_CONVENTION = "qubit n is bit (n-1) of the basis index; labels list qubit 1 first; sigma_z|1> = +|1>"
 FRAME = ("synthesizer frame: each qubit's phase is counted against its own carrier; "
@@ -108,6 +109,7 @@ class PulseProgram:
 
 
 _TOKEN_RE = re.compile(r"\S+")
+_LINE_END_RE = re.compile(r"\r\n?|\n")  # universal newlines, as config.read_text reads a file
 _PULSE_KEYS = ("ion", "rabi", "detune", "phase", "area", "dur")
 _REQUIRED_PULSE_KEYS = ("ion", "rabi", "detune", "phase")
 
@@ -211,7 +213,7 @@ def parse(source: str) -> PulseProgram:
     n_ions = None
     instructions: list[Instruction] = []
 
-    for line_no, line in enumerate(source.splitlines(), start=1):
+    for line_no, line in enumerate(_LINE_END_RE.split(source), start=1):
         tokens = _tokens(line, line_no)
         if not tokens:
             continue
@@ -241,7 +243,7 @@ def parse(source: str) -> PulseProgram:
                 raise PulseProgramError("only z-basis measurement is supported: measure z <ions|all>", kw_span)
             instructions.append(MeasureZ(_parse_ion_set(tokens, n_ions), kw_span))
         elif keyword == "log":
-            if len(tokens) < 2 or tokens[1][0] not in ("sx", "sy", "sz"):
+            if len(tokens) < 2 or tokens[1][0] not in OBSERVABLES:
                 raise PulseProgramError("usage: log <sx|sy|sz> <ions|all>", kw_span)
             instructions.append(ExpectationLog(tokens[1][0], _parse_ion_set(tokens, n_ions), kw_span))
         else:
@@ -280,7 +282,7 @@ class RunRecord:
             "measurements": self.measurements,
             "final_state": {
                 "basis_convention": BASIS_CONVENTION,
-                "amplitudes": np.column_stack((self.final_state.real, self.final_state.imag)),
+                "amplitudes": self.final_state.view(np.float64).reshape(-1, 2),
             },
             "frame": FRAME,
         }
@@ -311,12 +313,12 @@ def marginal_counts(
 def interpret(program: PulseProgram, coupling: np.ndarray, initial: str, seed: int, shots: int) -> RunRecord:
     """Execute a program on the register whose J matrix (rad/s) is `coupling`.
 
-    The register evolves in the synthesizer frame (FRAME), where the energy
-    table holds only the J terms. A pulse's tone is its detune, and its phase
-    is shifted by -2 pi detune t_start so that the synthesizer stays phase
-    coherent across the whole sequence. A pulse or delay that takes the
-    sequence time past the largest double, or leaves the state non-finite or
-    its norm off 1 by more than NORM_TOLERANCE, raises ProgramRuntimeError.
+    The register evolves in the synthesizer frame (FRAME), where the energy table holds only the J
+    terms. A pulse's tone is its detune, and its phase is shifted by -2 pi detune t_start so that the
+    synthesizer stays phase coherent across the whole sequence. A pulse or delay that takes the sequence
+    time past the largest double, or leaves the state non-finite or its norm off 1 by more than
+    NORM_TOLERANCE, raises ProgramRuntimeError. Readouts (measure, log) change neither the state nor the
+    sequence time, so they neither move the clock nor re-check the register.
 
     One generator, seeded with `seed`, draws every shot. The record's
     histogram is the last measurement's counts; a program without a
@@ -338,26 +340,24 @@ def interpret(program: PulseProgram, coupling: np.ndarray, initial: str, seed: i
 
     for ins in program.instructions:
         try:
-            if isinstance(ins, Pulse):
-                omega_r = 2.0 * math.pi * ins.rabi_hz
-                tone = 2.0 * math.pi * ins.detune_hz
-                with np.errstate(over="ignore", invalid="ignore"):  # the norm check below reports it
-                    apply_pulse(state, rates, ins.ion, omega_r, tone, ins.phase_rad - tone * t, ins.duration_s)
-                t += ins.duration_s
-            elif isinstance(ins, Delay):
-                with np.errstate(over="ignore", invalid="ignore"):
+            if isinstance(ins, MeasureZ):
+                counts = marginal_counts(state, ins.ions, rng, shots)
+                measurements.append({"time_s": t, "ions": list(ins.ions), "counts": counts})
+                continue
+            if isinstance(ins, ExpectationLog):
+                log.extend({"time_s": t, "observable": ins.observable, "ion": ion,
+                            "value": expectation(state, ins.observable, ion)} for ion in ins.ions)
+                continue
+            with np.errstate(over="ignore", invalid="ignore"):  # the norm check below reports it
+                if isinstance(ins, Pulse):
+                    tone = 2.0 * math.pi * ins.detune_hz
+                    apply_pulse(state, rates, ins.ion, 2.0 * math.pi * ins.rabi_hz, tone, ins.phase_rad - tone * t,
+                                ins.duration_s)
+                else:
                     free_evolution(state, rates, ins.duration_s)
-                t += ins.duration_s
-            elif isinstance(ins, MeasureZ):
-                measurements.append(
-                    {"time_s": t, "ions": list(ins.ions), "counts": marginal_counts(state, ins.ions, rng, shots)}
-                )
-            else:
-                for ion in ins.ions:
-                    log.append({"time_s": t, "observable": ins.observable, "ion": ion,
-                                "value": expectation(state, ins.observable, ion)})
         except (ValueError, RuntimeError) as exc:
             raise ProgramRuntimeError(str(exc), ins.span) from exc
+        t += ins.duration_s
         if not math.isfinite(t):
             raise ProgramRuntimeError(f"sequence time {t!r} s is not finite", ins.span)
         # einsum, not np.linalg.norm or a dot: those call BLAS, which starts OpenBLAS's threads (README, BLAS threads)

